@@ -48,21 +48,3 @@ def build_position_ids(prompt_len: int, num_blocks: int, block_length: int, acti
 def format_mask(mask: np.ndarray) -> str:
     """Textual 0/1 grid, one row per line."""
     return "\n".join("".join("1" if x else "0" for x in row) for row in mask) + "\n"
-
-
-def parse_mask(text: str) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if set(line) - {"0", "1"}:
-            raise ValueError("line %d: mask rows must be 0/1 strings" % lineno)
-        rows.append([c == "1" for c in line])
-    if not rows:
-        raise ValueError("empty mask document")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError("line %d: ragged mask row" % (i + 1))
-    return np.asarray(rows, dtype=bool)

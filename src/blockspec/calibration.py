@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .core import GenerationConfig, SequenceState
-from .drafting import DraftFormula, DraftGraphSpec, build_graph, is_parent
+from .core import MASK, GenerationConfig, SequenceState
+from .drafting import DraftFormula, DraftGraphSpec, RankingView, build_graph, is_parent, order_vocab
 from .engine import StepRecord, vanilla_block_steps
 from .model import ToyDenoiser
 
@@ -49,35 +47,26 @@ def _window_record(
     origin: int,
     lookahead: int,
     sample_id: int,
-    top_k_vocab: int,
+    ranking: RankingView,
 ) -> Optional[CalibrationRecord]:
     """Rank the tokens unmasked during the next ``lookahead`` steps against
-    the origin step's distribution; None when any rank falls outside the
-    view (skip, not an error)."""
-    origin_state = steps[origin].state_before
-    marginals = steps[origin].marginals
-    ordered = sorted(
-        origin_state.masked_positions,
-        key=lambda n: (-marginals.top1_prob(n), n),
-    )
-    position_rank = {n: i + 1 for i, n in enumerate(ordered)}
-    before = steps[origin].state_before
+    the origin step's ranking; None when any rank falls outside the view
+    (skip, not an error)."""
     after = steps[origin + lookahead - 1].state_after
     pairs = []
-    for n, token in enumerate(after.tokens):
-        if before.tokens[n] != token:
-            if n not in position_rank:
-                return None
-            order = np.argsort(-marginals.rows[n], kind="stable")
-            j = int(np.nonzero(order == token - 1)[0][0]) + 1
-            if j > top_k_vocab:
-                return None
-            pairs.append((position_rank[n], j))
+    for i, n in enumerate(ranking.ordered_positions, start=1):
+        token = after.tokens[n]
+        if token == MASK:
+            continue
+        vocab = ranking.vocab_by_position[i - 1]
+        if token not in vocab:
+            return None
+        pairs.append((i, vocab.index(token) + 1))
     return CalibrationRecord(
         sample_id=sample_id,
         origin_step=origin,
         lookahead=lookahead,
-        pairs=tuple(sorted(pairs)),
+        pairs=tuple(pairs),
     )
 
 
@@ -91,19 +80,25 @@ def collect_records(
     (origin step, lookahead) window that fits inside its block.
 
     Prompts are processed in order and sample_id is the prompt index, so
-    the record list is deterministic.
+    the record list is deterministic.  Each step is ranked once and that
+    ranking serves every window opening at it.
     """
-    assert lookahead_max >= 1
+    if lookahead_max < 1:
+        raise ValueError("lookahead must be >= 1, got %d" % lookahead_max)
     records: List[CalibrationRecord] = []
     for sample_id, prompt in enumerate(prompts):
         state = SequenceState.initial(tuple(prompt), config.num_blocks, config.block_length)
         for k in range(config.num_blocks):
             state, steps = vanilla_block_steps(model, state, config)
-            for origin in range(len(steps)):
+            for origin, step in enumerate(steps):
+                ranking = RankingView(
+                    ordered_positions=step.ordered,
+                    vocab_by_position=order_vocab(step.marginals, step.ordered, config.top_k_vocab),
+                )
                 for ell in range(1, lookahead_max + 1):
                     if origin + ell > len(steps):
                         break
-                    record = _window_record(steps, origin, ell, sample_id, config.top_k_vocab)
+                    record = _window_record(steps, origin, ell, sample_id, ranking)
                     if record is not None:
                         records.append(record)
             if k + 1 < config.num_blocks:
@@ -171,12 +166,6 @@ class CandidateTable:
     def by_level(self, level: int) -> Tuple[TableEntry, ...]:
         return tuple(e for e in self.entries if e.level == level)
 
-    def count_of(self, formula: DraftFormula) -> int:
-        for e in self.entries:
-            if e.formula == formula:
-                return e.count
-        return 0
-
 
 def build_table(
     records: Sequence[CalibrationRecord],
@@ -192,7 +181,8 @@ def build_table(
     is not k * tokens_per_level (partial steps at a block edge) cannot
     become level-k formulas and are ignored.
     """
-    assert width >= 1
+    if width < 1:
+        raise ValueError("width must be >= 1, got %d" % width)
     entries: List[TableEntry] = []
     for level in range(1, lookahead_max + 1):
         counts: Dict[Tuple[Tuple[int, int], ...], int] = {}
@@ -305,7 +295,8 @@ def select_subgraph(
     Returns the best-scoring valid graph and its score; ties prefer the
     smaller node count, then the lexicographically smaller node list.
     """
-    assert budget >= 1
+    if budget < 1:
+        raise ValueError("budget must be >= 1, got %d" % budget)
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r (want one of %s)" % (strategy, ", ".join(STRATEGIES)))
     if not table.by_level(1):

@@ -11,6 +11,7 @@ under --profile.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -53,20 +54,16 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
     model = train_from_corpus(corpus, vocab_size)
     if args.config is not None:
         config = parse_config(_read(args.config), source=args.config)
+        if not (1 <= config.eot_token <= vocab_size):
+            raise InputError(
+                "%s: eot_token %d outside corpus vocabulary 1..%d" % (args.config, config.eot_token, vocab_size)
+            )
     else:
         config = GenerationConfig(
             schedule=UnmaskSchedule.fixed(1), eot_token=vocab_size, **_DEFAULTS
         )
     if getattr(args, "schedule", None) is not None:
-        schedule = UnmaskSchedule.parse(args.schedule)
-        config = GenerationConfig(
-            total_length=config.total_length,
-            block_length=config.block_length,
-            schedule=schedule,
-            top_k_vocab=config.top_k_vocab,
-            eot_token=config.eot_token,
-            seed=config.seed,
-        )
+        config = dataclasses.replace(config, schedule=UnmaskSchedule.parse(args.schedule))
     for p, prompt in enumerate(prompts):
         for t in prompt:
             if t > vocab_size:
@@ -98,7 +95,7 @@ def _report_dict(report: engine.RunReport, *, profile: bool) -> dict:
         ],
     }
     if profile:
-        doc["stage_percent"] = engine.profile_stages(report)
+        doc["stage_percent"] = engine.profile_stages(report.stage_seconds)
     return doc
 
 
@@ -202,11 +199,7 @@ def _cmd_bench(args) -> int:
         for report in reports:
             for name, seconds in report.stage_seconds.items():
                 merged[name] = merged.get(name, 0.0) + seconds
-        total_model = merged.get("model", 0.0)
-        if total_model > 0.0:
-            doc["stage_percent"] = {
-                name: 100.0 * seconds / total_model for name, seconds in sorted(merged.items())
-            }
+        doc["stage_percent"] = engine.profile_stages(merged)
     print(
         "%d prompts, schedule %s: mean speedup %.4f (up to EOT %.4f), %d acceptances"
         % (len(runs), config.schedule.format(), mean_speedup, mean_to_eot, doc["acceptances"])

@@ -8,7 +8,6 @@ place, so they are safe to share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -150,10 +149,6 @@ class Marginals:
     def vocab_size(self) -> int:
         return self.rows.shape[1]
 
-    def prob(self, position: int, token: int) -> float:
-        assert token != MASK
-        return float(self.rows[position, token - 1])
-
     def top1_prob(self, position: int) -> float:
         return float(self.rows[position].max())
 
@@ -265,13 +260,18 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        assert self.total_length >= 1 and self.block_length >= 1
+        if self.total_length < 1 or self.block_length < 1:
+            raise ValueError(
+                "total length and block length must be >= 1, got %d and %d"
+                % (self.total_length, self.block_length)
+            )
         if self.total_length % self.block_length != 0:
             raise ValueError(
                 "total length %d not divisible by block length %d"
                 % (self.total_length, self.block_length)
             )
-        assert self.top_k_vocab >= 1
+        if self.top_k_vocab < 1:
+            raise ValueError("top_k_vocab must be >= 1, got %d" % self.top_k_vocab)
         assert self.eot_token != MASK, "eot_token cannot be MASK"
 
     @property
@@ -382,25 +382,3 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
         )
     except (AssertionError, ValueError) as exc:
         raise ValueError("%s: %s" % (source, exc))
-
-
-# ---------------------------------------------------------------------------
-# sequence state serialization (json)
-
-
-def sequence_to_json(state: SequenceState) -> str:
-    doc = {
-        "prompt": list(state.prompt),
-        "blocks": [list(b.tokens) for b in state.blocks],
-        "active": state.active,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def sequence_from_json(text: str) -> SequenceState:
-    doc = json.loads(text)
-    return SequenceState(
-        prompt=tuple(int(t) for t in doc["prompt"]),
-        blocks=tuple(BlockState(tokens=tuple(int(t) for t in b)) for b in doc["blocks"]),
-        active=int(doc["active"]),
-    )

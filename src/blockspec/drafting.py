@@ -4,9 +4,12 @@ A draft formula is a set of (i, j) pairs: "unmask the i-th ranked masked
 position with its j-th ranked token".  Ranks are 1-based and computed
 against a concrete Marginals: positions ordered by descending top-1
 probability (ties toward the lower position index), vocabulary ordered
-by descending probability (ties toward the lower token id).  Formulas
-are state-independent; materializing one against a ranking view turns
-it into an actual candidate block.
+by descending probability (ties toward the lower token id).
+``order_positions`` and ``order_vocab`` are the only statement of these
+tie-break rules; callers rank once per denoising step and reuse that
+order for advancing, drafting and calibration.  Formulas are
+state-independent; materializing one against a ranking view turns it
+into an actual candidate block.
 
 Formulas are organized into a rooted DAG: A is a parent of B when A's
 pairs are a subset of B's and B has exactly one level's worth of extra
@@ -34,11 +37,6 @@ class RankingView:
 
     ordered_positions: Tuple[int, ...]
     vocab_by_position: Tuple[Tuple[int, ...], ...]  # aligned with ordered_positions
-
-    def position_at(self, i: int) -> Optional[int]:
-        if 1 <= i <= len(self.ordered_positions):
-            return self.ordered_positions[i - 1]
-        return None
 
     def token_at(self, i: int, j: int) -> Optional[int]:
         if not (1 <= i <= len(self.ordered_positions)):

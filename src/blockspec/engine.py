@@ -12,6 +12,8 @@ the marginals adopted from the last accepted draft, or the previous
 fresh target otherwise.  Either way that source is one step behind the
 committed state; a draft is accepted exactly when the continuation it
 guessed from the older distribution is what the fresh target realizes.
+The position order comes with it: it is the suffix that verification's
+last advance left uncommitted, so only the vocabulary is ranked here.
 Each block opens with a draft-free call since no distribution exists
 for it yet.
 """
@@ -23,16 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import (
-    BlockState,
-    GenerationConfig,
-    Marginals,
-    SequenceState,
-    remaining_nfe_without_speculation,
-)
+from .core import BlockState, GenerationConfig, Marginals, SequenceState
 from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
 from .model import ToyDenoiser, forward_batched
-from .timing import StageTimer
+from .timing import StageTimer, maybe_stage
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +76,12 @@ class GenerationResult:
 
 def compute_speedup(report: RunReport, *, up_to_eot: bool) -> float:
     """Baseline over actual NFEs, optionally filtered to the EOT prefix."""
-    blocks = report.per_block
-    if up_to_eot and report.eot_block is not None:
-        blocks = tuple(b for b in blocks if b.index <= report.eot_block)
+    return _speedup(report.per_block, report.eot_block if up_to_eot else None)
+
+
+def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> float:
+    """Baseline over actual NFEs for blocks up to ``last_block`` (all when None)."""
+    blocks = [b for b in per_block if last_block is None or b.index <= last_block]
     actual = sum(b.nfe for b in blocks)
     baseline = sum(b.baseline_nfe for b in blocks)
     assert actual > 0
@@ -94,24 +93,14 @@ def _finish_report(
     eot_block: Optional[int],
     stage_seconds: Dict[str, float],
 ) -> RunReport:
-    draft = RunReport(
+    return RunReport(
         total_nfe=sum(b.nfe for b in per_block),
         baseline_nfe=sum(b.baseline_nfe for b in per_block),
         acceptances=sum(b.acceptances for b in per_block),
         per_block=tuple(per_block),
         eot_block=eot_block,
-        speedup_all=0.0,
-        speedup_to_eot=0.0,
-        stage_seconds=stage_seconds,
-    )
-    return RunReport(
-        total_nfe=draft.total_nfe,
-        baseline_nfe=draft.baseline_nfe,
-        acceptances=draft.acceptances,
-        per_block=draft.per_block,
-        eot_block=draft.eot_block,
-        speedup_all=compute_speedup(draft, up_to_eot=False),
-        speedup_to_eot=compute_speedup(draft, up_to_eot=True),
+        speedup_all=_speedup(per_block, None),
+        speedup_to_eot=_speedup(per_block, eot_block),
         stage_seconds=stage_seconds,
     )
 
@@ -134,10 +123,15 @@ def _check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One vanilla denoising step inside a block (used by calibration)."""
+    """One vanilla denoising step inside a block (used by calibration).
+
+    ``ordered`` is the step's position ranking,
+    ``order_positions(marginals, state_before)``.
+    """
 
     state_before: BlockState
     marginals: Marginals
+    ordered: Tuple[int, ...]
     state_after: BlockState
     realized: int
 
@@ -154,12 +148,12 @@ def vanilla_block_steps(
     while not state.active_block.is_complete:
         before = state.active_block
         target, _ = forward_batched(model, state, [], timer=timer)
-        if timer is None:
-            after, realized = verification.advance(before, target, config.schedule)
-        else:
-            with timer.stage("position sort"):
-                after, realized = verification.advance(before, target, config.schedule)
-        steps.append(StepRecord(state_before=before, marginals=target, state_after=after, realized=realized))
+        with maybe_stage(timer, "ranking"):
+            ordered = order_positions(target, before)
+        after, realized = verification.advance(before, target, ordered, config.schedule)
+        steps.append(
+            StepRecord(state_before=before, marginals=target, ordered=ordered, state_after=after, realized=realized)
+        )
         state = state.with_active_block(after)
     return state, steps
 
@@ -261,14 +255,13 @@ def generate_speculative(
         realized: List[int] = []
         accepted_s: List[int] = []
         rank_source: Optional[Marginals] = None
+        positions: Tuple[int, ...] = ()
         while not state.active_block.is_complete:
             block = state.active_block
             if rank_source is None or graph.num_nodes == 0:
                 drafts = []
             else:
-                with timer.stage("position sort"):
-                    positions = order_positions(rank_source, block)
-                with timer.stage("vocab sort"):
+                with timer.stage("ranking"):
                     vocab = order_vocab(rank_source, positions, config.top_k_vocab)
                 ranking = RankingView(ordered_positions=positions, vocab_by_position=vocab)
                 with timer.stage("drafting"):
@@ -284,6 +277,7 @@ def generate_speculative(
             realized.extend(outcome.realized_s)
             accepted_s.extend(outcome.realized_s[1:])
             rank_source = outcome.adopted_marginals if outcome.adopted_marginals is not None else target
+            positions = outcome.remaining_order
         per_block.append(
             PerBlockStats(
                 index=k,
@@ -399,12 +393,16 @@ def per_block_summary(reports: Sequence[RunReport]) -> List[BlockSummary]:
     return out
 
 
-def profile_stages(report: RunReport) -> Dict[str, float]:
-    """Stage overheads as a percentage of model time."""
-    model_time = report.stage_seconds.get("model", 0.0)
+def profile_stages(stage_seconds: Mapping[str, float]) -> Dict[str, float]:
+    """Stage overheads as a percentage of model time.
+
+    ``stage_seconds`` is one report's ``stage_seconds`` or the per-stage
+    sum over several reports.
+    """
+    model_time = stage_seconds.get("model", 0.0)
     if model_time <= 0.0:
         raise ValueError("model stage time is zero; nothing to normalize against")
     out = {}
-    for name, seconds in sorted(report.stage_seconds.items()):
+    for name, seconds in sorted(stage_seconds.items()):
         out[name] = 100.0 * seconds / model_time
     return out

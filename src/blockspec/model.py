@@ -14,7 +14,6 @@ distributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -44,8 +43,6 @@ class ToyDenoiser:
     bigram_left: np.ndarray
     bigram_right: np.ndarray
     unigram: np.ndarray
-
-    deterministic = True
 
     def __post_init__(self):
         v = self.vocab_size
@@ -208,7 +205,7 @@ def forward_batched(
 
 
 # ---------------------------------------------------------------------------
-# corpus and model files
+# corpus files
 
 
 def parse_corpus(text: str, *, source: str = "<corpus>") -> List[Tuple[int, ...]]:
@@ -233,37 +230,3 @@ def parse_corpus(text: str, *, source: str = "<corpus>") -> List[Tuple[int, ...]
 
 def format_corpus(sequences: Sequence[Sequence[int]]) -> str:
     return "\n".join(" ".join(str(t) for t in seq) for seq in sequences) + "\n"
-
-
-def model_to_json(model: ToyDenoiser) -> str:
-    doc = {
-        "vocab_size": model.vocab_size,
-        "alpha": model.alpha,
-        "lambda_left": model.lambda_left,
-        "lambda_right": model.lambda_right,
-        "lambda_uni": model.lambda_uni,
-        "bigram_left": model.bigram_left.tolist(),
-        "bigram_right": model.bigram_right.tolist(),
-        "unigram": model.unigram.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str, *, source: str = "<model>") -> ToyDenoiser:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("%s: %s" % (source, exc))
-    try:
-        return ToyDenoiser(
-            vocab_size=int(doc["vocab_size"]),
-            alpha=float(doc["alpha"]),
-            lambda_left=float(doc["lambda_left"]),
-            lambda_right=float(doc["lambda_right"]),
-            lambda_uni=float(doc["lambda_uni"]),
-            bigram_left=np.asarray(doc["bigram_left"], dtype=np.int64),
-            bigram_right=np.asarray(doc["bigram_right"], dtype=np.int64),
-            unigram=np.asarray(doc["unigram"], dtype=np.int64),
-        )
-    except KeyError as exc:
-        raise ValueError("%s: missing field %s" % (source, exc))

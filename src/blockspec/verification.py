@@ -19,29 +19,35 @@ from .core import BlockState, Marginals, UnmaskSchedule
 from .drafting import DraftBlock, order_positions
 
 
-def advance(block: BlockState, marginals: Marginals, schedule: UnmaskSchedule) -> Tuple[BlockState, int]:
-    """One denoising step: unmask the scheduled positions greedily.
+def advance(
+    block: BlockState,
+    marginals: Marginals,
+    ordered: Sequence[int],
+    schedule: UnmaskSchedule,
+) -> Tuple[BlockState, int]:
+    """One denoising step: commit the scheduled prefix of ``ordered``.
 
-    Fixed{s} takes the top min(s, masked) positions by top-1 probability;
-    Threshold{p} takes every position clearing p and at least one.  Each
-    chosen position commits its argmax token.  Ties break toward lower
-    position index and lower token id, matching the ranking module.
+    ``ordered`` is ``order_positions(marginals, block)``, ranked once by
+    the caller.  Fixed{s} takes the first min(s, masked) positions;
+    Threshold{p} takes the prefix whose top-1 probability clears p, and
+    at least one position.  Each chosen position commits its argmax token
+    (ties toward the lower id).  Both schedules commit a prefix, so
+    ``ordered[realized:]`` is the new block's order under ``marginals``.
     """
-    masked = block.masked_positions
-    if not masked:
+    if not ordered:
         raise ValueError("advance on a fully unmasked block")
     assert marginals.block_length == block.length
-    ordered = order_positions(marginals, block)
     if schedule.kind == "fixed":
-        chosen = ordered[: min(schedule.tokens_per_step, len(ordered))]
+        count = min(schedule.tokens_per_step, len(ordered))
     else:
-        chosen = tuple(n for n in ordered if marginals.top1_prob(n) >= schedule.threshold)
-        if not chosen:
-            chosen = ordered[:1]
+        # ordered is descending in top-1, so the first miss ends the prefix
+        count = 1
+        while count < len(ordered) and marginals.top1_prob(ordered[count]) >= schedule.threshold:
+            count += 1
     out = block
-    for n in chosen:
+    for n in ordered[:count]:
         out = out.with_token(n, marginals.argmax_token(n))
-    return out, len(chosen)
+    return out, count
 
 
 @dataclass(frozen=True)
@@ -52,13 +58,16 @@ class VerifyOutcome:
     (None when the single advance came straight from the fresh target);
     the engine uses it as the ranking source for the next round of
     drafts.  ``realized_s`` logs the token count of every step taken.
+    ``remaining_order`` is ``new_block``'s masked positions ranked under
+    the marginals of the last advance: the suffix that advance left
+    uncommitted, and empty once the block is complete.
     """
 
     new_block: BlockState
-    steps_advanced: int
     accepted_levels: Tuple[int, ...]
     adopted_marginals: Optional[Marginals]
     realized_s: Tuple[int, ...]
+    remaining_order: Tuple[int, ...]
 
 
 def verify(
@@ -78,7 +87,8 @@ def verify(
     """
     if len(drafts) != len(draft_marginals):
         raise ValueError("drafts and draft_marginals length mismatch")
-    current, s0 = advance(block, target, schedule)
+    ordered = order_positions(target, block)
+    current, s0 = advance(block, target, ordered, schedule)
     realized: List[int] = [s0]
     accepted: List[int] = []
     adopted: Optional[Marginals] = None
@@ -95,26 +105,13 @@ def verify(
         remaining.remove(hit)
         accepted.append(hit[0].level)
         adopted = hit[1]
-        current, s = advance(current, adopted, schedule)
+        ordered = order_positions(adopted, current)
+        current, s = advance(current, adopted, ordered, schedule)
         realized.append(s)
     return VerifyOutcome(
         new_block=current,
-        steps_advanced=len(realized),
         accepted_levels=tuple(accepted),
         adopted_marginals=adopted,
         realized_s=tuple(realized),
+        remaining_order=ordered[realized[-1]:],
     )
-
-
-def nfe_saving_factor(total_s: Sequence[int], accepted_s: Sequence[int]) -> float:
-    """Saved-call factor: sum(S_t) / (sum(S_t) - sum(accepted S)).
-
-    With S identically 1 this reduces to W / (W - M) for M accepted
-    steps out of W.
-    """
-    total = sum(total_s)
-    saved = sum(accepted_s)
-    denominator = total - saved
-    if denominator <= 0:
-        raise ValueError("saving factor denominator is %d" % denominator)
-    return total / denominator

@@ -6,6 +6,7 @@ sorted DP), so agreement between the two is a real cross-check and not a
 copy of the same code path.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -26,7 +27,7 @@ from blockspec.calibration import (
     parse_table,
     select_subgraph,
 )
-from blockspec.drafting import DraftFormula
+from blockspec.drafting import DraftFormula, format_graph
 
 
 def _record(pairs, sample_id=0, origin=0, lookahead=None):
@@ -182,7 +183,7 @@ class TestCollectRecords:
         assert a == collect_records(model, prompts[:3], cfg, 3)
 
     def test_lookahead_must_be_positive(self, model):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="lookahead must be >= 1, got 0"):
             collect_records(model, [(2,)], make_config(), 0)
 
 
@@ -223,7 +224,7 @@ class TestBuildTable:
         records = [_record([(1, 1)])] * 3 + [_record([(2, 1)])] * 2 + [_record([(3, 1)])]
         table = build_table(records, 1, width=2)
         assert len(table.by_level(1)) == 2
-        assert table.count_of(DraftFormula.of([(3, 1)])) == 0
+        assert [e.formula.pairs for e in table.entries] == [((1, 1),), ((2, 1),)]
 
     def test_count_ties_break_lexicographically(self):
         records = [_record([(2, 1)]), _record([(1, 2)])]
@@ -244,7 +245,7 @@ class TestBuildTable:
         assert table.by_level(1)[0].count == 4
 
     def test_width_must_be_positive(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
             build_table([], 1, width=0)
 
 
@@ -309,7 +310,7 @@ class TestSelectSubgraph:
         assert STRATEGIES == ("degree0", "degree1", "total")
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             select_subgraph(SPEC_TABLE, 0, "degree0")
 
     def test_no_level1_candidates_rejected(self):
@@ -385,3 +386,28 @@ class TestCalibrateGraph:
             for p in prompts[8:14]
         )
         assert total > 0
+
+
+class TestPinnedBytes:
+    """Calibration output at the README settings (corpus seed 7, the first
+    20 prompts of seed 11, W=32, L=8, top_k_vocab 3, degree1), pinned as
+    the sha256 of records + table + graph text.  Any change to ranking,
+    windowing, counting or selection shows up here."""
+
+    @pytest.mark.parametrize(
+        "schedule, lookahead, budget, n_records, n_entries, digest",
+        [
+            ("fixed:1", 4, 8, 2065, 10, "7263a826efecaec7211a94beae1875efe6750b187e2579b0d3af3a6093066301"),
+            ("threshold:0.4", 4, 8, 1165, 8, "4b66f2fce16bb17213347f059389378afd0f9165ee55eec06781b1121cd0b18d"),
+            ("fixed:2", 3, 6, 710, 7, "60ac9ce823221a5ef9b62da68a3f6563cd33c74932c5208c98f0b9a714fca488"),
+        ],
+        ids=["fixed1", "threshold0.4", "fixed2"],
+    )
+    def test_readme_calibration_bytes(self, model, prompts, schedule, lookahead, budget, n_records, n_entries, digest):
+        cfg = make_config(schedule)
+        graph, table, records = calibrate_graph(
+            model, prompts, cfg, lookahead_max=lookahead, budget=budget, strategy="degree1", width=3
+        )
+        assert (len(records), len(table.entries)) == (n_records, n_entries)
+        text = format_records(records) + format_table(table) + format_graph(graph)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -6,13 +6,18 @@ check-lossless command exists to catch, so it must exit 1 on it.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockspec
 from blockspec import cli, synthetic, verification
 from blockspec.calibration import parse_records
 from blockspec.core import GenerationConfig, UnmaskSchedule, format_config
-from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
+from blockspec.drafting import DraftFormula, build_graph, format_graph, order_positions, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import format_corpus, train_from_corpus
 from blockspec.verification import VerifyOutcome, advance
@@ -58,6 +63,10 @@ def run(capsys, *argv):
 
 def setup_args(files):
     return ["--corpus", files["corpus"], "--prompts", files["prompts"]]
+
+
+SRC = str(Path(blockspec.__file__).resolve().parent.parent)
+_CONFIG = "W = 32\nL = 8\nschedule.mode = fixed\nschedule.s = 1\ntop_k_vocab = %d\neot_token = %d\nseed = 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +239,22 @@ class TestBench:
             run(capsys, "bench", *setup_args(files), "--graph", files["chain"], "--report", p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_profile_carries_the_same_stages_as_generate(self, files, capsys):
+        """Both --profile reports go through one helper and name the same
+        stages; ranking is one stage, not a position and a vocab sort."""
+        gen_path = files["tmp"] / "gen.json"
+        bench_path = files["tmp"] / "bench.json"
+        run(capsys, "generate", *setup_args(files), "--graph", files["chain"], "--out", gen_path, "--profile")
+        run(
+            capsys,
+            "bench", *setup_args(files),
+            "--graph", files["chain"], "--limit", 2, "--report", bench_path, "--profile",
+        )
+        gen = json.loads(gen_path.read_text())["stage_percent"]
+        bench = json.loads(bench_path.read_text())["stage_percent"]
+        assert set(gen) == set(bench) == {"mask", "position ids", "model", "ranking", "drafting", "verify"}
+        assert gen["model"] == bench["model"] == 100.0
+
     def test_empty_prompt_set_rejected(self, files, capsys):
         code, _, stderr = run(
             capsys, "bench", *setup_args(files), "--graph", files["chain"], "--limit", 0
@@ -272,7 +297,8 @@ class TestCheckLossless:
         """Accepting drafts without comparing tokens must exit 1."""
 
         def sloppy_verify(block, target, drafts, draft_marginals, schedule):
-            current, s0 = advance(block, target, schedule)
+            ordered = order_positions(target, block)
+            current, s0 = advance(block, target, ordered, schedule)
             realized = [s0]
             accepted = []
             adopted = None
@@ -289,14 +315,15 @@ class TestCheckLossless:
                 accepted.append(hit[0].level)
                 adopted = hit[1]
                 current = hit[0].block
-                current, s = advance(current, adopted, schedule)
+                ordered = order_positions(adopted, current)
+                current, s = advance(current, adopted, ordered, schedule)
                 realized.append(s)
             return VerifyOutcome(
                 new_block=current,
-                steps_advanced=len(realized),
                 accepted_levels=tuple(accepted),
                 adopted_marginals=adopted,
                 realized_s=tuple(realized),
+                remaining_order=ordered[realized[-1]:],
             )
 
         monkeypatch.setattr(verification, "verify", sloppy_verify)
@@ -383,3 +410,31 @@ class TestInputValidation:
         code, _, stderr = run(capsys, "generate", *setup_args(files), "--schedule", "warp:9")
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--budget", 0], None, "budget must be >= 1, got 0"),
+            (["--lookahead", 0], None, "lookahead must be >= 1, got 0"),
+            (["--width", 0], None, "width must be >= 1, got 0"),
+            ([], _CONFIG % (0, 12), "bad.cfg: top_k_vocab must be >= 1, got 0"),
+            ([], _CONFIG % (3, 99), "bad.cfg: eot_token 99 outside corpus vocabulary 1..12"),
+        ],
+        ids=["budget", "lookahead", "width", "top_k_vocab", "eot_token"],
+    )
+    def test_bad_calibrate_input_exits_2_with_a_message(self, files, flags, config, message):
+        """Run as a real process: exit 2 (not 1, which means diverged), a
+        message naming the bad value, and no traceback."""
+        args = ["--lookahead", 4, "--budget", 8] + flags
+        if config is not None:
+            (files["tmp"] / "bad.cfg").write_text(config)
+            args += ["--config", files["tmp"] / "bad.cfg"]
+        command = [sys.executable, "-m", "blockspec.cli", "calibrate", *setup_args(files)]
+        command += ["--out", files["tmp"] / "out.graph", *args]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [str(a) for a in command], cwd=files["tmp"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr

@@ -82,8 +82,7 @@ class TestRanking:
     def test_rank_view_accessors(self):
         m = _marginals([[0.2], [0.9]])
         view = rank(m, BlockState.masked(2), 2)
-        assert view.position_at(1) == 1
-        assert view.position_at(3) is None
+        assert view.ordered_positions == (1, 0)
         assert view.token_at(1, 1) == 1
         assert view.token_at(1, 9) is None
         assert view.token_at(9, 1) is None
@@ -198,7 +197,7 @@ class TestMaterialize:
             m = Marginals(rows=rows)
             view = rank(m, block, 4)
             made = materialize(DraftFormula.of([(1, 1)]), view, block)
-            stepped, realized = advance(block, m, UnmaskSchedule.fixed(1))
+            stepped, realized = advance(block, m, view.ordered_positions, UnmaskSchedule.fixed(1))
             assert realized == 1
             assert made.block.tokens == stepped.tokens
 

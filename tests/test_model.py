@@ -16,8 +16,6 @@ from blockspec.model import (
     forward,
     forward_batched,
     format_corpus,
-    model_from_json,
-    model_to_json,
     parse_corpus,
     train_from_corpus,
 )
@@ -233,22 +231,6 @@ class TestForwardBatched:
 
 
 class TestModelFiles:
-    def test_model_json_round_trip(self, model):
-        again = model_from_json(model_to_json(model))
-        assert again.vocab_size == model.vocab_size
-        assert again.alpha == model.alpha
-        assert np.array_equal(again.bigram_left, model.bigram_left)
-        assert np.array_equal(again.bigram_right, model.bigram_right)
-        assert np.array_equal(again.unigram, model.unigram)
-
-    def test_model_json_missing_field(self):
-        with pytest.raises(ValueError, match="missing field"):
-            model_from_json('{"vocab_size": 2}')
-
-    def test_model_json_malformed(self):
-        with pytest.raises(ValueError, match="m.json"):
-            model_from_json("not json", source="m.json")
-
     def test_corpus_round_trip(self):
         seqs = [(1, 2, 3), (4,), (2, 2)]
         assert parse_corpus(format_corpus(seqs)) == seqs

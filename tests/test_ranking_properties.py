@@ -1,0 +1,107 @@
+"""Property tests for the one ranking rule.
+
+Marginals are drawn from a handful of probability levels, so equal top-1
+values across positions and equal entries inside a row are common: the
+tie-break rules, not the values, decide most of the orders checked here.
+The last property is the suffix identity the decoders rely on: the order
+``verify`` hands on for drafting is exactly a fresh ranking of the block
+it produced, under the marginals of its last advance.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
+from blockspec.drafting import DraftBlock, DraftFormula, order_positions, order_vocab
+from blockspec.verification import advance, verify
+
+LEVELS = (0.0, 0.125, 0.25, 0.5)
+THRESHOLDS = (0.125, 0.25, 0.5, 1.0)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sizes(draw):
+    return draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+
+@st.composite
+def marginals(draw, length, vocab):
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(LEVELS), min_size=vocab, max_size=vocab),
+            min_size=length,
+            max_size=length,
+        )
+    )
+    return Marginals(rows=np.array(rows, dtype=np.float64))
+
+
+@st.composite
+def partial_blocks(draw, length, vocab):
+    """A block with at least one masked position."""
+    tokens = draw(st.lists(st.integers(MASK, vocab), min_size=length, max_size=length))
+    tokens[draw(st.integers(0, length - 1))] = MASK
+    return BlockState(tokens=tuple(tokens))
+
+
+schedules = st.one_of(
+    st.integers(1, 3).map(UnmaskSchedule.fixed),
+    st.sampled_from(THRESHOLDS).map(UnmaskSchedule.at_threshold),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_positions_sort_by_descending_top1_then_index(data):
+    length, vocab = data.draw(sizes())
+    m = data.draw(marginals(length, vocab))
+    block = data.draw(partial_blocks(length, vocab))
+    row_max = m.rows.max(axis=1)
+    want = sorted(block.masked_positions, key=lambda n: (-row_max[n], n))
+    assert order_positions(m, block) == tuple(want)
+
+
+@PROPERTY
+@given(st.data())
+def test_vocab_sorts_by_descending_probability_then_id(data):
+    length, vocab = data.draw(sizes())
+    m = data.draw(marginals(length, vocab))
+    positions = data.draw(st.lists(st.integers(0, length - 1), max_size=length))
+    k = data.draw(st.integers(1, vocab + 1))
+    want = tuple(
+        tuple(sorted(range(1, vocab + 1), key=lambda t: (-m.rows[n, t - 1], t))[:k]) for n in positions
+    )
+    assert order_vocab(m, positions, k) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_verify_hands_on_the_ranking_of_its_last_advance(data):
+    """Drafts replay the vanilla chain after the target's step, each kept
+    or dropped at random, so verify accepts a random-length prefix of it."""
+    length, vocab = data.draw(sizes())
+    schedule = data.draw(schedules)
+    block = data.draw(partial_blocks(length, vocab))
+    target = data.draw(marginals(length, vocab))
+    drafts, draft_marginals = [], []
+    state, m = block, target
+    while True:
+        state, _ = advance(state, m, order_positions(m, state), schedule)
+        if state.is_complete:
+            break
+        m = data.draw(marginals(length, vocab))
+        if data.draw(st.booleans()):
+            formula = DraftFormula.of([(1, 1)])
+            drafts.append(DraftBlock(block=state, formula=formula, level=1, step_tag=state.unmasked_count))
+            draft_marginals.append(m)
+
+    out = verify(block, target, drafts, draft_marginals, schedule)
+
+    source = out.adopted_marginals if out.adopted_marginals is not None else target
+    if out.new_block.is_complete:
+        assert out.remaining_order == ()
+    else:
+        assert out.remaining_order == order_positions(source, out.new_block)

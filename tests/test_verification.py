@@ -1,4 +1,4 @@
-"""Tests for the advance step, draft verification, and NFE accounting.
+"""Tests for the advance step and draft verification.
 
 Drafts here are handcrafted DraftBlock instances so each oracle controls
 exactly which chain verify can walk; losslessness against real spawned
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from blockspec.core import BlockState, Marginals, UnmaskSchedule
-from blockspec.drafting import DraftBlock, DraftFormula
-from blockspec.verification import VerifyOutcome, advance, nfe_saving_factor, verify
+from blockspec.drafting import DraftBlock, DraftFormula, order_positions
+from blockspec.verification import VerifyOutcome, advance, verify
 
 
 def _marginals(rows, vocab=4):
@@ -18,6 +18,10 @@ def _marginals(rows, vocab=4):
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
     return Marginals(rows=out)
+
+
+def _advance(block, m, schedule):
+    return advance(block, m, order_positions(m, block), schedule)
 
 
 def _draft(tokens, step_tag, level=1):
@@ -38,32 +42,32 @@ class TestAdvance:
     def test_fixed1_takes_top_position_argmax_token(self):
         m = _marginals([[0.2, 0.0, 0.0], [0.1, 0.8, 0.1], [0.5, 0.0, 0.0]])
         block = BlockState.masked(3)
-        out, realized = advance(block, m, UnmaskSchedule.fixed(1))
+        out, realized = _advance(block, m, UnmaskSchedule.fixed(1))
         assert realized == 1
         assert out.tokens == (0, 2, 0)
 
     def test_fixed_clamps_to_masked_count(self):
         m = _marginals([[0.9], [0.0], [0.8]])
         block = BlockState(tokens=(0, 5, 0))
-        out, realized = advance(block, m, UnmaskSchedule.fixed(4))
+        out, realized = _advance(block, m, UnmaskSchedule.fixed(4))
         assert realized == 2
         assert out.is_complete
 
     def test_threshold_takes_all_clearing_positions(self):
         m = _marginals([[0.95], [0.91], [0.5]])
-        out, realized = advance(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
+        out, realized = _advance(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
         assert realized == 2
         assert out.tokens == (1, 1, 0)
 
     def test_threshold_floor_of_one(self):
         m = _marginals([[0.5], [0.4]])
-        out, realized = advance(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
+        out, realized = _advance(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
         assert realized == 1
         assert out.tokens == (1, 0)
 
     def test_position_and_token_ties_break_low(self):
         m = _marginals([[0.0, 0.4, 0.4], [0.4, 0.4, 0.0]])
-        out, _ = advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
+        out, _ = _advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
         # equal top-1 probs: position 0 wins; equal probs inside the row:
         # lower token id wins
         assert out.tokens == (2, 0)
@@ -71,7 +75,7 @@ class TestAdvance:
     def test_complete_block_is_error(self):
         m = _marginals([[1.0]])
         with pytest.raises(ValueError, match="fully unmasked"):
-            advance(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
+            advance(BlockState(tokens=(3,)), m, (), UnmaskSchedule.fixed(1))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +88,13 @@ class TestVerify:
         target = _marginals([[0.2], [0.9], [0.5]])
         out = verify(BlockState.masked(3), target, [], [], UnmaskSchedule.fixed(1))
         assert isinstance(out, VerifyOutcome)
-        assert out.steps_advanced == 1
+        assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
         assert out.adopted_marginals is None
         assert out.realized_s == (1,)
         assert out.new_block.tokens == (0, 1, 0)
+        # the target's order minus the committed position: 0.5 before 0.2
+        assert out.remaining_order == (2, 0)
 
     def test_acceptance_chain_walks_matching_drafts(self):
         """Two drafts that reproduce the greedy path give three steps."""
@@ -98,19 +104,20 @@ class TestVerify:
         d1 = _draft((0, 1, 0), step_tag=1, level=1)
         d2 = _draft((0, 1, 2), step_tag=2, level=2)
         out = verify(BlockState.masked(3), target, [d1, d2], [m1, m2], UnmaskSchedule.fixed(1))
-        assert out.steps_advanced == 3
+        assert len(out.realized_s) == 3
         assert out.accepted_levels == (1, 2)
         assert list(out.accepted_levels) == sorted(out.accepted_levels)
         assert out.adopted_marginals is m2
         assert out.new_block.tokens == (3, 1, 2)
         assert out.realized_s == (1, 1, 1)
+        assert out.remaining_order == ()
 
     def test_one_token_mismatch_rejects(self):
         target = _marginals([[0.2], [0.9], [0.5]])
         bad = _draft((0, 2, 0), step_tag=1)  # wrong token at position 1
         m1 = _marginals([[0.3], [0.0], [0.7]])
         out = verify(BlockState.masked(3), target, [bad], [m1], UnmaskSchedule.fixed(1))
-        assert out.steps_advanced == 1
+        assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
         assert out.adopted_marginals is None
 
@@ -119,7 +126,7 @@ class TestVerify:
         d = _draft((0, 1, 0), step_tag=2)  # right content, wrong tag
         m1 = _marginals([[0.3], [0.0], [0.7]])
         out = verify(BlockState.masked(3), target, [d], [m1], UnmaskSchedule.fixed(1))
-        assert out.steps_advanced == 1
+        assert len(out.realized_s) == 1
 
     def test_committed_slot_must_match_too(self):
         target = _marginals([[0.2], [0.9], [0.5]])
@@ -127,7 +134,7 @@ class TestVerify:
         wrong = _draft((0, 1, 4), step_tag=2)  # disagrees on the old slot
         m1 = _marginals([[0.3], [0.0], [0.0]])
         out = verify(start, target, [wrong], [m1], UnmaskSchedule.fixed(1))
-        assert out.steps_advanced == 1
+        assert len(out.realized_s) == 1
 
     def test_complete_state_stops_before_scanning(self):
         """A draft matching the finished block is never accepted."""
@@ -137,7 +144,7 @@ class TestVerify:
         m1 = _marginals([[0.0], [0.0]])
         out = verify(start, target, [finished], [m1], UnmaskSchedule.fixed(1))
         assert out.new_block.is_complete
-        assert out.steps_advanced == 1
+        assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
 
     def test_threshold_step_can_jump_past_draft(self):
@@ -152,23 +159,3 @@ class TestVerify:
         target = _marginals([[0.5]])
         with pytest.raises(ValueError, match="length mismatch"):
             verify(BlockState.masked(1), target, [_draft((1,), 1)], [], UnmaskSchedule.fixed(1))
-
-
-# ---------------------------------------------------------------------------
-# NFE accounting
-# ---------------------------------------------------------------------------
-
-
-class TestNfeSavingFactor:
-    def test_fixed1_half_accepted(self):
-        assert nfe_saving_factor([1] * 256, [1] * 128) == 2.0
-
-    def test_nothing_accepted_is_one(self):
-        assert nfe_saving_factor([1] * 8, []) == 1.0
-
-    def test_variable_steps(self):
-        assert nfe_saving_factor([2, 2, 2, 2], [2, 2]) == 2.0
-
-    def test_all_accepted_is_error(self):
-        with pytest.raises(ValueError, match="denominator"):
-            nfe_saving_factor([1, 1], [1, 1])
