@@ -4,8 +4,8 @@ Calibration replays vanilla decoding over a handful of prompts and, for
 every step, asks: under the distribution the model held at that moment,
 which ranked candidates (i, j) did the next few steps actually commit?
 Counting those pair sets per lookahead depth gives a candidate table;
-an exhaustive search then picks the subgraph of at most D formulas that
-a chosen strategy scores highest.
+a pruned search over root-reachable subsets then picks the subgraph of
+at most D formulas that a chosen strategy scores highest.
 
 Run: python3 demos/04_calibration.py
 """
@@ -48,7 +48,9 @@ def main() -> None:
         print("  level %d  %-22s count %d"
               % (entry.level, entry.formula.format(), entry.count))
 
-    # Step 3: exhaustive subgraph selection under each scoring strategy.
+    # Step 3: subgraph selection under each scoring strategy.  The search
+    # only grows root-reachable sets and cuts branches that cannot reach
+    # the best score, yet returns what trying every subset would.
     print("\nselected subgraphs with budget D=6:")
     for strategy in STRATEGIES:
         graph, score = select_subgraph(table, 6, strategy)

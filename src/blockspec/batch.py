@@ -16,7 +16,7 @@ import numpy as np
 def build_mask(prompt_len: int, num_blocks: int, block_length: int, active: int, num_drafts: int) -> np.ndarray:
     """Boolean attention mask; True means "row may attend to column"."""
     assert prompt_len >= 0 and num_blocks >= 1 and block_length >= 1
-    assert 0 <= active < num_blocks
+    _check_active(active, num_blocks)
     assert num_drafts >= 0
     context = prompt_len + num_blocks * block_length
     side = context + num_drafts * block_length
@@ -36,13 +36,18 @@ def build_mask(prompt_len: int, num_blocks: int, block_length: int, active: int,
 def build_position_ids(prompt_len: int, num_blocks: int, block_length: int, active: int, num_drafts: int) -> np.ndarray:
     """Position ids: context counts up 0..context-1; each draft repeats the
     active block's absolute positions."""
-    assert 0 <= active < num_blocks
+    _check_active(active, num_blocks)
     context = prompt_len + num_blocks * block_length
     ids = list(range(context))
     block_lo = prompt_len + active * block_length
     for _ in range(num_drafts):
         ids.extend(range(block_lo, block_lo + block_length))
     return np.asarray(ids, dtype=np.int64)
+
+
+def _check_active(active: int, num_blocks: int) -> None:
+    if not 0 <= active < num_blocks:
+        raise ValueError("active block %d outside 0..%d" % (active, num_blocks - 1))
 
 
 def format_mask(mask: np.ndarray) -> str:

@@ -6,8 +6,9 @@ that actually got unmasked hold under step t's own distribution?  Each
 full window yields one record whose pair set is cumulative over the
 window, so the level-k candidates can be read off the lookahead-k
 records directly.  Counting identical sets gives a small candidate
-table per level, and an exhaustive search picks the best root-reachable
-subgraph within the draft budget D under one of three scores:
+table per level, and a pruned depth-first search over root-reachable
+subsets picks the best subgraph within the draft budget D under one of
+three scores:
 
 * degree0: sum of node counts;
 * degree1: sum of node counts plus, per node, its in-graph parents'
@@ -19,11 +20,11 @@ subgraph within the draft budget D under one of three scores:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import MASK, GenerationConfig, SequenceState
-from .drafting import DraftFormula, DraftGraphSpec, RankingView, build_graph, is_parent, order_vocab
+from .drafting import DraftFormula, DraftGraphSpec, RankingView, build_graph, order_vocab, parent_indices
 from .engine import StepRecord, vanilla_block_steps
 from .model import ToyDenoiser
 
@@ -235,6 +236,8 @@ def parse_table(text: str, *, source: str = "<table>") -> CandidateTable:
             count = int(fields[2])
         except ValueError:
             raise ValueError("%s:%d: malformed table row %r" % (source, lineno, raw))
+        if count < 0:
+            raise ValueError("%s:%d: count must be >= 0, got %d" % (source, lineno, count))
         entries.append(TableEntry(level=level, formula=DraftFormula.of(pairs), count=count))
     if lookahead_max is None or tokens_per_level is None:
         raise ValueError("%s: missing lookahead_max or tokens_per_level header" % source)
@@ -245,44 +248,11 @@ def parse_table(text: str, *, source: str = "<table>") -> CandidateTable:
 # subgraph selection
 
 
-def _subset_valid(nodes: Sequence[DraftFormula], tokens_per_level: int) -> bool:
-    reachable: Dict[DraftFormula, bool] = {}
-    for q in sorted(nodes, key=lambda f: f.size):
-        if q.size == tokens_per_level:
-            reachable[q] = True
-        else:
-            reachable[q] = any(
-                is_parent(p, q, tokens_per_level) and reachable[p]
-                for p in nodes
-                if p.size == q.size - tokens_per_level
-            )
-        if not reachable[q]:
-            return False
-    return True
-
-
-def _score_subset(
-    nodes: Sequence[DraftFormula],
-    counts: Dict[DraftFormula, int],
-    tokens_per_level: int,
-    strategy: str,
-) -> int:
-    parents_of = {
-        q: [p for p in nodes if is_parent(p, q, tokens_per_level)] for q in nodes
-    }
+def _carried(strategy: str, count: int, gain: int) -> int:
+    """What a node adds to each in-graph child's gain under ``strategy``."""
     if strategy == "degree0":
-        return sum(counts[q] for q in nodes)
-    if strategy == "degree1":
-        return sum(counts[q] + sum(counts[p] for p in parents_of[q]) for q in nodes)
-    assert strategy == "total"
-    memo: Dict[DraftFormula, int] = {}
-
-    def totalcount(q: DraftFormula) -> int:
-        if q not in memo:
-            memo[q] = counts[q] + sum(totalcount(p) for p in parents_of[q])
-        return memo[q]
-
-    return sum(totalcount(q) for q in nodes)
+        return 0
+    return count if strategy == "degree1" else gain
 
 
 def select_subgraph(
@@ -290,34 +260,74 @@ def select_subgraph(
     budget: int,
     strategy: str,
 ) -> Tuple[DraftGraphSpec, int]:
-    """Exhaustively search subsets of table formulas within ``budget``.
+    """Best-scoring root-reachable subgraph of the table within ``budget``.
 
-    Returns the best-scoring valid graph and its score; ties prefer the
-    smaller node count, then the lexicographically smaller node list.
+    A depth-first search takes candidates in (size, pairs) order and
+    admits one only at level 1 or after one of its parents, so every set
+    it builds is root-reachable and each such set is built once.  Parents
+    precede children in that order, so a node's gain (its share of the
+    score) is fixed when it enters.  A branch is cut when its score plus
+    the largest gains its free slots could still add falls strictly below
+    the best score; that bound needs counts >= 0.
+
+    Returns the best graph and its score; ties prefer the smaller node
+    count, then the lexicographically smaller node list.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1, got %d" % budget)
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r (want one of %s)" % (strategy, ", ".join(STRATEGIES)))
-    if not table.by_level(1):
-        raise ValueError("no level-1 candidates")
+    for e in table.entries:
+        if e.count < 0:
+            raise ValueError("count of %s is %d; counts must be >= 0" % (e.formula.format(), e.count))
+    tpl = table.tokens_per_level
     candidates = sorted({e.formula for e in table.entries}, key=lambda f: (f.size, f.pairs))
+    if not any(f.size == tpl for f in candidates):
+        raise ValueError("no level-1 candidates")
     counts = {e.formula: e.count for e in table.entries}
-    best: Optional[Tuple[int, Tuple[DraftFormula, ...]]] = None
-    for size in range(1, min(budget, len(candidates)) + 1):
-        for combo in combinations(candidates, size):
-            if not _subset_valid(combo, table.tokens_per_level):
+    count = [counts[f] for f in candidates]
+    parents = parent_indices(candidates, tpl)
+    n = len(candidates)
+
+    # cap[q]: q's gain with every parent in the graph, its largest possible;
+    # ceilings[i][r]: the sum of the r largest caps among candidates i..n-1.
+    cap = [0] * n
+    cap_carried = [0] * n
+    for q in range(n):
+        cap[q] = count[q] + sum(cap_carried[p] for p in parents[q])
+        cap_carried[q] = _carried(strategy, count[q], cap[q])
+    ceilings = [list(accumulate(sorted(cap[i:], reverse=True), initial=0)) for i in range(n)]
+
+    chosen: List[int] = []
+    carried: List[Optional[int]] = [None] * n  # None: not in the graph
+    best_score = -1
+    best: Tuple[DraftFormula, ...] = ()
+
+    def tie_key(nodes: Sequence[DraftFormula]):
+        return len(nodes), [f.pairs for f in nodes]
+
+    def grow(start: int, score: int) -> None:
+        nonlocal best_score, best
+        slots = budget - len(chosen)
+        for q in range(start, n):
+            if score + ceilings[q][min(slots, n - q)] < best_score:
+                return
+            if candidates[q].size != tpl and all(carried[p] is None for p in parents[q]):
                 continue
-            score = _score_subset(combo, counts, table.tokens_per_level, strategy)
-            if best is None or score > best[0] or (
-                score == best[0]
-                and (len(combo), tuple(f.pairs for f in combo))
-                < (len(best[1]), tuple(f.pairs for f in best[1]))
-            ):
-                best = (score, combo)
-    assert best is not None  # level-1 singletons are always valid
-    graph = build_graph(best[1], table.tokens_per_level, budget=budget)
-    return graph, best[0]
+            gain = count[q] + sum(carried[p] for p in parents[q] if carried[p] is not None)
+            chosen.append(q)
+            carried[q] = _carried(strategy, count[q], gain)
+            if score + gain >= best_score:
+                nodes = tuple(candidates[i] for i in chosen)
+                if score + gain > best_score or tie_key(nodes) < tie_key(best):
+                    best_score, best = score + gain, nodes
+            if slots > 1:
+                grow(q + 1, score + gain)
+            carried[q] = None
+            chosen.pop()
+
+    grow(0, 0)
+    return build_graph(best, tpl, budget=budget), best_score
 
 
 def calibrate_graph(

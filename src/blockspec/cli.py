@@ -71,6 +71,15 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
     return model, prompts, config
 
 
+def _first(prompts: List[Tuple[int, ...]], limit: Optional[int]) -> List[Tuple[int, ...]]:
+    """The first ``limit`` prompts, or all of them when no limit is given."""
+    if limit is None:
+        return prompts
+    if limit < 0:
+        raise InputError("--limit must be >= 0, got %d" % limit)
+    return prompts[:limit]
+
+
 def _load_graph(path: str) -> drafting.DraftGraphSpec:
     return drafting.parse_graph(_read(path), source=path)
 
@@ -105,8 +114,7 @@ def _report_dict(report: engine.RunReport, *, profile: bool) -> dict:
 
 def _cmd_calibrate(args) -> int:
     model, prompts, config = _load_setup(args)
-    if args.limit is not None:
-        prompts = prompts[: args.limit]
+    prompts = _first(prompts, args.limit)
     if not prompts:
         raise InputError("no prompts to calibrate from")
     graph, table, records = calibration.calibrate_graph(
@@ -150,8 +158,7 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     model, prompts, config = _load_setup(args)
     graph = _load_graph(args.graph)
-    if args.limit is not None:
-        prompts = prompts[: args.limit]
+    prompts = _first(prompts, args.limit)
     if not prompts:
         raise InputError("no prompts to bench")
     runs = []
@@ -219,7 +226,7 @@ def _cmd_check_lossless(args) -> int:
     model, prompts, config = _load_setup(args)
     graph = _load_graph(args.graph)
     if args.trials < 1:
-        raise InputError("0 trials: nothing checked")
+        raise InputError("--trials must be >= 1, got %d" % args.trials)
     if args.trials > len(prompts):
         raise InputError("%d trials requested but only %d prompts available" % (args.trials, len(prompts)))
     for index in range(args.trials):

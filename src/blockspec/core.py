@@ -53,8 +53,10 @@ class BlockState:
         return self.unmasked_count == self.length
 
     def with_token(self, position: int, token: int) -> "BlockState":
-        assert self.tokens[position] == MASK, "position already unmasked"
-        assert token != MASK, "cannot unmask to MASK"
+        if self.tokens[position] != MASK:
+            raise ValueError("position %d already unmasked" % position)
+        if token == MASK:
+            raise ValueError("cannot unmask position %d to MASK" % position)
         toks = list(self.tokens)
         toks[position] = token
         return BlockState(tokens=tuple(toks))
@@ -82,13 +84,19 @@ class SequenceState:
         return self.blocks[self.active]
 
     def with_active_block(self, block: BlockState) -> "SequenceState":
-        assert block.length == self.blocks[self.active].length
+        if block.length != self.active_block.length:
+            raise ValueError(
+                "block of length %d cannot replace an active block of length %d"
+                % (block.length, self.active_block.length)
+            )
         blocks = self.blocks[: self.active] + (block,) + self.blocks[self.active + 1 :]
         return replace(self, blocks=blocks)
 
     def advance_block(self) -> "SequenceState":
-        assert self.active_block.is_complete, "active block not complete"
-        assert self.active + 1 < len(self.blocks), "no next block"
+        if not self.active_block.is_complete:
+            raise ValueError("active block %d not complete" % self.active)
+        if self.active + 1 >= len(self.blocks):
+            raise ValueError("no block after block %d" % self.active)
         return replace(self, active=self.active + 1)
 
     def all_tokens(self) -> Tuple[int, ...]:
@@ -159,7 +167,8 @@ class Marginals:
 
 def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
     """Degenerate marginals for a fully unmasked block: every row one-hot."""
-    assert block.is_complete, "one_hot_marginals needs a complete block"
+    if not block.is_complete:
+        raise ValueError("one_hot_marginals needs a complete block")
     rows = np.zeros((block.length, vocab_size), dtype=np.float64)
     for n, t in enumerate(block.tokens):
         rows[n, t - 1] = 1.0
@@ -186,11 +195,17 @@ class UnmaskSchedule:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            assert self.tokens_per_step is not None and self.tokens_per_step >= 1
-            assert self.threshold is None
+            if self.threshold is not None or self.tokens_per_step is None or self.tokens_per_step < 1:
+                raise ValueError(
+                    "fixed schedule needs s >= 1 and no threshold, got s=%r, threshold=%r"
+                    % (self.tokens_per_step, self.threshold)
+                )
         elif self.kind == "threshold":
-            assert self.threshold is not None and 0.0 < self.threshold <= 1.0
-            assert self.tokens_per_step is None
+            if self.tokens_per_step is not None or self.threshold is None or not 0.0 < self.threshold <= 1.0:
+                raise ValueError(
+                    "threshold schedule needs 0 < p <= 1 and no s, got p=%r, s=%r"
+                    % (self.threshold, self.tokens_per_step)
+                )
         else:
             raise ValueError("unknown schedule kind: %r" % (self.kind,))
 
@@ -272,7 +287,8 @@ class GenerationConfig:
             )
         if self.top_k_vocab < 1:
             raise ValueError("top_k_vocab must be >= 1, got %d" % self.top_k_vocab)
-        assert self.eot_token != MASK, "eot_token cannot be MASK"
+        if self.eot_token == MASK:
+            raise ValueError("eot_token cannot be MASK (%d)" % MASK)
 
     @property
     def num_blocks(self) -> int:

@@ -113,6 +113,14 @@ def is_parent(a: DraftFormula, b: DraftFormula, tokens_per_level: int) -> bool:
     return b.size - a.size == tokens_per_level and set(a.pairs) < set(b.pairs)
 
 
+def parent_indices(formulas: Sequence[DraftFormula], tokens_per_level: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per formula, the indices of its parents among ``formulas``."""
+    return tuple(
+        tuple(a_idx for a_idx, a in enumerate(formulas) if is_parent(a, b, tokens_per_level))
+        for b in formulas
+    )
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -170,11 +178,7 @@ def build_graph(
                 "node %s has %d pairs, not a multiple of tokens_per_level %d"
                 % (node.format(), node.size, tokens_per_level)
             )
-    parents: List[Tuple[int, ...]] = []
-    for b_idx, b in enumerate(nodes):
-        parents.append(
-            tuple(a_idx for a_idx, a in enumerate(nodes) if is_parent(a, b, tokens_per_level))
-        )
+    parents = parent_indices(nodes, tokens_per_level)
     reachable = [False] * len(nodes)
     for idx in sorted(range(len(nodes)), key=lambda i: nodes[i].size):
         level = nodes[idx].size // tokens_per_level
@@ -184,7 +188,7 @@ def build_graph(
             reachable[idx] = any(reachable[p] for p in parents[idx])
         if not reachable[idx]:
             raise ValueError("node %s is not reachable from the root" % nodes[idx].format())
-    return DraftGraphSpec(nodes=nodes, tokens_per_level=tokens_per_level, budget=budget, parents=tuple(parents))
+    return DraftGraphSpec(nodes=nodes, tokens_per_level=tokens_per_level, budget=budget, parents=parents)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,9 @@ class TestBuildMask:
                 assert int(mask[row].sum()) == context
 
     def test_active_index_validated(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="active block 2 outside 0..1"):
             build_mask(1, 2, 2, 2, 0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="active block -1 outside 0..1"):
             build_mask(1, 2, 2, -1, 0)
 
 

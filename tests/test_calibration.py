@@ -1,17 +1,20 @@
 """Tests for calibration records, candidate tables, and subgraph search.
 
-The selection oracle below re-implements validity and all three scoring
-strategies from scratch (sets and plain recursion instead of the module's
-sorted DP), so agreement between the two is a real cross-check and not a
-copy of the same code path.
+The selection oracle below enumerates every subset and re-implements
+validity and all three scoring strategies on its own (sets and plain
+recursion instead of the module's pruned search), so agreement between
+the two is a real cross-check and not a copy of the same code path.
 """
 
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
 from conftest import make_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspec.calibration import (
     STRATEGIES,
@@ -27,7 +30,7 @@ from blockspec.calibration import (
     parse_table,
     select_subgraph,
 )
-from blockspec.drafting import DraftFormula, format_graph
+from blockspec.drafting import DraftFormula, build_graph, format_graph
 
 
 def _record(pairs, sample_id=0, origin=0, lookahead=None):
@@ -272,6 +275,11 @@ class TestTableFiles:
         with pytest.raises(ValueError, match="want 'level formula count'"):
             parse_table(text)
 
+    def test_negative_count_names_source_line(self):
+        text = "lookahead_max 1\ntokens_per_level 1\n1 1:1 10\n1 2:1 -3\n"
+        with pytest.raises(ValueError, match="t.txt:4: count must be >= 0, got -3"):
+            parse_table(text, source="t.txt")
+
 
 # ---------------------------------------------------------------------------
 # subgraph selection
@@ -313,6 +321,11 @@ class TestSelectSubgraph:
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             select_subgraph(SPEC_TABLE, 0, "degree0")
 
+    def test_negative_count_rejected(self):
+        table = _table([(1, [(1, 1)], 10), (2, [(1, 1), (2, 1)], -1)])
+        with pytest.raises(ValueError, match="count of 1:1 2:1 is -1; counts must be >= 0"):
+            select_subgraph(table, 2, "degree0")
+
     def test_no_level1_candidates_rejected(self):
         table = _table([(2, [(1, 1), (2, 1)], 6)], lookahead_max=2)
         with pytest.raises(ValueError, match="no level-1 candidates"):
@@ -343,6 +356,33 @@ class TestSelectVsBruteForce:
                     assert score == want_score
                     assert frozenset(graph.nodes) == want_nodes
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_oracle_on_generated_tables(self, data):
+        """Generated tables mix both tokens_per_level values, zero counts,
+        formulas listed twice and nodes without an in-table parent; the
+        selected graph must match the oracle's score and file bytes."""
+        tpl = data.draw(st.sampled_from((1, 2)))
+        levels = data.draw(st.integers(1, 3))
+        positions = levels * tpl + data.draw(st.integers(0, 2))
+
+        def row(level):
+            ranks = data.draw(
+                st.lists(st.integers(1, positions), min_size=level * tpl, max_size=level * tpl, unique=True)
+            )
+            pairs = [(i, data.draw(st.integers(1, 2))) for i in ranks]
+            return level, pairs, data.draw(st.integers(0, 11))
+
+        rows = [row(1)] + [row(data.draw(st.integers(1, levels))) for _ in range(data.draw(st.integers(0, 7)))]
+        table = _table(rows, tokens_per_level=tpl, lookahead_max=levels)
+        budget = data.draw(st.integers(1, 6))
+        strategy = data.draw(st.sampled_from(STRATEGIES))
+        graph, score = select_subgraph(table, budget, strategy)
+        want_score, want_nodes = _oracle_best(table, budget, strategy)
+        assert score == want_score
+        want = build_graph(sorted(want_nodes, key=lambda f: (f.size, f.pairs)), tpl, budget=budget)
+        assert format_graph(graph) == format_graph(want)
+
     def test_score_monotone_in_budget(self):
         rng = np.random.default_rng(23)
         for _ in range(8):
@@ -350,6 +390,30 @@ class TestSelectVsBruteForce:
             for strategy in STRATEGIES:
                 scores = [select_subgraph(table, d, strategy)[1] for d in (1, 2, 3, 4)]
                 assert scores == sorted(scores)
+
+
+class TestWideTable:
+    """Lookahead 6, width 4 and budget 12 at the README settings give 20
+    candidates.  The pins (score and sha256 of the graph file) come from
+    enumerating every subset, which needs about 45 s for the three
+    strategies; the time bound is loose on purpose."""
+
+    PINS = {
+        "degree0": (2203, "7a2d6b104942e77a6c853d8ac758f849112e03705f5a3bb69b4472af1cb3d8d6"),
+        "degree1": (7022, "542737b4f98b5a78e16a8d00f8312279743a7583114dddcbdb475781ae25e40b"),
+        "total": (37214, "0979f47b596773b5acaaa0f2684b2c8fe80905924a569359007553565123b3dd"),
+    }
+
+    def test_pinned_graphs_within_time(self, model, prompts):
+        records = collect_records(model, prompts, make_config("fixed:1"), 6)
+        table = build_table(records, 6, 1, width=4)
+        assert (len(records), len(table.entries)) == (2615, 20)
+        start = time.perf_counter()
+        selected = {strategy: select_subgraph(table, 12, strategy) for strategy in STRATEGIES}
+        assert time.perf_counter() - start < 5.0
+        for strategy, (graph, score) in selected.items():
+            digest = hashlib.sha256(format_graph(graph).encode()).hexdigest()
+            assert (score, digest) == self.PINS[strategy]
 
 
 class TestCalibrateGraph:

@@ -69,6 +69,15 @@ SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 _CONFIG = "W = 32\nL = 8\nschedule.mode = fixed\nschedule.s = 1\ntop_k_vocab = %d\neot_token = %d\nseed = 0\n"
 
 
+def run_process(files, *argv):
+    """Run the CLI as a real process from the test's tmp directory."""
+    command = [sys.executable, "-m", "blockspec.cli", *argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [str(a) for a in command], cwd=files["tmp"], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -283,7 +292,7 @@ class TestCheckLossless:
             "check-lossless", *setup_args(files), "--graph", files["six"], "--trials", 0,
         )
         assert code == 2
-        assert "0 trials" in stderr
+        assert "--trials must be >= 1, got 0" in stderr
 
     def test_too_many_trials_rejected(self, files, capsys):
         code, _, stderr = run(
@@ -429,12 +438,23 @@ class TestInputValidation:
         if config is not None:
             (files["tmp"] / "bad.cfg").write_text(config)
             args += ["--config", files["tmp"] / "bad.cfg"]
-        command = [sys.executable, "-m", "blockspec.cli", "calibrate", *setup_args(files)]
-        command += ["--out", files["tmp"] / "out.graph", *args]
-        env = dict(os.environ, PYTHONPATH=SRC)
-        done = subprocess.run(
-            [str(a) for a in command], cwd=files["tmp"], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = run_process(files, "calibrate", *setup_args(files), "--out", files["tmp"] / "out.graph", *args)
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["calibrate", "--lookahead", 2, "--budget", 2, "--out", "out.graph", "--limit", -1], "--limit must be >= 0, got -1"),
+            (["bench", "--graph", "chain.graph", "--limit", -2], "--limit must be >= 0, got -2"),
+            (["check-lossless", "--graph", "chain.graph", "--trials", -3], "--trials must be >= 1, got -3"),
+        ],
+        ids=["calibrate-limit", "bench-limit", "check-lossless-trials"],
+    )
+    def test_negative_count_flag_exits_2_with_a_message(self, files, argv, message):
+        """A negative --limit would otherwise slice prompts off the end."""
+        done = run_process(files, argv[0], *setup_args(files), *argv[1:])
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr

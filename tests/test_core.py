@@ -40,11 +40,11 @@ class TestBlockState:
 
     def test_with_token_rejects_double_unmask(self):
         b = BlockState.masked(3).with_token(1, 5)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="position 1 already unmasked"):
             b.with_token(1, 6)
 
     def test_with_token_rejects_mask_value(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="cannot unmask position 0 to MASK"):
             BlockState.masked(3).with_token(0, MASK)
 
     def test_complete_block(self):
@@ -64,7 +64,7 @@ class TestSequenceState:
 
     def test_advance_block_requires_completion(self):
         s = SequenceState.initial((1,), 2, 2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="active block 0 not complete"):
             s.advance_block()
         s = s.with_active_block(BlockState(tokens=(1, 2)))
         s = s.advance_block()
@@ -72,7 +72,7 @@ class TestSequenceState:
 
     def test_with_active_block_length_check(self):
         s = SequenceState.initial((1,), 2, 2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="length 3 cannot replace an active block of length 2"):
             s.with_active_block(BlockState(tokens=(1, 2, 3)))
 
 
@@ -134,7 +134,7 @@ class TestMarginals:
             m.rows[0, 0] = 1.0
 
     def test_one_hot_requires_complete_block(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="needs a complete block"):
             one_hot_marginals(BlockState(tokens=(1, MASK)), 3)
         m = one_hot_marginals(BlockState(tokens=(2, 1)), 3)
         assert m.rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
@@ -165,9 +165,9 @@ class TestUnmaskSchedule:
             UnmaskSchedule.parse(text)
 
     def test_constructor_invariants(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="fixed schedule needs s >= 1"):
             UnmaskSchedule.fixed(0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="threshold schedule needs 0 < p <= 1"):
             UnmaskSchedule.at_threshold(0.0)
         with pytest.raises(ValueError):
             UnmaskSchedule(kind="other")
@@ -189,7 +189,7 @@ class TestGenerationConfig:
             GenerationConfig(total_length=0, block_length=4, schedule=UnmaskSchedule.fixed(1))
 
     def test_eot_cannot_be_mask(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="eot_token cannot be MASK"):
             GenerationConfig(
                 total_length=8, block_length=4, schedule=UnmaskSchedule.fixed(1), eot_token=MASK
             )
