@@ -6,6 +6,10 @@ all N blocks) attend only to the context, and each draft row attends to
 the context minus the active block's columns plus the draft's own L
 columns.  Drafts never see each other, so a single call reproduces D+1
 independent forwards bit for bit.
+
+This is the specification of ``model.forward_batched``'s isolation.  The
+toy model has no attention, so the batched pass realises it directly and
+does not build the mask or the position ids.
 """
 
 from __future__ import annotations

@@ -24,7 +24,15 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import MASK, GenerationConfig, SequenceState
-from .drafting import DraftFormula, DraftGraphSpec, RankingView, build_graph, order_vocab, parent_indices
+from .drafting import (
+    DraftFormula,
+    DraftGraphSpec,
+    RankingView,
+    build_graph,
+    order_vocab,
+    parent_indices,
+    parse_positive_int,
+)
 from .engine import StepRecord, vanilla_block_steps
 from .model import ToyDenoiser
 
@@ -211,17 +219,17 @@ def format_table(table: CandidateTable) -> str:
 def parse_table(text: str, *, source: str = "<table>") -> CandidateTable:
     lookahead_max = None
     tokens_per_level = None
-    entries: List[TableEntry] = []
+    rows: List[Tuple[int, TableEntry]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         if fields[0] == "lookahead_max" and len(fields) == 2:
-            lookahead_max = int(fields[1])
+            lookahead_max = parse_positive_int(fields[1], source, lineno, "lookahead_max")
             continue
         if fields[0] == "tokens_per_level" and len(fields) == 2:
-            tokens_per_level = int(fields[1])
+            tokens_per_level = parse_positive_int(fields[1], source, lineno, "tokens_per_level")
             continue
         if len(fields) != 3:
             raise ValueError("%s:%d: want 'level formula count'" % (source, lineno))
@@ -238,10 +246,21 @@ def parse_table(text: str, *, source: str = "<table>") -> CandidateTable:
             raise ValueError("%s:%d: malformed table row %r" % (source, lineno, raw))
         if count < 0:
             raise ValueError("%s:%d: count must be >= 0, got %d" % (source, lineno, count))
-        entries.append(TableEntry(level=level, formula=DraftFormula.of(pairs), count=count))
+        try:
+            formula = DraftFormula.of(pairs)
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (source, lineno, exc))
+        rows.append((lineno, TableEntry(level=level, formula=formula, count=count)))
     if lookahead_max is None or tokens_per_level is None:
         raise ValueError("%s: missing lookahead_max or tokens_per_level header" % source)
-    return CandidateTable(entries=tuple(entries), tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
+    for lineno, e in rows:
+        if e.formula.size != e.level * tokens_per_level:
+            raise ValueError(
+                "%s:%d: a level-%d row needs %d pairs at tokens_per_level %d, got %d"
+                % (source, lineno, e.level, e.level * tokens_per_level, tokens_per_level, e.formula.size)
+            )
+    entries = tuple(e for _, e in rows)
+    return CandidateTable(entries=entries, tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -46,20 +47,25 @@ class BlockState:
 
     @property
     def unmasked_count(self) -> int:
-        return sum(1 for t in self.tokens if t != MASK)
+        return len(self.tokens) - self.tokens.count(MASK)
 
     @property
     def is_complete(self) -> bool:
         return self.unmasked_count == self.length
 
     def with_token(self, position: int, token: int) -> "BlockState":
-        if self.tokens[position] != MASK:
-            raise ValueError("position %d already unmasked" % position)
-        if token == MASK:
-            raise ValueError("cannot unmask position %d to MASK" % position)
         toks = list(self.tokens)
-        toks[position] = token
+        unmask(toks, position, token)
         return BlockState(tokens=tuple(toks))
+
+
+def unmask(tokens: List[int], position: int, token: int) -> None:
+    """Commit ``token`` at a masked ``position`` of a block's token list."""
+    if tokens[position] != MASK:
+        raise ValueError("position %d already unmasked" % position)
+    if token == MASK:
+        raise ValueError("cannot unmask position %d to MASK" % position)
+    tokens[position] = token
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,10 @@ class Marginals:
     def vocab_size(self) -> int:
         return self.rows.shape[1]
 
-    def top1_prob(self, position: int) -> float:
-        return float(self.rows[position].max())
+    @cached_property
+    def top1(self) -> Tuple[float, ...]:
+        """Per position, the largest probability in its row."""
+        return tuple(self.rows.max(axis=1).tolist())
 
     def argmax_token(self, position: int) -> int:
         # ties broken toward the smaller token id (argmax returns first max)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlockState, Marginals
+from .core import BlockState, Marginals, unmask
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,8 @@ def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
     masked = block.masked_positions
     if not masked:
         raise ValueError("no masked positions to rank")
-    return tuple(sorted(masked, key=lambda n: (-marginals.top1_prob(n), n)))
+    top1 = marginals.top1
+    return tuple(sorted(masked, key=lambda n: (-top1[n], n)))
 
 
 def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -217,12 +218,13 @@ def materialize(
 ) -> Optional[DraftBlock]:
     """Instantiate ``formula`` against ``ranking``; None means Skip (some
     rank points outside the view), which is not an error."""
-    draft = block
+    tokens = list(block.tokens)
     for i, j in formula.pairs:
         token = ranking.token_at(i, j)
         if token is None:
             return None
-        draft = draft.with_token(ranking.ordered_positions[i - 1], token)
+        unmask(tokens, ranking.ordered_positions[i - 1], token)
+    draft = BlockState(tokens=tuple(tokens))
     return DraftBlock(
         block=draft,
         formula=formula,
@@ -284,18 +286,18 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
         if fields[0] == "D":
             if len(fields) != 2 or budget is not None:
                 raise ValueError("%s:%d: bad D header" % (source, lineno))
-            budget = _parse_int(fields[1], source, lineno, "D")
+            budget = parse_positive_int(fields[1], source, lineno, "D")
         elif fields[0] == "tokens_per_level":
             if len(fields) != 2 or tokens_per_level is not None:
                 raise ValueError("%s:%d: bad tokens_per_level header" % (source, lineno))
-            tokens_per_level = _parse_int(fields[1], source, lineno, "tokens_per_level")
+            tokens_per_level = parse_positive_int(fields[1], source, lineno, "tokens_per_level")
         else:
             pairs = []
             for field in fields:
                 i, sep, j = field.partition(":")
                 if not sep:
                     raise ValueError("%s:%d: expected i:j pair, got %r" % (source, lineno, field))
-                pairs.append((_parse_int(i, source, lineno, "i"), _parse_int(j, source, lineno, "j")))
+                pairs.append((parse_positive_int(i, source, lineno, "i"), parse_positive_int(j, source, lineno, "j")))
             try:
                 formulas.append(DraftFormula.of(pairs))
             except ValueError as exc:
@@ -310,7 +312,8 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
         raise ValueError("%s: %s" % (source, exc))
 
 
-def _parse_int(text: str, source: str, lineno: int, what: str) -> int:
+def parse_positive_int(text: str, source: str, lineno: int, what: str) -> int:
+    """``text`` as an integer >= 1; errors name ``source:lineno`` and ``what``."""
     try:
         value = int(text)
     except ValueError:

@@ -6,7 +6,9 @@ decays that side's mixture weight by 0.5 per masked position skipped,
 and hands the lost weight to the unigram term, so rows always sum to 1.
 Everything is exact float64 arithmetic with a fixed evaluation order:
 identical inputs give bit-identical outputs, which is what makes the
-lossless checks in the test suite meaningful.
+lossless checks in the test suite meaningful.  ``forward_batched`` scores
+the true state and all D drafts of one call in a single numpy pass;
+``forward`` is its draft-free case.
 
 The NFE counter lives in the engine; this module only computes
 distributions.
@@ -20,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import batch
-from .core import MASK, BlockState, Marginals, SequenceState, one_hot_marginals, validate_sequence
+from .core import MASK, BlockState, Marginals, SequenceState, validate_sequence
+from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
 from .timing import StageTimer, maybe_stage
 
 
@@ -46,14 +48,20 @@ class ToyDenoiser:
 
     def __post_init__(self):
         v = self.vocab_size
-        assert v >= 1
-        assert self.alpha > 0.0, "alpha must be positive"
+        if v < 1:
+            raise ValueError("vocab_size must be >= 1, got %d" % v)
+        if not self.alpha > 0.0:
+            raise ValueError("alpha must be positive, got %r" % self.alpha)
         total = self.lambda_left + self.lambda_right + self.lambda_uni
         if abs(total - 1.0) > 1e-9:
             raise ValueError("mixture weights sum to %r, expected 1" % total)
-        assert self.bigram_left.shape == (v + 1, v)
-        assert self.bigram_right.shape == (v + 1, v)
-        assert self.unigram.shape == (v,)
+        for name, table, shape in (
+            ("bigram_left", self.bigram_left, (v + 1, v)),
+            ("bigram_right", self.bigram_right, (v + 1, v)),
+            ("unigram", self.unigram, (v,)),
+        ):
+            if table.shape != shape:
+                raise ValueError("%s has shape %s, vocab_size %d needs %s" % (name, table.shape, v, shape))
         self.bigram_left.setflags(write=False)
         self.bigram_right.setflags(write=False)
         self.unigram.setflags(write=False)
@@ -116,56 +124,10 @@ def train_from_corpus(
 # forward
 
 
-def _nearest_unmasked(tokens: Sequence[int], start: int, step: int) -> Optional[Tuple[int, int]]:
-    """(token, masked positions skipped) walking from ``start`` by ``step``."""
-    gap = 0
-    i = start
-    while 0 <= i < len(tokens):
-        if tokens[i] != MASK:
-            return tokens[i], gap
-        gap += 1
-        i += step
-    return None
-
-
 def forward(model: ToyDenoiser, state: SequenceState) -> Marginals:
-    """Next-step marginals for the active block.
-
-    Masked rows are the decayed left/right/unigram mixture described in
-    the module docstring; unmasked rows are one-hot on the committed
-    token.  Depends only on unmasked content and positions, never on
-    MASK placeholders.
-    """
-    problems = validate_sequence(state)
-    if problems:
-        raise ValueError("invalid sequence state: " + "; ".join(problems))
-    block = state.active_block
-    if block.is_complete:
-        raise ValueError("nothing to denoise: active block fully unmasked")
-    sequence = state.all_tokens()
-    offset = len(state.prompt) + state.active * block.length
-    for t in sequence:
-        if t != MASK and not (1 <= t <= model.vocab_size):
-            raise ValueError("token %d outside 1..%d" % (t, model.vocab_size))
-
-    rows = np.zeros((block.length, model.vocab_size), dtype=np.float64)
-    for n, token in enumerate(block.tokens):
-        if token != MASK:
-            rows[n, token - 1] = 1.0
-            continue
-        g = offset + n
-        left = _nearest_unmasked(sequence, g - 1, -1)
-        right = _nearest_unmasked(sequence, g + 1, +1)
-        w_left = model.lambda_left * 0.5 ** left[1] if left is not None else 0.0
-        w_right = model.lambda_right * 0.5 ** right[1] if right is not None else 0.0
-        w_uni = 1.0 - w_left - w_right
-        row = w_uni * model._prob_uni
-        if left is not None:
-            row = row + w_left * model._prob_left[left[0]]
-        if right is not None:
-            row = row + w_right * model._prob_right[right[0]]
-        rows[n] = row
-    return Marginals(rows=rows)
+    """Next-step marginals for the active block: ``forward_batched`` with
+    no drafts."""
+    return forward_batched(model, state, [])[0]
 
 
 def forward_batched(
@@ -175,33 +137,102 @@ def forward_batched(
     *,
     timer: Optional[StageTimer] = None,
 ) -> Tuple[Marginals, List[Marginals]]:
-    """Evaluate the true state and every draft in one model call.
+    """Score the true state and every draft in one model call.
 
-    Semantically one NFE: the block attention mask lets each draft see
-    the context minus the active block plus itself, which is exactly
-    "replace the active block and run forward".  The toy model has no
-    attention, so we build the mask for interface fidelity and compute
-    the replicated forwards directly; outputs are bit-identical to
-    independent calls by construction.  A fully unmasked draft has
-    nothing left to denoise and scores as all one-hot rows.
+    One NFE: each draft is scored as if it replaced the active block, and
+    the result equals an independent forward of that state bit for bit
+    (``batch.build_mask`` is the attention mask that specifies this
+    isolation; the toy model has no attention, so it is not built).
+    Masked rows are the decayed left/right/unigram mixture described in
+    the module docstring; unmasked rows are one-hot on the committed
+    token, so a fully unmasked draft scores as all one-hot rows.
+
+    ``validate_sequence`` fixes everything left of the active block as
+    unmasked and everything right of it as masked, so a masked slot's
+    neighbours are the nearest unmasked slots inside its own block, or
+    the token just before the block when none is to its left.  The
+    target and all drafts therefore go through one (D+1, L) pass.
     """
-    block_length = state.active_block.length
+    problems = validate_sequence(state)
+    if problems:
+        raise ValueError("invalid sequence state: " + "; ".join(problems))
+    block = state.active_block
+    length = block.length
     for i, d in enumerate(drafts):
-        if d.length != block_length:
-            raise ValueError("draft %d has length %d, active block has %d" % (i, d.length, block_length))
-    with maybe_stage(timer, "mask"):
-        batch.build_mask(len(state.prompt), len(state.blocks), block_length, state.active, len(drafts))
-    with maybe_stage(timer, "position ids"):
-        batch.build_position_ids(len(state.prompt), len(state.blocks), block_length, state.active, len(drafts))
+        if d.length != length:
+            raise ValueError("draft %d has length %d, active block has %d" % (i, d.length, length))
+    if block.is_complete:
+        raise ValueError("nothing to denoise: active block fully unmasked")
+    sequence = state.all_tokens()
+    blocks = [block.tokens] + [d.tokens for d in drafts]
+    for tokens in [sequence] + blocks[1:]:
+        _check_token_range(tokens, model.vocab_size)
+    offset = len(state.prompt) + state.active * length
     with maybe_stage(timer, "model"):
-        target = forward(model, state)
-        per_draft = []
-        for d in drafts:
-            if d.is_complete:
-                per_draft.append(one_hot_marginals(d, model.vocab_size))
-            else:
-                per_draft.append(forward(model, state.with_active_block(d)))
-    return target, per_draft
+        rows = _mixture_pass(model, blocks, sequence[offset - 1] if offset else MASK)
+    marginals = [Marginals(rows=r) for r in rows]
+    return marginals[0], marginals[1:]
+
+
+def _check_token_range(tokens: Sequence[int], vocab_size: int) -> None:
+    if min(tokens) < MASK or max(tokens) > vocab_size:
+        bad = next(t for t in tokens if t != MASK and not 1 <= t <= vocab_size)
+        raise ValueError("token %d outside 1..%d" % (bad, vocab_size))
+
+
+def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_context: int) -> np.ndarray:
+    """(B, L, V) marginals for B blocks that share ``left_context``, the
+    token before the block (MASK when there is none).
+
+    The side weights are Python floats computed exactly as for a single
+    slot; the rows are then mixed for every masked slot at once in the
+    fixed order w_uni * P_uni + w_left * P_left + w_right * P_right.  A
+    side without a neighbour has weight 0.0 and indexes the table's
+    unused MASK row, which adds +0.0 and so leaves every bit as it is.
+    """
+    length = len(blocks[0])
+    lambda_left, lambda_right = model.lambda_left, model.lambda_right
+    hot_slots: List[int] = []
+    hot_columns: List[int] = []
+    slots: List[int] = []
+    left_tokens: List[int] = []
+    right_tokens: List[int] = []
+    w_left: List[float] = []
+    w_right: List[float] = []
+    w_uni: List[float] = []
+    for b, tokens in enumerate(blocks):
+        base = b * length
+        # nearest unmasked slot to the right of each position
+        right_of = [(MASK, length)] * length
+        token, at = MASK, length
+        for n in range(length - 1, 0, -1):
+            if tokens[n] != MASK:
+                token, at = tokens[n], n
+            right_of[n - 1] = (token, at)
+        token, at = left_context, -1
+        for n, t in enumerate(tokens):
+            if t != MASK:
+                hot_slots.append(base + n)
+                hot_columns.append(t - 1)
+                token, at = t, n
+                continue
+            r_token, r_at = right_of[n]
+            wl = lambda_left * 0.5 ** (n - at - 1) if token != MASK else 0.0
+            wr = lambda_right * 0.5 ** (r_at - n - 1) if r_token != MASK else 0.0
+            slots.append(base + n)
+            left_tokens.append(token)
+            right_tokens.append(r_token)
+            w_left.append(wl)
+            w_right.append(wr)
+            w_uni.append(1.0 - wl - wr)
+    out = np.zeros((len(blocks) * length, model.vocab_size), dtype=np.float64)
+    out[hot_slots, hot_columns] = 1.0
+    out[slots] = (
+        np.array(w_uni)[:, None] * model._prob_uni
+        + np.array(w_left)[:, None] * model._prob_left[left_tokens]
+        + np.array(w_right)[:, None] * model._prob_right[right_tokens]
+    )
+    return out.reshape(len(blocks), length, model.vocab_size)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ def advance(
         count = min(schedule.tokens_per_step, len(ordered))
     else:
         # ordered is descending in top-1, so the first miss ends the prefix
+        top1 = marginals.top1
         count = 1
-        while count < len(ordered) and marginals.top1_prob(ordered[count]) >= schedule.threshold:
+        while count < len(ordered) and top1[ordered[count]] >= schedule.threshold:
             count += 1
     out = block
     for n in ordered[:count]:

@@ -280,6 +280,43 @@ class TestTableFiles:
         with pytest.raises(ValueError, match="t.txt:4: count must be >= 0, got -3"):
             parse_table(text, source="t.txt")
 
+    def test_level_must_match_formula_size(self):
+        text = "lookahead_max 2\ntokens_per_level 1\n1 1:1 10\n1 1:1,2:1 7\n"
+        with pytest.raises(ValueError, match="t.txt:4: a level-1 row needs 1 pairs at tokens_per_level 1, got 2"):
+            parse_table(text, source="t.txt")
+
+    def test_level_checked_against_a_later_tokens_per_level_header(self):
+        text = "lookahead_max 1\n1 1:1 10\ntokens_per_level 2\n"
+        with pytest.raises(ValueError, match="t.txt:2: a level-1 row needs 2 pairs"):
+            parse_table(text, source="t.txt")
+
+    def test_non_integer_lookahead_max_names_source_line(self):
+        text = "lookahead_max two\ntokens_per_level 1\n1 1:1 10\n"
+        with pytest.raises(ValueError, match="t.txt:1: lookahead_max must be an integer, got 'two'"):
+            parse_table(text, source="t.txt")
+
+    def test_non_integer_tokens_per_level_names_source_line(self):
+        text = "lookahead_max 1\ntokens_per_level 1.5\n1 1:1 10\n"
+        with pytest.raises(ValueError, match="t.txt:2: tokens_per_level must be an integer, got '1.5'"):
+            parse_table(text, source="t.txt")
+
+    @pytest.mark.parametrize("header", ["lookahead_max", "tokens_per_level"])
+    def test_zero_header_names_source_line(self, header):
+        text = "lookahead_max 1\ntokens_per_level 1\n".replace(header + " 1", header + " 0")
+        line = 1 if header == "lookahead_max" else 2
+        with pytest.raises(ValueError, match="t.txt:%d: %s must be >= 1, got 0" % (line, header)):
+            parse_table(text, source="t.txt")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1 0:1 10", r"ranks are 1-based, got \(0, 1\)"), ("2 1:1,1:2 10", "duplicate position rank 1")],
+        ids=["zero-rank", "duplicate-rank"],
+    )
+    def test_bad_formula_names_source_line(self, row, message):
+        text = "lookahead_max 2\ntokens_per_level 1\n%s\n" % row
+        with pytest.raises(ValueError, match="t.txt:3: " + message):
+            parse_table(text, source="t.txt")
+
 
 # ---------------------------------------------------------------------------
 # subgraph selection

@@ -261,7 +261,7 @@ class TestBench:
         )
         gen = json.loads(gen_path.read_text())["stage_percent"]
         bench = json.loads(bench_path.read_text())["stage_percent"]
-        assert set(gen) == set(bench) == {"mask", "position ids", "model", "ranking", "drafting", "verify"}
+        assert set(gen) == set(bench) == {"model", "ranking", "drafting", "verify"}
         assert gen["model"] == bench["model"] == 100.0
 
     def test_empty_prompt_set_rejected(self, files, capsys):

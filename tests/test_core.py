@@ -121,7 +121,7 @@ class TestMarginals:
     def test_prob_indexing_is_one_based(self):
         rows = np.array([[0.2, 0.3, 0.5]])
         m = Marginals(rows=rows)
-        assert m.top1_prob(0) == 0.5
+        assert m.top1 == (0.5,)
         assert m.argmax_token(0) == 3
 
     def test_argmax_tie_breaks_to_lower_id(self):

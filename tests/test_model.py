@@ -4,12 +4,20 @@ and the batched-forward contract.
 The mixture oracle is recomputed by hand inside the tests: smoothed
 probabilities are (count + alpha) / (row_sum + alpha * V), and a masked
 row is w_left * P_left + w_right * P_right + w_uni * P_uni with
-w_side = lambda_side * 0.5^gap and w_uni absorbing the remainder.
+w_side = lambda_side * 0.5^gap and w_uni absorbing the remainder.  The
+batched pass is checked byte for byte against the per-position scalar
+forward in ``scalar_forward``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_forward import scalar_forward_batched
 
+from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
 from blockspec.model import (
     ToyDenoiser,
@@ -79,6 +87,35 @@ class TestTrainFromCorpus:
         assert np.allclose(m._prob_left, 0.25)
         assert np.allclose(m._prob_right, 0.25)
         assert np.allclose(m._prob_uni, 0.25)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"vocab_size": 0}, "vocab_size must be >= 1, got 0"),
+            ({"alpha": 0.0}, "alpha must be positive, got 0.0"),
+            (
+                {"bigram_left": np.zeros((4, 4), dtype=np.int64)},
+                r"bigram_left has shape \(4, 4\), vocab_size 4 needs \(5, 4\)",
+            ),
+            ({"bigram_right": np.zeros((5, 3), dtype=np.int64)}, r"bigram_right has shape \(5, 3\)"),
+            ({"unigram": np.zeros(5, dtype=np.int64)}, r"unigram has shape \(5,\), vocab_size 4 needs \(4,\)"),
+        ],
+        ids=["vocab", "alpha", "bigram_left", "bigram_right", "unigram"],
+    )
+    def test_bad_tables_rejected(self, change, message):
+        fields = dict(
+            vocab_size=4,
+            alpha=1.0,
+            lambda_left=0.5,
+            lambda_right=0.3,
+            lambda_uni=0.2,
+            bigram_left=np.zeros((5, 4), dtype=np.int64),
+            bigram_right=np.zeros((5, 4), dtype=np.int64),
+            unigram=np.zeros(4, dtype=np.int64),
+        )
+        fields.update(change)
+        with pytest.raises(ValueError, match=message):
+            ToyDenoiser(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +260,107 @@ class TestForwardBatched:
         state = SequenceState.initial((2,), 1, 3)
         with pytest.raises(ValueError, match="length"):
             forward_batched(model, state, [BlockState.masked(2)])
+
+    def test_draft_token_range_checked(self, model):
+        """Complete drafts too: their rows are one-hot on the draft's tokens."""
+        state = SequenceState.initial((2,), 1, 3)
+        too_big = model.vocab_size + 1
+        for draft in (BlockState(tokens=(1, too_big, MASK)), BlockState(tokens=(1, 2, too_big))):
+            with pytest.raises(ValueError, match="token %d outside 1..%d" % (too_big, model.vocab_size)):
+                forward_batched(model, state, [BlockState(tokens=(1, 2, 3)), draft])
+
+    def test_context_token_range_checked(self, model):
+        state = SequenceState.initial((2, model.vocab_size + 1), 1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            forward_batched(model, state, [BlockState(tokens=(1, 2, 3))])
+
+    def test_state_checks_hold_with_drafts(self, model):
+        blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
+        state = SequenceState(prompt=(1,), blocks=blocks, active=0)
+        with pytest.raises(ValueError, match="invalid sequence state"):
+            forward_batched(model, state, [BlockState(tokens=(1, MASK))])
+        done = SequenceState.initial((1,), 1, 2).with_active_block(BlockState(tokens=(1, 2)))
+        with pytest.raises(ValueError, match="nothing to denoise"):
+            forward_batched(model, done, [BlockState(tokens=(1, 2))])
+
+
+LAMBDAS = ((0.7, 0.1, 0.2), (0.6, 0.3, 0.1), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0))
+
+
+@st.composite
+def batched_cases(draw):
+    """A model trained on a generated corpus, a valid state, and drafts.
+
+    Prompts may be empty, any block may be active, and drafts take any
+    tokens (complete ones included), not only extensions of the block."""
+    vocab = draw(st.integers(1, 6))
+    tokens = st.integers(1, vocab)
+    corpus = draw(st.lists(st.lists(tokens, min_size=1, max_size=8), min_size=1, max_size=4))
+    m = train_from_corpus(
+        corpus, vocab, alpha=draw(st.sampled_from((0.5, 1.0, 0.01))), lambdas=draw(st.sampled_from(LAMBDAS))
+    )
+    length = draw(st.integers(1, 9))
+    num_blocks = draw(st.integers(1, 4))
+    active = draw(st.integers(0, num_blocks - 1))
+    partial = st.lists(st.one_of(st.just(MASK), tokens), min_size=length, max_size=length)
+    complete = st.lists(tokens, min_size=length, max_size=length)
+    current = draw(partial)
+    current[draw(st.integers(0, length - 1))] = MASK
+    blocks = [BlockState(tokens=tuple(draw(complete))) for _ in range(active)]
+    blocks.append(BlockState(tokens=tuple(current)))
+    blocks += [BlockState.masked(length)] * (num_blocks - active - 1)
+    state = SequenceState(prompt=tuple(draw(st.lists(tokens, max_size=5))), blocks=tuple(blocks), active=active)
+    drafts = [BlockState(tokens=tuple(d)) for d in draw(st.lists(st.one_of(partial, complete), max_size=16))]
+    return m, state, drafts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(batched_cases())
+def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
+    m, state, drafts = case
+    target, per_draft = forward_batched(m, state, drafts)
+    want_target, want_drafts = scalar_forward_batched(m, state, drafts)
+    assert target.rows.tobytes() == want_target.rows.tobytes()
+    assert len(per_draft) == len(want_drafts)
+    for got, want in zip(per_draft, want_drafts):
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+
+class TestPinnedMarginals:
+    """sha256 of the target's and every draft's marginals bytes for fixed
+    states at the README settings (corpus seed 7, W=32, L=8): the first
+    prompt of seed 11 with block 0 active, then with block 2 active."""
+
+    PROMPT = synthetic.make_prompts(11, 1)[0]
+
+    @pytest.mark.parametrize(
+        "committed, active, current, drafts, digest",
+        [
+            ((), 0, (0,) * 8, [], "672c6afa5d85eaae54ef5b45f7dd451fdbe2f14d4b3f3c2f3f3afb7d68a294b9"),
+            (
+                (),
+                0,
+                (0, 3, 0, 0, 0, 0, 0, 0),
+                [(0, 3, 4, 0, 0, 0, 0, 0), (5, 3, 4, 0, 0, 0, 0, 0)],
+                "37fd81c7b1f55e97d777f5566dd0e483174aa6d6f4d4cb4d51748f19c9cca889",
+            ),
+            (
+                ((1, 2, 3, 4, 5, 6, 7, 8), (9, 10, 11, 12, 1, 2, 3, 4)),
+                2,
+                (0, 0, 6, 0, 0, 0, 7, 0),
+                [(5, 0, 6, 0, 0, 0, 7, 0), (5, 5, 6, 5, 5, 5, 7, 5), (0, 0, 6, 0, 0, 0, 7, 0)],
+                "eff24c80c037dbeb30cb90676891ef989bcb0b61fcd074fcf909acae0ac0efc3",
+            ),
+        ],
+        ids=["empty-block", "block0-two-drafts", "block2-three-drafts"],
+    )
+    def test_marginals_bytes(self, model, committed, active, current, drafts, digest):
+        blocks = [BlockState(tokens=b) for b in committed] + [BlockState(tokens=current)]
+        blocks += [BlockState.masked(8)] * (4 - len(blocks))
+        state = SequenceState(prompt=self.PROMPT, blocks=tuple(blocks), active=active)
+        target, per_draft = forward_batched(model, state, [BlockState(tokens=d) for d in drafts])
+        hashed = hashlib.sha256(b"".join(m.rows.tobytes() for m in [target] + per_draft))
+        assert hashed.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

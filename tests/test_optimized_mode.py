@@ -12,8 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 
 
-def test_core_batch_and_calibration_tests_pass_under_python_O():
-    files = ["tests/test_core.py", "tests/test_batch.py", "tests/test_calibration.py"]
+def test_input_check_tests_pass_under_python_O():
+    files = [
+        "tests/test_core.py",
+        "tests/test_batch.py",
+        "tests/test_calibration.py",
+        "tests/test_model.py",
+        "tests/test_drafting.py",
+    ]
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
