@@ -31,7 +31,6 @@ from .drafting import (
     build_graph,
     order_vocab,
     parent_indices,
-    parse_positive_int,
 )
 from .engine import StepRecord, vanilla_block_steps
 from .model import ToyDenoiser
@@ -123,36 +122,6 @@ def format_records(records: Sequence[CalibrationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str, *, source: str = "<records>") -> List[CalibrationRecord]:
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) < 4:
-            raise ValueError("%s:%d: want 'sample origin lookahead i:j ...'" % (source, lineno))
-        try:
-            sample_id, origin, ell = int(fields[0]), int(fields[1]), int(fields[2])
-            pairs = []
-            for field in fields[3:]:
-                i, sep, j = field.partition(":")
-                if not sep:
-                    raise ValueError(field)
-                pairs.append((int(i), int(j)))
-        except ValueError:
-            raise ValueError("%s:%d: malformed record %r" % (source, lineno, raw))
-        records.append(
-            CalibrationRecord(
-                sample_id=sample_id,
-                origin_step=origin,
-                lookahead=ell,
-                pairs=tuple(sorted(pairs)),
-            )
-        )
-    return records
-
-
 # ---------------------------------------------------------------------------
 # candidate table
 
@@ -171,9 +140,6 @@ class CandidateTable:
     entries: Tuple[TableEntry, ...]
     tokens_per_level: int
     lookahead_max: int
-
-    def by_level(self, level: int) -> Tuple[TableEntry, ...]:
-        return tuple(e for e in self.entries if e.level == level)
 
 
 def build_table(
@@ -214,53 +180,6 @@ def format_table(table: CandidateTable) -> str:
         formula = ",".join("%d:%d" % (i, j) for i, j in e.formula.pairs)
         lines.append("%d %s %d" % (e.level, formula, e.count))
     return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str, *, source: str = "<table>") -> CandidateTable:
-    lookahead_max = None
-    tokens_per_level = None
-    rows: List[Tuple[int, TableEntry]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "lookahead_max" and len(fields) == 2:
-            lookahead_max = parse_positive_int(fields[1], source, lineno, "lookahead_max")
-            continue
-        if fields[0] == "tokens_per_level" and len(fields) == 2:
-            tokens_per_level = parse_positive_int(fields[1], source, lineno, "tokens_per_level")
-            continue
-        if len(fields) != 3:
-            raise ValueError("%s:%d: want 'level formula count'" % (source, lineno))
-        try:
-            level = int(fields[0])
-            pairs = []
-            for field in fields[1].split(","):
-                i, sep, j = field.partition(":")
-                if not sep:
-                    raise ValueError(field)
-                pairs.append((int(i), int(j)))
-            count = int(fields[2])
-        except ValueError:
-            raise ValueError("%s:%d: malformed table row %r" % (source, lineno, raw))
-        if count < 0:
-            raise ValueError("%s:%d: count must be >= 0, got %d" % (source, lineno, count))
-        try:
-            formula = DraftFormula.of(pairs)
-        except ValueError as exc:
-            raise ValueError("%s:%d: %s" % (source, lineno, exc))
-        rows.append((lineno, TableEntry(level=level, formula=formula, count=count)))
-    if lookahead_max is None or tokens_per_level is None:
-        raise ValueError("%s: missing lookahead_max or tokens_per_level header" % source)
-    for lineno, e in rows:
-        if e.formula.size != e.level * tokens_per_level:
-            raise ValueError(
-                "%s:%d: a level-%d row needs %d pairs at tokens_per_level %d, got %d"
-                % (source, lineno, e.level, e.level * tokens_per_level, tokens_per_level, e.formula.size)
-            )
-    entries = tuple(e for _, e in rows)
-    return CandidateTable(entries=entries, tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,15 @@ class InputError(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc.strerror))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputError("%s:%d: not UTF-8 text (byte 0x%02x)" % (path, lineno, data[exc.start]))
 
 
 def _write(path: str, text: str) -> None:
@@ -141,7 +146,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_generate(args) -> int:
     model, prompts, config = _load_setup(args)
     if not (0 <= args.index < len(prompts)):
-        raise InputError("prompt index %d out of range (%d prompts)" % (args.index, len(prompts)))
+        raise InputError("--index %d out of range (%d prompts)" % (args.index, len(prompts)))
     prompt = prompts[args.index]
     if args.graph is not None:
         graph = _load_graph(args.graph)

@@ -358,6 +358,7 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
         if key in values:
             raise ValueError("%s:%d: duplicate key %r" % (source, lineno, key))
         values[key] = (lineno, value)
+    lines = {key: lineno for key, (lineno, _) in values.items()}
 
     def take_int(key):
         if key not in values:
@@ -374,7 +375,11 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
         raise ValueError("%s: missing key 'schedule.mode'" % source)
     _, mode = values.pop("schedule.mode")
     if mode == "fixed":
-        schedule = UnmaskSchedule.fixed(take_int("schedule.s"))
+        s = take_int("schedule.s")
+        try:
+            schedule = UnmaskSchedule.fixed(s)
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (source, lines["schedule.s"], exc))
         if "schedule.p" in values:
             lineno, _ = values.pop("schedule.p")
             raise ValueError("%s:%d: schedule.p given for fixed mode" % (source, lineno))
@@ -386,7 +391,10 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
             p = float(value)
         except ValueError:
             raise ValueError("%s:%d: schedule.p must be a float, got %r" % (source, lineno, value))
-        schedule = UnmaskSchedule.at_threshold(p)
+        try:
+            schedule = UnmaskSchedule.at_threshold(p)
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (source, lineno, exc))
         if "schedule.s" in values:
             lineno, _ = values.pop("schedule.s")
             raise ValueError("%s:%d: schedule.s given for threshold mode" % (source, lineno))

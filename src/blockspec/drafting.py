@@ -234,32 +234,23 @@ def materialize(
 
 
 def spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState) -> List[DraftBlock]:
-    """Materialize the whole graph against the current block.
+    """Materialize the whole graph against the current block, keeping
+    every node that is not skipped.  The returned order (ascending level,
+    then node declaration order) is also the verification scan order.
 
-    Skipped nodes drop their descendants when no surviving parent path
-    remains; drafts that materialize to identical content keep the first
-    in scan order.  The returned order (ascending level, then node
-    declaration order) is also the verification scan order.
+    No kept node lacks a kept parent: a parent's pairs are a subset of
+    its child's, so when all of a child's ranks fit the view, so do its
+    parents', and ``build_graph`` gives every node above level 1 a
+    parent.  No two kept drafts share content: positions in the view are
+    distinct, each position's tokens are distinct, and each position is
+    unmasked at most once, so distinct formulas (``build_graph`` rejects
+    duplicates) give distinct blocks.
     """
-    order = sorted(range(graph.num_nodes), key=lambda i: (graph.level_of(i), i))
-    survived: Dict[int, DraftBlock] = {}
-    for idx in order:
-        made = materialize(graph.nodes[idx], ranking, block, graph.tokens_per_level)
-        if made is None:
-            continue
-        if graph.level_of(idx) > 1 and not any(p in survived for p in graph.parents[idx]):
-            continue
-        survived[idx] = made
     out: List[DraftBlock] = []
-    seen_content = set()
-    for idx in order:
-        if idx not in survived:
-            continue
-        content = survived[idx].block.tokens
-        if content in seen_content:
-            continue
-        seen_content.add(content)
-        out.append(survived[idx])
+    for idx in sorted(range(graph.num_nodes), key=lambda i: (graph.level_of(i), i)):
+        made = materialize(graph.nodes[idx], ranking, block, graph.tokens_per_level)
+        if made is not None:
+            out.append(made)
     return out
 
 
@@ -286,18 +277,18 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
         if fields[0] == "D":
             if len(fields) != 2 or budget is not None:
                 raise ValueError("%s:%d: bad D header" % (source, lineno))
-            budget = parse_positive_int(fields[1], source, lineno, "D")
+            budget = _parse_positive_int(fields[1], source, lineno, "D")
         elif fields[0] == "tokens_per_level":
             if len(fields) != 2 or tokens_per_level is not None:
                 raise ValueError("%s:%d: bad tokens_per_level header" % (source, lineno))
-            tokens_per_level = parse_positive_int(fields[1], source, lineno, "tokens_per_level")
+            tokens_per_level = _parse_positive_int(fields[1], source, lineno, "tokens_per_level")
         else:
             pairs = []
             for field in fields:
                 i, sep, j = field.partition(":")
                 if not sep:
                     raise ValueError("%s:%d: expected i:j pair, got %r" % (source, lineno, field))
-                pairs.append((parse_positive_int(i, source, lineno, "i"), parse_positive_int(j, source, lineno, "j")))
+                pairs.append((_parse_positive_int(i, source, lineno, "i"), _parse_positive_int(j, source, lineno, "j")))
             try:
                 formulas.append(DraftFormula.of(pairs))
             except ValueError as exc:
@@ -312,7 +303,7 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
         raise ValueError("%s: %s" % (source, exc))
 
 
-def parse_positive_int(text: str, source: str, lineno: int, what: str) -> int:
+def _parse_positive_int(text: str, source: str, lineno: int, what: str) -> int:
     """``text`` as an integer >= 1; errors name ``source:lineno`` and ``what``."""
     try:
         value = int(text)

@@ -26,8 +26,6 @@ from blockspec.calibration import (
     collect_records,
     format_records,
     format_table,
-    parse_records,
-    parse_table,
     select_subgraph,
 )
 from blockspec.drafting import DraftFormula, build_graph, format_graph
@@ -190,25 +188,6 @@ class TestCollectRecords:
             collect_records(model, [(2,)], make_config(), 0)
 
 
-class TestRecordFiles:
-    def test_round_trip(self, model):
-        cfg = make_config("fixed:1", total_length=8, block_length=4)
-        records = collect_records(model, [(2, 3), (8, 8)], cfg, 2)
-        assert parse_records(format_records(records)) == records
-
-    def test_short_line_rejected(self):
-        with pytest.raises(ValueError, match="r.txt:1"):
-            parse_records("0 0 1\n", source="r.txt")
-
-    def test_malformed_pair_rejected(self):
-        with pytest.raises(ValueError, match="malformed record"):
-            parse_records("0 0 1 1-1\n")
-
-    def test_comments_and_blanks_skipped(self):
-        records = parse_records("# header\n\n0 0 1 1:1\n")
-        assert records == [_record([(1, 1)])]
-
-
 # ---------------------------------------------------------------------------
 # candidate table
 # ---------------------------------------------------------------------------
@@ -226,7 +205,7 @@ class TestBuildTable:
     def test_width_truncates(self):
         records = [_record([(1, 1)])] * 3 + [_record([(2, 1)])] * 2 + [_record([(3, 1)])]
         table = build_table(records, 1, width=2)
-        assert len(table.by_level(1)) == 2
+        assert len([e for e in table.entries if e.level == 1]) == 2
         assert [e.formula.pairs for e in table.entries] == [((1, 1),), ((2, 1),)]
 
     def test_count_ties_break_lexicographically(self):
@@ -238,84 +217,18 @@ class TestBuildTable:
         """A lookahead-2 record with one pair cannot seed a level-2 node."""
         records = [_record([(1, 1)], lookahead=2), _record([(1, 1), (2, 1)], lookahead=2)]
         table = build_table(records, 2)
-        assert table.by_level(2) == (
+        assert [e for e in table.entries if e.level == 2] == [
             TableEntry(level=2, formula=DraftFormula.of([(1, 1), (2, 1)]), count=1),
-        )
+        ]
 
     def test_tokens_per_level_two(self):
         records = [_record([(1, 1), (2, 1)], lookahead=1)] * 4
         table = build_table(records, 1, tokens_per_level=2)
-        assert table.by_level(1)[0].count == 4
+        assert [e.count for e in table.entries if e.level == 1] == [4]
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError, match="width must be >= 1, got 0"):
             build_table([], 1, width=0)
-
-
-class TestTableFiles:
-    def test_round_trip(self):
-        table = _table(
-            [(1, [(1, 1)], 10), (1, [(2, 1)], 4), (2, [(1, 1), (2, 1)], 6)],
-            lookahead_max=2,
-        )
-        again = parse_table(format_table(table))
-        assert again == table
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="missing lookahead_max"):
-            parse_table("1 1:1 10\nlookahead_max 2\n".replace("lookahead_max 2\n", ""))
-
-    def test_malformed_row_names_source_line(self):
-        text = "lookahead_max 1\ntokens_per_level 1\n1 1;1 10\n"
-        with pytest.raises(ValueError, match="t.txt:3"):
-            parse_table(text, source="t.txt")
-
-    def test_wrong_field_count_rejected(self):
-        text = "lookahead_max 1\ntokens_per_level 1\n1 1:1\n"
-        with pytest.raises(ValueError, match="want 'level formula count'"):
-            parse_table(text)
-
-    def test_negative_count_names_source_line(self):
-        text = "lookahead_max 1\ntokens_per_level 1\n1 1:1 10\n1 2:1 -3\n"
-        with pytest.raises(ValueError, match="t.txt:4: count must be >= 0, got -3"):
-            parse_table(text, source="t.txt")
-
-    def test_level_must_match_formula_size(self):
-        text = "lookahead_max 2\ntokens_per_level 1\n1 1:1 10\n1 1:1,2:1 7\n"
-        with pytest.raises(ValueError, match="t.txt:4: a level-1 row needs 1 pairs at tokens_per_level 1, got 2"):
-            parse_table(text, source="t.txt")
-
-    def test_level_checked_against_a_later_tokens_per_level_header(self):
-        text = "lookahead_max 1\n1 1:1 10\ntokens_per_level 2\n"
-        with pytest.raises(ValueError, match="t.txt:2: a level-1 row needs 2 pairs"):
-            parse_table(text, source="t.txt")
-
-    def test_non_integer_lookahead_max_names_source_line(self):
-        text = "lookahead_max two\ntokens_per_level 1\n1 1:1 10\n"
-        with pytest.raises(ValueError, match="t.txt:1: lookahead_max must be an integer, got 'two'"):
-            parse_table(text, source="t.txt")
-
-    def test_non_integer_tokens_per_level_names_source_line(self):
-        text = "lookahead_max 1\ntokens_per_level 1.5\n1 1:1 10\n"
-        with pytest.raises(ValueError, match="t.txt:2: tokens_per_level must be an integer, got '1.5'"):
-            parse_table(text, source="t.txt")
-
-    @pytest.mark.parametrize("header", ["lookahead_max", "tokens_per_level"])
-    def test_zero_header_names_source_line(self, header):
-        text = "lookahead_max 1\ntokens_per_level 1\n".replace(header + " 1", header + " 0")
-        line = 1 if header == "lookahead_max" else 2
-        with pytest.raises(ValueError, match="t.txt:%d: %s must be >= 1, got 0" % (line, header)):
-            parse_table(text, source="t.txt")
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [("1 0:1 10", r"ranks are 1-based, got \(0, 1\)"), ("2 1:1,1:2 10", "duplicate position rank 1")],
-        ids=["zero-rank", "duplicate-rank"],
-    )
-    def test_bad_formula_names_source_line(self, row, message):
-        text = "lookahead_max 2\ntokens_per_level 1\n%s\n" % row
-        with pytest.raises(ValueError, match="t.txt:3: " + message):
-            parse_table(text, source="t.txt")
 
 
 # ---------------------------------------------------------------------------

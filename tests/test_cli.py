@@ -15,7 +15,7 @@ import pytest
 
 import blockspec
 from blockspec import cli, synthetic, verification
-from blockspec.calibration import parse_records
+from blockspec.calibration import calibrate_graph, format_records, format_table
 from blockspec.core import GenerationConfig, UnmaskSchedule, format_config
 from blockspec.drafting import DraftFormula, build_graph, format_graph, order_positions, parse_graph
 from blockspec.engine import generate_vanilla
@@ -67,11 +67,33 @@ def setup_args(files):
 
 SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 _CONFIG = "W = 32\nL = 8\nschedule.mode = fixed\nschedule.s = 1\ntop_k_vocab = %d\neot_token = %d\nseed = 0\n"
+_SCHEDULE_CONFIG = "W = 32\nL = 8\nschedule.mode = %s\n%s\ntop_k_vocab = 3\neot_token = 12\nseed = 0\n"
+
+# Bad input files for the exit-code table, written into the tmp directory.
+_BAD_FILES = {
+    "latin1.txt": b"1 2\n3 \xe9\n",
+    "latin1.cfg": b"W = 32\n# caf\xe9\n",
+    "latin1.graph": b"D 2\ntokens_per_level 1\n1:1 # \xe9\n",
+    "bad.graph": b"D 4\ntokens_per_level 1\n1;1\n",
+    "bad_prompts.txt": b"2 3\n4 x\n",
+    "s0.cfg": (_SCHEDULE_CONFIG % ("fixed", "schedule.s = 0")).encode(),
+    "p15.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = 1.5")).encode(),
+    "pnan.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = nan")).encode(),
+    "p0.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = 0")).encode(),
+}
+_SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
+_CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
+_GENERATE = ["generate", *_SETUP]
+_BENCH = ["bench", *_SETUP, "--graph", "chain.graph", "--limit", 1]
+_CHECK = ["check-lossless", *_SETUP, "--graph", "chain.graph", "--trials", 1]
+_NOT_FOUND = "No such file or directory"
 
 
 def run_process(files, *argv):
-    """Run the CLI as a real process from the test's tmp directory."""
-    command = [sys.executable, "-m", "blockspec.cli", *argv]
+    """Run the CLI as a real process from the test's tmp directory, under
+    ``python -O`` when the tests themselves run that way."""
+    flags = ["-O"] if sys.flags.optimize else []
+    command = [sys.executable, *flags, "-m", "blockspec.cli", *argv]
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [str(a) for a in command], cwd=files["tmp"], env=env, capture_output=True, text=True, timeout=60
@@ -81,6 +103,16 @@ def run_process(files, *argv):
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
+
+
+def calibrated(prompts, **kw):
+    """In-process calibration with the CLI's default config."""
+    corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
+    config = GenerationConfig(
+        total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1),
+        top_k_vocab=3, eot_token=12, seed=0,
+    )
+    return calibrate_graph(train_from_corpus(corpus, 12), prompts, config, **kw)
 
 
 class TestCalibrate:
@@ -102,7 +134,13 @@ class TestCalibrate:
         assert stdout.startswith("calibrated graph:")
         graph = parse_graph(out.read_text(), source=str(out))
         assert 1 <= graph.num_nodes <= 6
-        assert parse_records(records.read_text())
+        want_graph, want_table, want_records = calibrated(
+            synthetic.make_prompts(11, 8), lookahead_max=3, budget=6
+        )
+        assert want_records
+        assert out.read_bytes() == format_graph(want_graph).encode()
+        assert records.read_bytes() == format_records(want_records).encode()
+        assert table.read_bytes() == format_table(want_table).encode()
         assert "lookahead_max 3" in table.read_text()
 
     def test_limit_restricts_sample_ids(self, files, capsys):
@@ -118,8 +156,9 @@ class TestCalibrate:
             "--records", records,
         )
         assert code == 0
-        ids = {r.sample_id for r in parse_records(records.read_text())}
-        assert ids <= {0, 1}
+        _, _, want = calibrated(synthetic.make_prompts(11, 8)[:2], lookahead_max=2, budget=4)
+        assert {r.sample_id for r in want} <= {0, 1}
+        assert records.read_bytes() == format_records(want).encode()
 
     def test_byte_deterministic(self, files, capsys):
         out_a = files["tmp"] / "a.graph"
@@ -455,6 +494,74 @@ class TestInputValidation:
     def test_negative_count_flag_exits_2_with_a_message(self, files, argv, message):
         """A negative --limit would otherwise slice prompts off the end."""
         done = run_process(files, argv[0], *setup_args(files), *argv[1:])
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a later repeat of a flag overrides the base command's value
+            (_CALIBRATE + ["--config", "nope.cfg"], "cannot read nope.cfg: " + _NOT_FOUND),
+            (_CALIBRATE + ["--corpus", "latin1.txt"], "latin1.txt:2: not UTF-8 text (byte 0xe9)"),
+            (_CALIBRATE + ["--prompts", "bad_prompts.txt"], "bad_prompts.txt:2: non-integer token"),
+            (_CALIBRATE + ["--config", "s0.cfg"], "s0.cfg:4: fixed schedule needs s >= 1"),
+            (_GENERATE + ["--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
+            (_GENERATE + ["--prompts", "latin1.txt"], "latin1.txt:2: not UTF-8 text (byte 0xe9)"),
+            (_GENERATE + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
+            (_GENERATE + ["--config", "p15.cfg"], "p15.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_GENERATE + ["--index", 99], "--index 99 out of range (8 prompts)"),
+            (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
+            (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
+            (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
+            (_BENCH + ["--config", "pnan.cfg"], "pnan.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_CHECK + ["--corpus", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
+            (_CHECK + ["--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
+            (_CHECK + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
+            (_CHECK + ["--config", "p0.cfg"], "p0.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
+            (["graph", "validate", "--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
+            (["graph", "show", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
+            (["graph", "show", "--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
+            (["graph", "export-dot", "--graph", "latin1.graph", "--out", "g.dot"], "latin1.graph:3: not UTF-8"),
+            (["graph", "export-dot", "--graph", "bad.graph", "--out", "g.dot"], "bad.graph:3: expected i:j pair"),
+            (["graph", "export-dot", "--graph", "chain.graph", "--out", "no/g.dot"], "cannot write no/g.dot: " + _NOT_FOUND),
+        ],
+        ids=[
+            "calibrate-missing",
+            "calibrate-not-utf8",
+            "calibrate-malformed-line",
+            "calibrate-schedule-s",
+            "generate-missing",
+            "generate-not-utf8",
+            "generate-malformed-graph",
+            "generate-schedule-p",
+            "generate-index",
+            "bench-missing",
+            "bench-not-utf8",
+            "bench-malformed-graph",
+            "bench-schedule-p-nan",
+            "check-lossless-missing",
+            "check-lossless-not-utf8",
+            "check-lossless-malformed-graph",
+            "check-lossless-schedule-p-zero",
+            "validate-missing",
+            "validate-not-utf8",
+            "show-missing",
+            "show-malformed-graph",
+            "export-dot-not-utf8",
+            "export-dot-malformed-graph",
+            "export-dot-out",
+        ],
+    )
+    def test_bad_input_exits_2_naming_file_line_or_flag(self, files, argv, message):
+        """The exit-code table: every subcommand, run as a real process,
+        turns a missing, non-UTF-8 or malformed file, a bad schedule value
+        in a config file, or a bad flag value into exit 2 with a message
+        that names the file (and line) or the flag, never a traceback."""
+        for name, data in _BAD_FILES.items():
+            (files["tmp"] / name).write_bytes(data)
+        done = run_process(files, *argv)
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr

@@ -7,8 +7,10 @@ parents) is what separates draft graphs from draft trees.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockspec.core import BlockState, Marginals, UnmaskSchedule
+from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
 from blockspec.drafting import (
     DraftFormula,
     build_graph,
@@ -283,6 +285,75 @@ class TestSpawnDrafts:
         block = BlockState.masked(2)
         drafts = spawn_drafts(graph, rank(m, block, 1), block)
         assert [d.formula.format() for d in drafts] == ["1:1", "1:1 2:1"]
+
+
+@st.composite
+def spawn_cases(draw):
+    """A block with some slots already unmasked, tie-heavy marginals, a
+    top_k view and a valid graph declared in shuffled order.  Ranks reach
+    one past the masked slots and one past the view's vocabulary, so some
+    nodes are skipped."""
+    length = draw(st.integers(1, 9))
+    vocab = draw(st.integers(1, 4))
+    top_k = draw(st.integers(1, 4))
+    slot = st.one_of(st.just(MASK), st.integers(MASK, vocab))
+    tokens = draw(st.lists(slot, min_size=length, max_size=length))
+    tokens[draw(st.integers(0, length - 1))] = MASK
+    block = BlockState(tokens=tuple(tokens))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from((0.0, 0.25, 0.5)), min_size=vocab, max_size=vocab),
+            min_size=length,
+            max_size=length,
+        )
+    )
+    view = rank(Marginals(rows=np.array(rows, dtype=np.float64)), block, top_k)
+    masked = len(block.masked_positions)
+    tokens_per_level = draw(st.integers(1, min(3, masked + 1)))
+    # mostly top ranks, so that deep nodes often fit
+    ranks = st.tuples(
+        st.one_of(st.integers(1, 2), st.integers(1, masked + 1)),
+        st.one_of(st.just(1), st.integers(1, min(top_k, vocab) + 1)),
+    )
+    depth = min(3, (masked + 1) // tokens_per_level)
+    levels = [[]]
+    for _ in range(draw(st.integers(1, depth))):
+        level = []
+        for _ in range(draw(st.integers(1, 3))):
+            below = levels[-1]
+            grown = dict(draw(st.sampled_from(below)).pairs) if below else {}
+            size = len(grown) + tokens_per_level
+            while len(grown) < size:
+                i, j = draw(ranks)
+                grown.setdefault(i, j)
+            node = DraftFormula.of(grown.items())
+            if node not in level:
+                level.append(node)
+        levels.append(level)
+    nodes = draw(st.permutations([node for level in levels for node in level]))
+    return build_graph(nodes, tokens_per_level), view, block
+
+
+class TestSpawnProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(spawn_cases())
+    def test_spawns_every_node_that_fits_in_scan_order(self, case):
+        graph, view, block = case
+
+        def fits(node):
+            return all(
+                i <= len(view.ordered_positions) and j <= len(view.vocab_by_position[i - 1])
+                for i, j in node.pairs
+            )
+
+        drafts = spawn_drafts(graph, view, block)
+        spawned = [graph.nodes.index(d.formula) for d in drafts]
+        assert sorted(spawned) == [idx for idx, node in enumerate(graph.nodes) if fits(node)]
+        assert spawned == sorted(spawned, key=lambda idx: (graph.level_of(idx), idx))
+        for idx in spawned:
+            if graph.level_of(idx) > 1:
+                assert any(p in spawned for p in graph.parents[idx])
+        assert len({d.block.tokens for d in drafts}) == len(drafts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ def test_input_check_tests_pass_under_python_O():
         "tests/test_calibration.py",
         "tests/test_model.py",
         "tests/test_drafting.py",
+        "tests/test_cli.py",
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
