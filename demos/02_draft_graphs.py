@@ -1,4 +1,4 @@
-"""Draft formulas, directed draft graphs, and materialization.
+"""Draft formulas, directed draft graphs, and spawning drafts.
 
 A draft formula {(i, j)} names ranked candidates, not tokens: "take the
 i-th most confident masked position and its j-th most likely token".
@@ -44,7 +44,7 @@ def main() -> None:
     print("the level-3 node has %d parents: accept any level-2 draft and it stays alive."
           % len(graph.parents[deepest]))
 
-    # Materialize the whole graph against a live model distribution.
+    # Spawn the whole graph against a live model distribution.
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     model = train_from_corpus(corpus, max(t for s in corpus for t in s))
     state = SequenceState.initial((2, 2), num_blocks=1, block_length=4)
@@ -55,7 +55,7 @@ def main() -> None:
     drafts = spawn_drafts(graph, view, state.active_block)
     print("spawned %d drafts (level order):" % len(drafts))
     for d in drafts:
-        print("  level %d  %-14s -> %s" % (d.level, d.formula.format(), d.block.tokens))
+        print("  level %d  %-14s -> %s" % (d.level, d.formula.format(), d.tokens))
 
     # With fewer masked positions, formulas that need rank 3 skip.
     shrunken = state.active_block.with_token(0, 2).with_token(3, 2)
@@ -63,7 +63,7 @@ def main() -> None:
     survivors = spawn_drafts(graph, view2, shrunken)
     print("\nwith only 2 masked positions, %d of 6 formulas survive:" % len(survivors))
     for d in survivors:
-        print("  %-14s -> %s" % (d.formula.format(), d.block.tokens))
+        print("  %-14s -> %s" % (d.formula.format(), d.tokens))
 
     # Graphs are plain text on disk and graphviz for the eyes.
     print("\ngraph file format:")

@@ -48,18 +48,18 @@ def main() -> None:
         BlockState(tokens=(2, 2, 0, 0)),
         BlockState(tokens=(2, 2, 2, 2)),  # complete: scored one-hot
     ]
-    target, per_draft = forward_batched(model, state, drafts)
+    target, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
     reference = forward(model, state)
     print("\nbatched target equals the plain forward:",
           np.array_equal(target.rows, reference.rows))
     for i, (draft, got) in enumerate(zip(drafts, per_draft)):
         if draft.is_complete:
             print("  draft %d is complete, rows one-hot: %s"
-                  % (i, bool((got.rows.max(axis=1) == 1.0).all())))
+                  % (i, bool((got.max(axis=1) == 1.0).all())))
         else:
             want = forward(model, state.with_active_block(draft))
             print("  draft %d bit-matches an independent forward: %s"
-                  % (i, np.array_equal(got.rows, want.rows)))
+                  % (i, np.array_equal(got, want.rows)))
 
 
 if __name__ == "__main__":

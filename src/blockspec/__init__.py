@@ -20,7 +20,6 @@ from .drafting import (
     RankingView,
     build_graph,
     export_dot,
-    materialize,
     parse_graph,
     rank,
     spawn_drafts,
@@ -69,7 +68,6 @@ __all__ = [
     "DraftBlock",
     "rank",
     "build_graph",
-    "materialize",
     "spawn_drafts",
     "parse_graph",
     "export_dot",

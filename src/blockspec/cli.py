@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import calibration, drafting, engine
 from .core import GenerationConfig, UnmaskSchedule, parse_config
 from .model import ToyDenoiser, parse_corpus, train_from_corpus
+from .timing import StageTimer
 
 _DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3, seed=0)
 
@@ -68,7 +69,11 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
             schedule=UnmaskSchedule.fixed(1), eot_token=vocab_size, **_DEFAULTS
         )
     if getattr(args, "schedule", None) is not None:
-        config = dataclasses.replace(config, schedule=UnmaskSchedule.parse(args.schedule))
+        try:
+            schedule = UnmaskSchedule.parse(args.schedule)
+        except ValueError as exc:
+            raise InputError("--schedule %s: %s" % (args.schedule, exc))
+        config = dataclasses.replace(config, schedule=schedule)
     for p, prompt in enumerate(prompts):
         for t in prompt:
             if t > vocab_size:
@@ -148,11 +153,12 @@ def _cmd_generate(args) -> int:
     if not (0 <= args.index < len(prompts)):
         raise InputError("--index %d out of range (%d prompts)" % (args.index, len(prompts)))
     prompt = prompts[args.index]
+    timer = StageTimer() if args.profile else None
     if args.graph is not None:
         graph = _load_graph(args.graph)
-        result = engine.generate_speculative(model, prompt, config, graph)
+        result = engine.generate_speculative(model, prompt, config, graph, timer=timer)
     else:
-        result = engine.generate_vanilla(model, prompt, config)
+        result = engine.generate_vanilla(model, prompt, config, timer=timer)
     print(" ".join(str(t) for t in result.tokens))
     if args.out is not None:
         doc = _report_dict(result.report, profile=args.profile)
@@ -170,7 +176,8 @@ def _cmd_bench(args) -> int:
     reports = []
     for index, prompt in enumerate(prompts):
         vanilla = engine.generate_vanilla(model, prompt, config)
-        spec = engine.generate_speculative(model, prompt, config, graph, baseline=vanilla.report)
+        timer = StageTimer() if args.profile else None
+        spec = engine.generate_speculative(model, prompt, config, graph, baseline=vanilla.report, timer=timer)
         reports.append(spec.report)
         runs.append(
             {
@@ -233,7 +240,7 @@ def _cmd_check_lossless(args) -> int:
     if args.trials < 1:
         raise InputError("--trials must be >= 1, got %d" % args.trials)
     if args.trials > len(prompts):
-        raise InputError("%d trials requested but only %d prompts available" % (args.trials, len(prompts)))
+        raise InputError("--trials %d requested but only %d prompts available" % (args.trials, len(prompts)))
     for index in range(args.trials):
         check = engine.check_lossless(model, prompts[index], config, graph)
         if not check.ok:

@@ -8,8 +8,8 @@ by descending probability (ties toward the lower token id).
 ``order_positions`` and ``order_vocab`` are the only statement of these
 tie-break rules; callers rank once per denoising step and reuse that
 order for advancing, drafting and calibration.  Formulas are
-state-independent; materializing one against a ranking view turns it
-into an actual candidate block.
+state-independent; spawning a graph against a ranking view turns each
+formula that fits into an actual candidate block.
 
 Formulas are organized into a rooted DAG: A is a parent of B when A's
 pairs are a subset of B's and B has exactly one level's worth of extra
@@ -20,31 +20,29 @@ are what verification exploits level by level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlockState, Marginals, unmask
+from .core import MASK, BlockState, Marginals
 
 
 # ---------------------------------------------------------------------------
 # ranking
 
 
-@dataclass(frozen=True)
-class RankingView:
-    """Position and vocabulary orderings extracted from one Marginals."""
+class RankingView(NamedTuple):
+    """Position and vocabulary orderings extracted from one Marginals; a
+    tuple record, since the engine builds one per speculative call.
+
+    ``vocab_by_position[i - 1]`` holds the token ids of position rank i
+    in vocabulary-rank order; ``order_vocab`` gives every position the
+    same number of them, min(top_k, V).
+    """
 
     ordered_positions: Tuple[int, ...]
     vocab_by_position: Tuple[Tuple[int, ...], ...]  # aligned with ordered_positions
-
-    def token_at(self, i: int, j: int) -> Optional[int]:
-        if not (1 <= i <= len(self.ordered_positions)):
-            return None
-        vocab = self.vocab_by_position[i - 1]
-        if 1 <= j <= len(vocab):
-            return vocab[j - 1]
-        return None
 
 
 def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
@@ -59,13 +57,10 @@ def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
 
 def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     """Per position: top_k token ids by descending probability, ties toward
-    the lower id (stable argsort on the negated row)."""
+    the lower id (one stable argsort over the negated rows)."""
     assert top_k >= 1
-    out = []
-    for n in positions:
-        order = np.argsort(-marginals.rows[n], kind="stable")[:top_k]
-        out.append(tuple(int(v) + 1 for v in order))
-    return tuple(out)
+    ranked = np.argsort(-marginals.rows.take(positions, axis=0), axis=1, kind="stable")[:, :top_k] + 1
+    return tuple(map(tuple, ranked.tolist()))
 
 
 def rank(marginals: Marginals, block: BlockState, top_k: int) -> RankingView:
@@ -150,6 +145,25 @@ class DraftGraphSpec:
     def max_vocab_rank(self) -> int:
         return max((j for node in self.nodes for _, j in node.pairs), default=0)
 
+    @cached_property
+    def compiled(self) -> Tuple[Tuple[int, int, int, DraftFormula, Tuple[Tuple[int, int], ...]], ...]:
+        """The nodes in (level, declaration) order, each as (highest
+        position rank, highest vocabulary rank, level, node, its (i, j)
+        pairs 0-based).  Built on first use and kept with the graph."""
+        out = []
+        for idx in sorted(range(self.num_nodes), key=lambda i: (self.level_of(i), i)):
+            node = self.nodes[idx]
+            out.append(
+                (
+                    max(i for i, _ in node.pairs),
+                    max(j for _, j in node.pairs),
+                    self.level_of(idx),
+                    node,
+                    tuple((i - 1, j - 1) for i, j in node.pairs),
+                )
+            )
+        return tuple(out)
+
 
 def build_graph(
     formulas: Sequence[DraftFormula],
@@ -193,50 +207,31 @@ def build_graph(
 
 
 # ---------------------------------------------------------------------------
-# materialization
+# spawning
 
 
-@dataclass(frozen=True)
-class DraftBlock:
-    """A materialized draft: the candidate block plus bookkeeping.
+class DraftBlock(NamedTuple):
+    """A spawned draft: the candidate block's tokens, the formula that
+    made it and the formula's level; a tuple record, since one is built
+    per spawned node per call."""
 
-    ``step_tag`` is the cumulative unmasked count this draft represents;
-    verification matches it against the advancing state's count.
-    """
-
-    block: BlockState
+    tokens: Tuple[int, ...]
     formula: DraftFormula
     level: int
-    step_tag: int
-
-
-def materialize(
-    formula: DraftFormula,
-    ranking: RankingView,
-    block: BlockState,
-    tokens_per_level: int = 1,
-) -> Optional[DraftBlock]:
-    """Instantiate ``formula`` against ``ranking``; None means Skip (some
-    rank points outside the view), which is not an error."""
-    tokens = list(block.tokens)
-    for i, j in formula.pairs:
-        token = ranking.token_at(i, j)
-        if token is None:
-            return None
-        unmask(tokens, ranking.ordered_positions[i - 1], token)
-    draft = BlockState(tokens=tuple(tokens))
-    return DraftBlock(
-        block=draft,
-        formula=formula,
-        level=formula.size // tokens_per_level,
-        step_tag=draft.unmasked_count,
-    )
 
 
 def spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState) -> List[DraftBlock]:
-    """Materialize the whole graph against the current block, keeping
-    every node that is not skipped.  The returned order (ascending level,
-    then node declaration order) is also the verification scan order.
+    """Instantiate every node of ``graph`` whose ranks fit ``ranking``
+    against ``block``.  The returned order (ascending level, then node
+    declaration order) is also the verification scan order.
+
+    The walk goes over ``graph.compiled``: a node is skipped (not an
+    error) when its highest position rank exceeds the ranked positions
+    or its highest vocabulary rank exceeds the view's width; a kept node
+    writes its 0-based pairs into one copy of the block's tokens.  Every
+    ranked position is checked once per call to be still masked, so no
+    pair overwrites a committed token, and every written token is >= 1
+    because ``order_vocab`` ids are argsort indices plus one.
 
     No kept node lacks a kept parent: a parent's pairs are a subset of
     its child's, so when all of a child's ranks fit the view, so do its
@@ -246,11 +241,22 @@ def spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState)
     unmasked at most once, so distinct formulas (``build_graph`` rejects
     duplicates) give distinct blocks.
     """
+    positions = ranking.ordered_positions
+    vocab = ranking.vocab_by_position
+    base = list(block.tokens)
+    for n in positions:
+        if base[n] != MASK:
+            raise ValueError("position %d already unmasked" % n)
+    ranks = len(positions)
+    width = len(vocab[0]) if vocab else 0
     out: List[DraftBlock] = []
-    for idx in sorted(range(graph.num_nodes), key=lambda i: (graph.level_of(i), i)):
-        made = materialize(graph.nodes[idx], ranking, block, graph.tokens_per_level)
-        if made is not None:
-            out.append(made)
+    for max_i, max_j, level, node, pairs in graph.compiled:
+        if max_i > ranks or max_j > width:
+            continue
+        tokens = base[:]
+        for i, j in pairs:
+            tokens[positions[i]] = vocab[i][j]
+        out.append(DraftBlock(tuple(tokens), node, level))
     return out
 
 

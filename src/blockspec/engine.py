@@ -53,7 +53,8 @@ class RunReport:
     block; ``speedup_to_eot`` restricts both sums to blocks up to and
     including the one holding the first EOT token (equal to speedup_all
     when no EOT appeared).  ``stage_seconds`` holds wall-clock stage
-    totals and is the only non-deterministic field.
+    totals when the run was given a timer (empty otherwise) and is the
+    only non-deterministic field.
     """
 
     total_nfe: int
@@ -91,7 +92,7 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
 def _finish_report(
     per_block: List[PerBlockStats],
     eot_block: Optional[int],
-    stage_seconds: Dict[str, float],
+    timer: Optional[StageTimer],
 ) -> RunReport:
     return RunReport(
         total_nfe=sum(b.nfe for b in per_block),
@@ -101,7 +102,7 @@ def _finish_report(
         eot_block=eot_block,
         speedup_all=_speedup(per_block, None),
         speedup_to_eot=_speedup(per_block, eot_block),
-        stage_seconds=stage_seconds,
+        stage_seconds=timer.snapshot() if timer is not None else {},
     )
 
 
@@ -164,11 +165,13 @@ def generate_vanilla(
     config: GenerationConfig,
     *,
     record_trace: bool = False,
+    timer: Optional[StageTimer] = None,
 ) -> GenerationResult:
-    """Reference decode: baseline equals actual, speedup 1.0, M = 0."""
+    """Reference decode: baseline equals actual, speedup 1.0, M = 0.
+
+    Stage times go to ``timer`` when one is given."""
     prompt = _check_prompt(model, prompt)
     state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-    timer = StageTimer()
     per_block: List[PerBlockStats] = []
     trace: List[Tuple[int, BlockState]] = []
     eot_block: Optional[int] = None
@@ -190,7 +193,7 @@ def generate_vanilla(
             eot_block = k
         if k + 1 < config.num_blocks:
             state = state.advance_block()
-    report = _finish_report(per_block, eot_block, timer.snapshot())
+    report = _finish_report(per_block, eot_block, timer)
     return GenerationResult(
         tokens=state.generated_tokens(),
         state=state,
@@ -229,13 +232,15 @@ def generate_speculative(
     *,
     record_trace: bool = False,
     baseline: Optional[RunReport] = None,
+    timer: Optional[StageTimer] = None,
 ) -> GenerationResult:
     """Speculative decode with a calibrated draft graph.
 
     Every loop iteration makes exactly one batched model call (one NFE)
     and commits at least one step; accepted drafts commit more.  The
     trace, when recorded, holds the state after each call, which is a
-    subsequence of the vanilla per-step trajectory.
+    subsequence of the vanilla per-step trajectory.  Stage times go to
+    ``timer`` when one is given.
     """
     prompt = _check_prompt(model, prompt)
     if graph.max_vocab_rank() > config.top_k_vocab:
@@ -245,7 +250,6 @@ def generate_speculative(
         )
     baselines = _baseline_per_block(model, prompt, config, baseline)
     state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-    timer = StageTimer()
     per_block: List[PerBlockStats] = []
     trace: List[Tuple[int, BlockState]] = []
     eot_block: Optional[int] = None
@@ -261,15 +265,15 @@ def generate_speculative(
             if rank_source is None or graph.num_nodes == 0:
                 drafts = []
             else:
-                with timer.stage("ranking"):
+                with maybe_stage(timer, "ranking"):
                     vocab = order_vocab(rank_source, positions, config.top_k_vocab)
                 ranking = RankingView(ordered_positions=positions, vocab_by_position=vocab)
-                with timer.stage("drafting"):
+                with maybe_stage(timer, "drafting"):
                     drafts = spawn_drafts(graph, ranking, block)
-            target, per_draft = forward_batched(model, state, [d.block for d in drafts], timer=timer)
+            target, draft_rows = forward_batched(model, state, [d.tokens for d in drafts], timer=timer)
             nfe += 1
-            with timer.stage("verify"):
-                outcome = verification.verify(block, target, drafts, per_draft, config.schedule)
+            with maybe_stage(timer, "verify"):
+                outcome = verification.verify(block, target, drafts, draft_rows, config.schedule)
             state = state.with_active_block(outcome.new_block)
             if record_trace:
                 trace.append((k, outcome.new_block))
@@ -292,7 +296,7 @@ def generate_speculative(
             eot_block = k
         if k + 1 < config.num_blocks:
             state = state.advance_block()
-    report = _finish_report(per_block, eot_block, timer.snapshot())
+    report = _finish_report(per_block, eot_block, timer)
     return GenerationResult(
         tokens=state.generated_tokens(),
         state=state,

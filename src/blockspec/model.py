@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, BlockState, Marginals, SequenceState, validate_sequence
+from .core import MASK, Marginals, SequenceState, validate_sequence
 from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
 from .timing import StageTimer, maybe_stage
 
@@ -133,16 +133,19 @@ def forward(model: ToyDenoiser, state: SequenceState) -> Marginals:
 def forward_batched(
     model: ToyDenoiser,
     state: SequenceState,
-    drafts: Sequence[BlockState],
+    drafts: Sequence[Sequence[int]],
     *,
     timer: Optional[StageTimer] = None,
-) -> Tuple[Marginals, List[Marginals]]:
+) -> Tuple[Marginals, np.ndarray]:
     """Score the true state and every draft in one model call.
 
-    One NFE: each draft is scored as if it replaced the active block, and
-    the result equals an independent forward of that state bit for bit
-    (``batch.build_mask`` is the attention mask that specifies this
-    isolation; the toy model has no attention, so it is not built).
+    ``drafts`` are candidate blocks as token tuples.  Returns the target's
+    Marginals and the drafts' read-only (D, L, V) rows: ``rows[d]`` is
+    draft d's marginals.  One NFE: each draft is scored as if it replaced
+    the active block, and the result equals an independent forward of
+    that state bit for bit (``batch.build_mask`` is the attention mask
+    that specifies this isolation; the toy model has no attention, so it
+    is not built).
     Masked rows are the decayed left/right/unigram mixture described in
     the module docstring; unmasked rows are one-hot on the committed
     token, so a fully unmasked draft scores as all one-hot rows.
@@ -159,24 +162,23 @@ def forward_batched(
     block = state.active_block
     length = block.length
     for i, d in enumerate(drafts):
-        if d.length != length:
-            raise ValueError("draft %d has length %d, active block has %d" % (i, d.length, length))
+        if len(d) != length:
+            raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
     sequence = state.all_tokens()
-    blocks = [block.tokens] + [d.tokens for d in drafts]
-    for tokens in [sequence] + blocks[1:]:
-        _check_token_range(tokens, model.vocab_size)
+    _check_token_range([sequence, *drafts], model.vocab_size)
     offset = len(state.prompt) + state.active * length
     with maybe_stage(timer, "model"):
-        rows = _mixture_pass(model, blocks, sequence[offset - 1] if offset else MASK)
-    marginals = [Marginals(rows=r) for r in rows]
-    return marginals[0], marginals[1:]
+        rows = _mixture_pass(model, [block.tokens, *drafts], sequence[offset - 1] if offset else MASK)
+    rows.setflags(write=False)
+    return Marginals(rows=rows[0]), rows[1:]
 
 
-def _check_token_range(tokens: Sequence[int], vocab_size: int) -> None:
-    if min(tokens) < MASK or max(tokens) > vocab_size:
-        bad = next(t for t in tokens if t != MASK and not 1 <= t <= vocab_size)
+def _check_token_range(blocks: Sequence[Sequence[int]], vocab_size: int) -> None:
+    """Every token of every sequence in ``blocks`` is MASK or in 1..vocab_size."""
+    if min(map(min, blocks)) < MASK or max(map(max, blocks)) > vocab_size:
+        bad = next(t for tokens in blocks for t in tokens if t != MASK and not 1 <= t <= vocab_size)
         raise ValueError("token %d outside 1..%d" % (bad, vocab_size))
 
 

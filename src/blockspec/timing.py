@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Dict, Iterator, Optional
 
 
@@ -25,10 +25,9 @@ class StageTimer:
         return dict(self.seconds)
 
 
-@contextmanager
-def maybe_stage(timer: Optional[StageTimer], name: str) -> Iterator[None]:
-    if timer is None:
-        yield
-    else:
-        with timer.stage(name):
-            yield
+_UNTIMED = nullcontext()
+
+
+def maybe_stage(timer: Optional[StageTimer], name: str) -> AbstractContextManager:
+    """``timer.stage(name)``, or a shared no-op context when ``timer`` is None."""
+    return _UNTIMED if timer is None else timer.stage(name)

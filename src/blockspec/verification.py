@@ -1,19 +1,23 @@
 """Lossless draft verification.
 
 One verify call owns one model call's worth of progress: advance the
-block once with the target marginals, then repeatedly look for a draft
-whose cumulative unmasked count and full content match the state just
-reached.  A match means the draft equals the state vanilla decoding
-would have produced, so its marginals are the model's distribution for
-that exact state and can drive the next advance for free.  On a miss we
-simply stop with whatever the target produced: output never depends on
-draft quality, only speed does.
+block once with the target marginals, then repeatedly look up the state
+just reached among the drafts by content.  A draft is accepted exactly
+when its tokens equal that state over the whole block, which also means
+it unmasks the same number of slots: content equality implies the
+cumulative-step match.  The accepted draft equals the state vanilla
+decoding would have produced, so its marginals are the model's
+distribution for that exact state and can drive the next advance for
+free.  On a miss we simply stop with whatever the target produced:
+output never depends on draft quality, only speed does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import BlockState, Marginals, UnmaskSchedule
 from .drafting import DraftBlock, order_positions
@@ -75,37 +79,38 @@ def verify(
     block: BlockState,
     target: Marginals,
     drafts: Sequence[DraftBlock],
-    draft_marginals: Sequence[Marginals],
+    draft_rows: np.ndarray,
     schedule: UnmaskSchedule,
 ) -> VerifyOutcome:
     """Advance once with ``target``, then chain through matching drafts.
 
-    The scan restarts from the head of the remaining draft list after
-    every acceptance; a draft is eligible only when its step_tag equals
-    the new cumulative unmasked count (threshold steps that jump past a
-    draft's count simply never match it) and is accepted only on
-    token-for-token equality over the whole block.
+    ``draft_rows[d]`` is the (L, V) marginals of ``drafts[d]``, as
+    ``forward_batched`` returns them.  After every advance the new state's
+    tokens are looked up in a dict from draft tokens to draft index; a
+    hit is accepted and its rows drive the next advance.  Equal tokens
+    mean an equal unmasked count, so a threshold step that jumps past a
+    draft's count simply never finds it.  When two drafts have the same
+    tokens the first in scan order wins.  A state never repeats within a
+    call (each advance commits at least one slot), so no draft can be
+    accepted twice.  Only the adopted draft's rows become a
+    ``Marginals``.
     """
-    if len(drafts) != len(draft_marginals):
-        raise ValueError("drafts and draft_marginals length mismatch")
+    if len(drafts) != len(draft_rows):
+        raise ValueError("drafts and draft_rows length mismatch")
     ordered = order_positions(target, block)
     current, s0 = advance(block, target, ordered, schedule)
     realized: List[int] = [s0]
     accepted: List[int] = []
     adopted: Optional[Marginals] = None
-    remaining = list(zip(drafts, draft_marginals))
+    by_content: Dict[Tuple[int, ...], int] = {}
+    for index, draft in enumerate(drafts):
+        by_content.setdefault(draft.tokens, index)
     while not current.is_complete:
-        hit = None
-        for entry in remaining:
-            d, m = entry
-            if d.step_tag == current.unmasked_count and d.block.tokens == current.tokens:
-                hit = entry
-                break
+        hit = by_content.get(current.tokens)
         if hit is None:
             break
-        remaining.remove(hit)
-        accepted.append(hit[0].level)
-        adopted = hit[1]
+        accepted.append(drafts[hit].level)
+        adopted = Marginals(rows=draft_rows[hit])
         ordered = order_positions(adopted, current)
         current, s = advance(current, adopted, ordered, schedule)
         realized.append(s)

@@ -1,7 +1,12 @@
-"""Shared fixtures: the bundled synthetic corpus and a model trained on it."""
+"""Shared fixtures: the bundled synthetic corpus, a model trained on it,
+and the environment for Python child processes."""
+
+import os
+from pathlib import Path
 
 import pytest
 
+import blockspec
 from blockspec import synthetic
 from blockspec.core import GenerationConfig, UnmaskSchedule
 from blockspec.model import train_from_corpus
@@ -20,6 +25,19 @@ def vocab_size(corpus):
 @pytest.fixture(scope="session")
 def model(corpus, vocab_size):
     return train_from_corpus(corpus, vocab_size)
+
+
+@pytest.fixture(scope="session")
+def child_env(tmp_path_factory):
+    """Environment for ``python`` child processes: blockspec on the path,
+    and bytecode written under one directory for the whole session (or
+    the parent's, when this session is itself such a child), so only the
+    first child of each optimization level compiles numpy and blockspec.
+    Nothing is written next to the sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blockspec.__file__).resolve().parent.parent))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env.setdefault("PYTHONPYCACHEPREFIX", str(tmp_path_factory.mktemp("pycache")))
+    return env
 
 
 @pytest.fixture(scope="session")

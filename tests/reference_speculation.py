@@ -1,0 +1,112 @@
+"""Reference for ``blockspec.drafting.spawn_drafts`` and
+``blockspec.verification.verify``.
+
+This is the speculative step the index-native one replaced: ranking
+argsorts one position at a time, each graph node is materialized into a
+``BlockState`` through a ranking view's ``token_at`` and ``unmask``,
+every draft carries a step tag (its cumulative unmasked count), and
+verify scans the remaining drafts in order for one whose step tag and
+tokens both match, with one ``Marginals`` per draft.  Tests compare the
+new functions against it draft for draft and outcome for outcome.
+"""
+
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from blockspec.core import BlockState, Marginals, UnmaskSchedule, unmask
+from blockspec.drafting import DraftFormula, DraftGraphSpec, RankingView, order_positions
+from blockspec.verification import VerifyOutcome, advance
+
+
+def reference_order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
+    out = []
+    for n in positions:
+        order = np.argsort(-marginals.rows[n], kind="stable")[:top_k]
+        out.append(tuple(int(v) + 1 for v in order))
+    return tuple(out)
+
+
+def reference_rank(marginals: Marginals, block: BlockState, top_k: int) -> RankingView:
+    positions = order_positions(marginals, block)
+    return RankingView(ordered_positions=positions, vocab_by_position=reference_order_vocab(marginals, positions, top_k))
+
+
+def token_at(ranking: RankingView, i: int, j: int) -> Optional[int]:
+    if not (1 <= i <= len(ranking.ordered_positions)):
+        return None
+    vocab = ranking.vocab_by_position[i - 1]
+    if 1 <= j <= len(vocab):
+        return vocab[j - 1]
+    return None
+
+
+@dataclass(frozen=True)
+class ReferenceDraft:
+    block: BlockState
+    formula: DraftFormula
+    level: int
+    step_tag: int
+
+
+def materialize(
+    formula: DraftFormula, ranking: RankingView, block: BlockState, tokens_per_level: int = 1
+) -> Optional[ReferenceDraft]:
+    """None means Skip: some rank points outside the view."""
+    tokens = list(block.tokens)
+    for i, j in formula.pairs:
+        token = token_at(ranking, i, j)
+        if token is None:
+            return None
+        unmask(tokens, ranking.ordered_positions[i - 1], token)
+    draft = BlockState(tokens=tuple(tokens))
+    return ReferenceDraft(
+        block=draft, formula=formula, level=formula.size // tokens_per_level, step_tag=draft.unmasked_count
+    )
+
+
+def reference_spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState) -> List[ReferenceDraft]:
+    out = []
+    for idx in sorted(range(graph.num_nodes), key=lambda i: (graph.level_of(i), i)):
+        made = materialize(graph.nodes[idx], ranking, block, graph.tokens_per_level)
+        if made is not None:
+            out.append(made)
+    return out
+
+
+def reference_verify(
+    block: BlockState,
+    target: Marginals,
+    drafts: Sequence[ReferenceDraft],
+    draft_marginals: Sequence[Marginals],
+    schedule: UnmaskSchedule,
+) -> VerifyOutcome:
+    ordered = order_positions(target, block)
+    current, s0 = advance(block, target, ordered, schedule)
+    realized = [s0]
+    accepted = []
+    adopted = None
+    remaining = list(zip(drafts, draft_marginals))
+    while not current.is_complete:
+        hit = None
+        for entry in remaining:
+            d, _ = entry
+            if d.step_tag == current.unmasked_count and d.block.tokens == current.tokens:
+                hit = entry
+                break
+        if hit is None:
+            break
+        remaining.remove(hit)
+        accepted.append(hit[0].level)
+        adopted = hit[1]
+        ordered = order_positions(adopted, current)
+        current, s = advance(current, adopted, ordered, schedule)
+        realized.append(s)
+    return VerifyOutcome(
+        new_block=current,
+        accepted_levels=tuple(accepted),
+        adopted_marginals=adopted,
+        realized_s=tuple(realized),
+        remaining_order=ordered[realized[-1]:],
+    )

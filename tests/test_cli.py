@@ -6,17 +6,14 @@ check-lossless command exists to catch, so it must exit 1 on it.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import blockspec
 from blockspec import cli, synthetic, verification
 from blockspec.calibration import calibrate_graph, format_records, format_table
-from blockspec.core import GenerationConfig, UnmaskSchedule, format_config
+from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule, format_config
 from blockspec.drafting import DraftFormula, build_graph, format_graph, order_positions, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import format_corpus, train_from_corpus
@@ -24,7 +21,7 @@ from blockspec.verification import VerifyOutcome, advance
 
 
 @pytest.fixture()
-def files(tmp_path):
+def files(tmp_path, child_env):
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     prompts = synthetic.make_prompts(11, 8)
     paths = {
@@ -33,6 +30,7 @@ def files(tmp_path):
         "chain": tmp_path / "chain.graph",
         "six": tmp_path / "six.graph",
         "tmp": tmp_path,
+        "env": child_env,
     }
     paths["corpus"].write_text(format_corpus(corpus))
     paths["prompts"].write_text(format_corpus(prompts))
@@ -65,7 +63,6 @@ def setup_args(files):
     return ["--corpus", files["corpus"], "--prompts", files["prompts"]]
 
 
-SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 _CONFIG = "W = 32\nL = 8\nschedule.mode = fixed\nschedule.s = 1\ntop_k_vocab = %d\neot_token = %d\nseed = 0\n"
 _SCHEDULE_CONFIG = "W = 32\nL = 8\nschedule.mode = %s\n%s\ntop_k_vocab = 3\neot_token = 12\nseed = 0\n"
 
@@ -94,9 +91,8 @@ def run_process(files, *argv):
     ``python -O`` when the tests themselves run that way."""
     flags = ["-O"] if sys.flags.optimize else []
     command = [sys.executable, *flags, "-m", "blockspec.cli", *argv]
-    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
-        [str(a) for a in command], cwd=files["tmp"], env=env, capture_output=True, text=True, timeout=60
+        [str(a) for a in command], cwd=files["tmp"], env=files["env"], capture_output=True, text=True, timeout=60
     )
 
 
@@ -344,25 +340,25 @@ class TestCheckLossless:
     def test_content_blind_verify_is_caught(self, files, capsys, monkeypatch):
         """Accepting drafts without comparing tokens must exit 1."""
 
-        def sloppy_verify(block, target, drafts, draft_marginals, schedule):
+        def sloppy_verify(block, target, drafts, draft_rows, schedule):
             ordered = order_positions(target, block)
             current, s0 = advance(block, target, ordered, schedule)
             realized = [s0]
             accepted = []
             adopted = None
-            remaining = list(zip(drafts, draft_marginals))
+            remaining = list(range(len(drafts)))
             while not current.is_complete:
                 hit = None
-                for entry in remaining:
-                    if entry[0].step_tag == current.unmasked_count:
-                        hit = entry
+                for index in remaining:
+                    if BlockState(tokens=drafts[index].tokens).unmasked_count == current.unmasked_count:
+                        hit = index
                         break
                 if hit is None:
                     break
                 remaining.remove(hit)
-                accepted.append(hit[0].level)
-                adopted = hit[1]
-                current = hit[0].block
+                accepted.append(drafts[hit].level)
+                adopted = Marginals(rows=draft_rows[hit])
+                current = BlockState(tokens=drafts[hit].tokens)
                 ordered = order_positions(adopted, current)
                 current, s = advance(current, adopted, ordered, schedule)
                 realized.append(s)
@@ -519,6 +515,9 @@ class TestInputValidation:
             (_CHECK + ["--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (_CHECK + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
             (_CHECK + ["--config", "p0.cfg"], "p0.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_GENERATE + ["--schedule", "warp:9"], "--schedule warp:9: unknown schedule mode 'warp'"),
+            (_BENCH + ["--schedule", "fixed:0"], "--schedule fixed:0: fixed schedule needs s >= 1, got 0"),
+            (_CHECK + ["--trials", 99], "--trials 99 requested but only 8 prompts available"),
             (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
             (["graph", "validate", "--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (["graph", "show", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
@@ -545,6 +544,9 @@ class TestInputValidation:
             "check-lossless-not-utf8",
             "check-lossless-malformed-graph",
             "check-lossless-schedule-p-zero",
+            "generate-schedule-flag",
+            "bench-schedule-flag",
+            "check-lossless-trials-flag",
             "validate-missing",
             "validate-not-utf8",
             "show-missing",

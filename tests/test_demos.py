@@ -1,16 +1,12 @@
 """Every demo runs to completion: exit 0 and nothing on stderr."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import blockspec
-
 ROOT = Path(__file__).resolve().parent.parent
-SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -25,10 +21,9 @@ def test_all_five_demos_are_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def test_demo_runs_cleanly(demo, child_env):
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""

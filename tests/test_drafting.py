@@ -1,4 +1,4 @@
-"""Tests for ranking, draft formulas, draft graphs, and materialization.
+"""Tests for ranking, draft formulas, draft graphs, and spawning drafts.
 
 The six-node example graph used throughout is the one whose level-3
 node is reachable by three routes; its structure (a node with three
@@ -17,14 +17,15 @@ from blockspec.drafting import (
     export_dot,
     format_graph,
     is_parent,
-    materialize,
     order_positions,
     order_vocab,
     parse_graph,
     rank,
     spawn_drafts,
 )
-from blockspec.verification import advance
+from blockspec.verification import advance, verify
+
+from reference_speculation import reference_rank, reference_spawn_drafts, reference_verify
 
 
 def _marginals(rows, vocab=4):
@@ -85,9 +86,7 @@ class TestRanking:
         m = _marginals([[0.2], [0.9]])
         view = rank(m, BlockState.masked(2), 2)
         assert view.ordered_positions == (1, 0)
-        assert view.token_at(1, 1) == 1
-        assert view.token_at(1, 9) is None
-        assert view.token_at(9, 1) is None
+        assert view.vocab_by_position == ((1, 2), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +181,12 @@ class TestBuildGraph:
 # ---------------------------------------------------------------------------
 
 
+def _spawn_one(formula, view, block):
+    """The drafts of a graph holding ``formula`` and its parent chain."""
+    chain = [DraftFormula.of(formula.pairs[:n]) for n in range(1, formula.size + 1)]
+    return spawn_drafts(build_graph(chain, 1), view, block)[formula.size - 1:]
+
+
 class TestMaterialize:
     def test_level1_matches_vanilla_greedy_step(self):
         """Rank consistency: {(1,1)} is exactly one Fixed{1} advance."""
@@ -198,45 +203,45 @@ class TestMaterialize:
             rows /= rows.sum(axis=1, keepdims=True)
             m = Marginals(rows=rows)
             view = rank(m, block, 4)
-            made = materialize(DraftFormula.of([(1, 1)]), view, block)
+            (made,) = _spawn_one(DraftFormula.of([(1, 1)]), view, block)
             stepped, realized = advance(block, m, view.ordered_positions, UnmaskSchedule.fixed(1))
             assert realized == 1
-            assert made.block.tokens == stepped.tokens
+            assert made.tokens == stepped.tokens
 
-    def test_step_tag_tracks_cumulative_count(self):
+    def test_draft_unmasks_one_slot_per_pair(self):
         m = _marginals([[0.2], [0.9], [0.5]])
         block = BlockState.masked(3)
         view = rank(m, block, 2)
-        made = materialize(DraftFormula.of([(1, 1), (2, 1)]), view, block)
-        assert made.step_tag == 2
+        (made,) = _spawn_one(DraftFormula.of([(1, 1), (2, 1)]), view, block)
         assert made.level == 2
-        assert made.block.unmasked_count == 2
+        assert made.tokens == (0, 1, 1)
+        assert BlockState(tokens=made.tokens).unmasked_count == 2
 
     def test_position_rank_out_of_range_skips(self):
         m = _marginals([[0.2], [0.9], [0.5]])
         view = rank(m, BlockState.masked(3), 2)
-        assert materialize(DraftFormula.of([(5, 1)]), view, BlockState.masked(3)) is None
+        assert spawn_drafts(build_graph([DraftFormula.of([(5, 1)])], 1), view, BlockState.masked(3)) == []
 
     def test_vocab_rank_out_of_range_skips(self):
         m = _marginals([[0.2], [0.9], [0.5]])
         view = rank(m, BlockState.masked(3), 1)
-        assert materialize(DraftFormula.of([(1, 2)]), view, BlockState.masked(3)) is None
+        assert spawn_drafts(build_graph([DraftFormula.of([(1, 2)])], 1), view, BlockState.masked(3)) == []
 
     def test_monotone_along_parent_edges(self):
         """If A is a parent of B, A's unmasked set is inside B's."""
         rng = np.random.default_rng(8)
         a = DraftFormula.of([(1, 1), (2, 1)])
         b = DraftFormula.of([(1, 1), (2, 1), (3, 2)])
+        graph = build_graph([DraftFormula.of([(1, 1)]), a, b], 1)
         for _ in range(30):
             rows = rng.random((5, 4))
             rows /= rows.sum(axis=1, keepdims=True)
             m = Marginals(rows=rows)
             block = BlockState.masked(5)
-            view = rank(m, block, 3)
-            made_a = materialize(a, view, block)
-            made_b = materialize(b, view, block)
-            set_a = {n for n, t in enumerate(made_a.block.tokens) if t != 0}
-            set_b = {n for n, t in enumerate(made_b.block.tokens) if t != 0}
+            _, made_a, made_b = spawn_drafts(graph, rank(m, block, 3), block)
+            assert (made_a.formula, made_b.formula) == (a, b)
+            set_a = {n for n, t in enumerate(made_a.tokens) if t != 0}
+            set_b = {n for n, t in enumerate(made_b.tokens) if t != 0}
             assert set_a < set_b
 
 
@@ -269,7 +274,7 @@ class TestSpawnDrafts:
         block = BlockState.masked(4)
         a = spawn_drafts(graph, rank(m, block, 3), block)
         b = spawn_drafts(graph, rank(m, block, 3), block)
-        assert [d.block.tokens for d in a] == [d.block.tokens for d in b]
+        assert [d.tokens for d in a] == [d.tokens for d in b]
 
     def test_surviving_parent_keeps_multiparent_child(self):
         # drop {(2,1)} by vocab range while {(1,1)} survives: the child
@@ -286,12 +291,19 @@ class TestSpawnDrafts:
         drafts = spawn_drafts(graph, rank(m, block, 1), block)
         assert [d.formula.format() for d in drafts] == ["1:1", "1:1 2:1"]
 
+    def test_ranked_position_already_unmasked_is_error(self):
+        graph = build_graph([DraftFormula.of([(1, 1)])], 1)
+        m = _marginals([[0.2], [0.9]])
+        view = rank(m, BlockState.masked(2), 2)
+        with pytest.raises(ValueError, match="position 1 already unmasked"):
+            spawn_drafts(graph, view, BlockState(tokens=(0, 3)))
+
 
 @st.composite
 def spawn_cases(draw):
     """A block with some slots already unmasked, tie-heavy marginals, a
-    top_k view and a valid graph declared in shuffled order.  Ranks reach
-    one past the masked slots and one past the view's vocabulary, so some
+    top_k and a valid graph declared in shuffled order.  Ranks reach one
+    past the masked slots and one past the view's vocabulary, so some
     nodes are skipped."""
     length = draw(st.integers(1, 9))
     vocab = draw(st.integers(1, 4))
@@ -307,7 +319,7 @@ def spawn_cases(draw):
             max_size=length,
         )
     )
-    view = rank(Marginals(rows=np.array(rows, dtype=np.float64)), block, top_k)
+    marginals = Marginals(rows=np.array(rows, dtype=np.float64))
     masked = len(block.masked_positions)
     tokens_per_level = draw(st.integers(1, min(3, masked + 1)))
     # mostly top ranks, so that deep nodes often fit
@@ -331,14 +343,15 @@ def spawn_cases(draw):
                 level.append(node)
         levels.append(level)
     nodes = draw(st.permutations([node for level in levels for node in level]))
-    return build_graph(nodes, tokens_per_level), view, block
+    return build_graph(nodes, tokens_per_level), marginals, block, top_k
 
 
 class TestSpawnProperty:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(spawn_cases())
     def test_spawns_every_node_that_fits_in_scan_order(self, case):
-        graph, view, block = case
+        graph, marginals, block, top_k = case
+        view = rank(marginals, block, top_k)
 
         def fits(node):
             return all(
@@ -353,7 +366,55 @@ class TestSpawnProperty:
         for idx in spawned:
             if graph.level_of(idx) > 1:
                 assert any(p in spawned for p in graph.parents[idx])
-        assert len({d.block.tokens for d in drafts}) == len(drafts)
+        assert len({d.tokens for d in drafts}) == len(drafts)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(spawn_cases(), st.data())
+    def test_spawn_and_verify_match_the_reference(self, case, data):
+        """Same drafts in the same order, and the same verify outcome, as
+        the materialize-based reference.  The target is often the ranking
+        source itself, so level-1 drafts match; each draft's rows are the
+        source again or fresh draws, so chains continue or stop; and some
+        drafts are appended again with other rows, so the first of equal
+        drafts must win."""
+        graph, marginals, block, top_k = case
+        drafts = spawn_drafts(graph, rank(marginals, block, top_k), block)
+        want = reference_spawn_drafts(graph, reference_rank(marginals, block, top_k), block)
+        assert [tuple(d) for d in drafts] == [(w.block.tokens, w.formula, w.level) for w in want]
+
+        length, vocab = marginals.rows.shape
+
+        def rows():
+            if data.draw(st.integers(0, 2)) < 2:
+                return marginals.rows
+            seed = data.draw(st.integers(0, 2**16))
+            return np.random.default_rng(seed).choice((0.0, 0.25, 0.5), size=(length, vocab))
+
+        target = Marginals(rows=rows())
+        picks = list(range(len(drafts)))
+        if drafts:
+            picks += data.draw(st.lists(st.integers(0, len(drafts) - 1), max_size=3))
+        draft_rows = np.array([rows() for _ in picks]).reshape(len(picks), length, vocab)
+        schedule = data.draw(
+            st.one_of(
+                st.just(UnmaskSchedule.fixed(graph.tokens_per_level)),
+                st.integers(1, 3).map(UnmaskSchedule.fixed),
+                st.sampled_from((0.25, 0.5, 1.0)).map(UnmaskSchedule.at_threshold),
+            )
+        )
+
+        out = verify(block, target, [drafts[k] for k in picks], draft_rows, schedule)
+        ref = reference_verify(
+            block, target, [want[k] for k in picks], [Marginals(rows=r) for r in draft_rows], schedule
+        )
+        assert out.new_block == ref.new_block
+        assert out.accepted_levels == ref.accepted_levels
+        assert out.realized_s == ref.realized_s
+        assert out.remaining_order == ref.remaining_order
+        if ref.adopted_marginals is None:
+            assert out.adopted_marginals is None
+        else:
+            assert out.adopted_marginals.rows.tobytes() == ref.adopted_marginals.rows.tobytes()
 
 
 # ---------------------------------------------------------------------------

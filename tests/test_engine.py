@@ -24,6 +24,7 @@ from blockspec.engine import (
     profile_stages,
 )
 from blockspec.model import train_from_corpus
+from blockspec.timing import StageTimer
 
 
 def _chain_graph(depth=3):
@@ -292,11 +293,20 @@ class TestSummaries:
         assert [s.index for s in summary] == [0, 1, 2, 3]
 
     def test_profile_normalizes_to_model_time(self, model):
-        report = generate_speculative(model, (2, 2), make_config(), _chain_graph()).report
+        report = generate_speculative(model, (2, 2), make_config(), _chain_graph(), timer=StageTimer()).report
         profile = profile_stages(report.stage_seconds)
         assert profile["model"] == 100.0
         assert set(profile) == set(report.stage_seconds)
         assert all(v >= 0.0 for v in profile.values())
+
+    def test_stage_seconds_only_with_a_timer(self, model):
+        config = make_config()
+        assert generate_vanilla(model, (2, 2), config).report.stage_seconds == {}
+        assert generate_speculative(model, (2, 2), config, _chain_graph()).report.stage_seconds == {}
+        vanilla = generate_vanilla(model, (2, 2), config, timer=StageTimer()).report
+        assert set(vanilla.stage_seconds) == {"model", "ranking"}
+        spec = generate_speculative(model, (2, 2), config, _chain_graph(), timer=StageTimer()).report
+        assert set(spec.stage_seconds) == {"model", "ranking", "drafting", "verify"}
 
     def test_profile_requires_model_time(self):
         with pytest.raises(ValueError, match="model stage"):

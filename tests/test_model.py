@@ -226,14 +226,14 @@ class TestForwardBatched:
     def test_empty_draft_list(self, model):
         state = SequenceState.initial((2,), 1, 4)
         target, per_draft = forward_batched(model, state, [])
-        assert per_draft == []
+        assert per_draft.shape == (0, 4, model.vocab_size)
         assert np.array_equal(target.rows, forward(model, state).rows)
 
     def test_identity_draft_equals_target(self, model):
         state = SequenceState.initial((2,), 1, 4)
         state = state.with_active_block(state.active_block.with_token(0, 2))
-        target, per_draft = forward_batched(model, state, [state.active_block])
-        assert np.array_equal(per_draft[0].rows, target.rows)
+        target, per_draft = forward_batched(model, state, [state.active_block.tokens])
+        assert np.array_equal(per_draft[0], target.rows)
 
     def test_distinct_drafts_match_independent_forwards(self, model):
         state = SequenceState.initial((5, 6), 2, 4)
@@ -243,45 +243,44 @@ class TestForwardBatched:
             block.with_token(1, 8),
             block.with_token(0, 7).with_token(3, 2),
         ]
-        _, per_draft = forward_batched(model, state, drafts)
+        _, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
         for d, got in zip(drafts, per_draft):
             want = forward(model, state.with_active_block(d))
-            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got, want.rows)
 
     def test_complete_draft_scores_one_hot(self, model):
         state = SequenceState.initial((2,), 1, 3)
-        full = BlockState(tokens=(4, 5, 6))
-        _, per_draft = forward_batched(model, state, [full])
+        _, per_draft = forward_batched(model, state, [(4, 5, 6)])
         want = np.zeros((3, model.vocab_size))
         want[0, 3] = want[1, 4] = want[2, 5] = 1.0
-        assert np.array_equal(per_draft[0].rows, want)
+        assert np.array_equal(per_draft[0], want)
 
     def test_draft_length_mismatch_rejected(self, model):
         state = SequenceState.initial((2,), 1, 3)
         with pytest.raises(ValueError, match="length"):
-            forward_batched(model, state, [BlockState.masked(2)])
+            forward_batched(model, state, [(MASK, MASK)])
 
     def test_draft_token_range_checked(self, model):
         """Complete drafts too: their rows are one-hot on the draft's tokens."""
         state = SequenceState.initial((2,), 1, 3)
         too_big = model.vocab_size + 1
-        for draft in (BlockState(tokens=(1, too_big, MASK)), BlockState(tokens=(1, 2, too_big))):
+        for draft in ((1, too_big, MASK), (1, 2, too_big)):
             with pytest.raises(ValueError, match="token %d outside 1..%d" % (too_big, model.vocab_size)):
-                forward_batched(model, state, [BlockState(tokens=(1, 2, 3)), draft])
+                forward_batched(model, state, [(1, 2, 3), draft])
 
     def test_context_token_range_checked(self, model):
         state = SequenceState.initial((2, model.vocab_size + 1), 1, 3)
         with pytest.raises(ValueError, match="outside"):
-            forward_batched(model, state, [BlockState(tokens=(1, 2, 3))])
+            forward_batched(model, state, [(1, 2, 3)])
 
     def test_state_checks_hold_with_drafts(self, model):
         blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
         state = SequenceState(prompt=(1,), blocks=blocks, active=0)
         with pytest.raises(ValueError, match="invalid sequence state"):
-            forward_batched(model, state, [BlockState(tokens=(1, MASK))])
+            forward_batched(model, state, [(1, MASK)])
         done = SequenceState.initial((1,), 1, 2).with_active_block(BlockState(tokens=(1, 2)))
         with pytest.raises(ValueError, match="nothing to denoise"):
-            forward_batched(model, done, [BlockState(tokens=(1, 2))])
+            forward_batched(model, done, [(1, 2)])
 
 
 LAMBDAS = ((0.7, 0.1, 0.2), (0.6, 0.3, 0.1), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0))
@@ -318,12 +317,12 @@ def batched_cases(draw):
 @given(batched_cases())
 def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
     m, state, drafts = case
-    target, per_draft = forward_batched(m, state, drafts)
+    target, per_draft = forward_batched(m, state, [d.tokens for d in drafts])
     want_target, want_drafts = scalar_forward_batched(m, state, drafts)
     assert target.rows.tobytes() == want_target.rows.tobytes()
     assert len(per_draft) == len(want_drafts)
     for got, want in zip(per_draft, want_drafts):
-        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.tobytes() == want.rows.tobytes()
 
 
 class TestPinnedMarginals:
@@ -358,8 +357,8 @@ class TestPinnedMarginals:
         blocks = [BlockState(tokens=b) for b in committed] + [BlockState(tokens=current)]
         blocks += [BlockState.masked(8)] * (4 - len(blocks))
         state = SequenceState(prompt=self.PROMPT, blocks=tuple(blocks), active=active)
-        target, per_draft = forward_batched(model, state, [BlockState(tokens=d) for d in drafts])
-        hashed = hashlib.sha256(b"".join(m.rows.tobytes() for m in [target] + per_draft))
+        target, per_draft = forward_batched(model, state, drafts)
+        hashed = hashlib.sha256(target.rows.tobytes() + b"".join(rows.tobytes() for rows in per_draft))
         assert hashed.hexdigest() == digest
 
 

@@ -1,18 +1,14 @@
 """Input checks must not be asserts: ``python -O`` strips those, so the
 tests that expect a rejection would pass bad input through instead."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import blockspec
-
 ROOT = Path(__file__).resolve().parent.parent
-SRC = str(Path(blockspec.__file__).resolve().parent.parent)
 
 
-def test_input_check_tests_pass_under_python_O():
+def test_input_check_tests_pass_under_python_O(child_env):
     files = [
         "tests/test_core.py",
         "tests/test_batch.py",
@@ -21,9 +17,8 @@ def test_input_check_tests_pass_under_python_O():
         "tests/test_drafting.py",
         "tests/test_cli.py",
     ]
-    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:]

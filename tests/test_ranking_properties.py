@@ -86,7 +86,7 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
     schedule = data.draw(schedules)
     block = data.draw(partial_blocks(length, vocab))
     target = data.draw(marginals(length, vocab))
-    drafts, draft_marginals = [], []
+    drafts, draft_rows = [], []
     state, m = block, target
     while True:
         state, _ = advance(state, m, order_positions(m, state), schedule)
@@ -95,10 +95,10 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
         m = data.draw(marginals(length, vocab))
         if data.draw(st.booleans()):
             formula = DraftFormula.of([(1, 1)])
-            drafts.append(DraftBlock(block=state, formula=formula, level=1, step_tag=state.unmasked_count))
-            draft_marginals.append(m)
+            drafts.append(DraftBlock(tokens=state.tokens, formula=formula, level=1))
+            draft_rows.append(m.rows)
 
-    out = verify(block, target, drafts, draft_marginals, schedule)
+    out = verify(block, target, drafts, np.array(draft_rows).reshape(len(drafts), length, vocab), schedule)
 
     source = out.adopted_marginals if out.adopted_marginals is not None else target
     if out.new_block.is_complete:

@@ -1,6 +1,6 @@
 """Tests for the advance step and draft verification.
 
-Drafts here are handcrafted DraftBlock instances so each oracle controls
+Drafts here are handcrafted DraftBlock records so each oracle controls
 exactly which chain verify can walk; losslessness against real spawned
 drafts is exercised end to end in the engine and acceptance suites.
 """
@@ -24,13 +24,13 @@ def _advance(block, m, schedule):
     return advance(block, m, order_positions(m, block), schedule)
 
 
-def _draft(tokens, step_tag, level=1):
-    return DraftBlock(
-        block=BlockState(tokens=tokens),
-        formula=DraftFormula.of([(1, 1)]),
-        level=level,
-        step_tag=step_tag,
-    )
+def _draft(tokens, level=1):
+    return DraftBlock(tokens=tokens, formula=DraftFormula.of([(1, 1)]), level=level)
+
+
+def _rows(*marginals, length=3, vocab=4):
+    """The drafts' (D, L, V) rows, as forward_batched returns them."""
+    return np.array([m.rows for m in marginals]).reshape(len(marginals), length, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ class TestAdvance:
 class TestVerify:
     def test_no_drafts_single_step(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        out = verify(BlockState.masked(3), target, [], [], UnmaskSchedule.fixed(1))
+        out = verify(BlockState.masked(3), target, [], _rows(), UnmaskSchedule.fixed(1))
         assert isinstance(out, VerifyOutcome)
         assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
@@ -101,61 +101,66 @@ class TestVerify:
         target = _marginals([[0.2], [0.9], [0.5]])          # step 1: pos 1 -> 1
         m1 = _marginals([[0.3], [0.0], [0.0, 0.7]])          # step 2: pos 2 -> 2
         m2 = _marginals([[0.0, 0.0, 0.6], [0.0], [0.0]])     # step 3: pos 0 -> 3
-        d1 = _draft((0, 1, 0), step_tag=1, level=1)
-        d2 = _draft((0, 1, 2), step_tag=2, level=2)
-        out = verify(BlockState.masked(3), target, [d1, d2], [m1, m2], UnmaskSchedule.fixed(1))
+        d1 = _draft((0, 1, 0), level=1)
+        d2 = _draft((0, 1, 2), level=2)
+        out = verify(BlockState.masked(3), target, [d1, d2], _rows(m1, m2), UnmaskSchedule.fixed(1))
         assert len(out.realized_s) == 3
         assert out.accepted_levels == (1, 2)
         assert list(out.accepted_levels) == sorted(out.accepted_levels)
-        assert out.adopted_marginals is m2
+        assert out.adopted_marginals.rows.tobytes() == m2.rows.tobytes()
         assert out.new_block.tokens == (3, 1, 2)
         assert out.realized_s == (1, 1, 1)
         assert out.remaining_order == ()
 
     def test_one_token_mismatch_rejects(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        bad = _draft((0, 2, 0), step_tag=1)  # wrong token at position 1
+        bad = _draft((0, 2, 0))  # wrong token at position 1
         m1 = _marginals([[0.3], [0.0], [0.7]])
-        out = verify(BlockState.masked(3), target, [bad], [m1], UnmaskSchedule.fixed(1))
+        out = verify(BlockState.masked(3), target, [bad], _rows(m1), UnmaskSchedule.fixed(1))
         assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
         assert out.adopted_marginals is None
 
-    def test_step_tag_must_match_count(self):
+    def test_first_of_equal_drafts_wins(self):
+        """Equal tokens, different rows: the draft first in scan order is
+        the one adopted, and its rows drive the next advance."""
         target = _marginals([[0.2], [0.9], [0.5]])
-        d = _draft((0, 1, 0), step_tag=2)  # right content, wrong tag
-        m1 = _marginals([[0.3], [0.0], [0.7]])
-        out = verify(BlockState.masked(3), target, [d], [m1], UnmaskSchedule.fixed(1))
-        assert len(out.realized_s) == 1
+        first = _marginals([[0.3], [0.0], [0.0, 0.7]])  # commits pos 2 -> 2
+        second = _marginals([[0.0, 0.0, 0.8], [0.0], [0.1]])  # would commit pos 0 -> 3
+        drafts = [_draft((0, 1, 0), level=1), _draft((0, 1, 0), level=2)]
+        out = verify(BlockState.masked(3), target, drafts, _rows(first, second), UnmaskSchedule.fixed(1))
+        assert out.accepted_levels == (1,)
+        assert out.adopted_marginals.rows.tobytes() == first.rows.tobytes()
+        assert out.new_block.tokens == (0, 1, 2)
 
     def test_committed_slot_must_match_too(self):
         target = _marginals([[0.2], [0.9], [0.5]])
         start = BlockState(tokens=(0, 0, 9))
-        wrong = _draft((0, 1, 4), step_tag=2)  # disagrees on the old slot
+        wrong = _draft((0, 1, 4))  # disagrees on the old slot
         m1 = _marginals([[0.3], [0.0], [0.0]])
-        out = verify(start, target, [wrong], [m1], UnmaskSchedule.fixed(1))
+        out = verify(start, target, [wrong], _rows(m1), UnmaskSchedule.fixed(1))
         assert len(out.realized_s) == 1
 
     def test_complete_state_stops_before_scanning(self):
         """A draft matching the finished block is never accepted."""
         target = _marginals([[0.0], [0.9]])
         start = BlockState(tokens=(5, 0))
-        finished = _draft((5, 1), step_tag=2)
+        finished = _draft((5, 1))
         m1 = _marginals([[0.0], [0.0]])
-        out = verify(start, target, [finished], [m1], UnmaskSchedule.fixed(1))
+        out = verify(start, target, [finished], _rows(m1, length=2), UnmaskSchedule.fixed(1))
         assert out.new_block.is_complete
         assert len(out.realized_s) == 1
         assert out.accepted_levels == ()
 
     def test_threshold_step_can_jump_past_draft(self):
         target = _marginals([[0.95], [0.91], [0.5]])
-        d = _draft((1, 0, 0), step_tag=1)
+        d = _draft((1, 0, 0))
         m1 = _marginals([[0.0], [0.9], [0.0]])
-        out = verify(BlockState.masked(3), target, [d], [m1], UnmaskSchedule.at_threshold(0.9))
+        out = verify(BlockState.masked(3), target, [d], _rows(m1), UnmaskSchedule.at_threshold(0.9))
         assert out.realized_s == (2,)
         assert out.accepted_levels == ()
 
     def test_misaligned_lists_error(self):
         target = _marginals([[0.5]])
         with pytest.raises(ValueError, match="length mismatch"):
-            verify(BlockState.masked(1), target, [_draft((1,), 1)], [], UnmaskSchedule.fixed(1))
+            verify(BlockState.masked(1), target, [_draft((1,))], _rows(length=1), UnmaskSchedule.fixed(1))
