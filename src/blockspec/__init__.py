@@ -9,7 +9,6 @@ from .core import (
     UnmaskSchedule,
     format_config,
     parse_config,
-    remaining_nfe_without_speculation,
     validate_sequence,
 )
 from .model import ToyDenoiser, forward, forward_batched, train_from_corpus
@@ -55,7 +54,6 @@ __all__ = [
     "UnmaskSchedule",
     "GenerationConfig",
     "validate_sequence",
-    "remaining_nfe_without_speculation",
     "format_config",
     "parse_config",
     "ToyDenoiser",

@@ -8,7 +8,6 @@ place, so they are safe to share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -170,7 +169,7 @@ class Marginals:
 
     def argmax_token(self, position: int) -> int:
         # ties broken toward the smaller token id (argmax returns first max)
-        return int(np.argmax(self.rows[position])) + 1
+        return int(self.rows[position].argmax()) + 1
 
 
 def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
@@ -301,21 +300,6 @@ class GenerationConfig:
     @property
     def num_blocks(self) -> int:
         return self.total_length // self.block_length
-
-
-def remaining_nfe_without_speculation(state: SequenceState, schedule: UnmaskSchedule) -> int:
-    """Model calls vanilla decoding still needs from ``state``.
-
-    Exact for fixed schedules (ceil(masked / s) per block); for threshold
-    schedules this is the upper bound reached when every step commits a
-    single token.
-    """
-    s = schedule.tokens_per_step if schedule.kind == "fixed" else 1
-    total = 0
-    for i in range(state.active, len(state.blocks)):
-        masked = state.blocks[i].length - state.blocks[i].unmasked_count
-        total += math.ceil(masked / s)
-    return total
 
 
 # ---------------------------------------------------------------------------

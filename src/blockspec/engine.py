@@ -1,11 +1,12 @@
 """Generation loops and NFE accounting.
 
-Two entry points share all mechanics: ``generate_vanilla`` denoises each
-block one scheduled step per model call; ``generate_speculative`` runs
-the same schedule but sends a graph of draft blocks along with every
-call and lets verification chain through accepted drafts, so one call
-can commit several steps.  Outputs are identical by construction; only
-the number of function evaluations (NFEs) differs.
+Two entry points share one block loop: ``generate_vanilla`` denoises
+each block one scheduled step per model call; ``generate_speculative``
+runs the same schedule but sends a graph of draft blocks along with
+every call and lets verification chain through accepted drafts, so one
+call can commit several steps.  Outputs are identical by construction;
+only the number of function evaluations (NFEs) differs, and since both
+take the same steps, the steps a run took count its vanilla NFEs.
 
 Drafts for a call are ranked from the most recent distribution in hand:
 the marginals adopted from the last accepted draft, or the previous
@@ -20,9 +21,8 @@ for it yet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
 from .core import BlockState, GenerationConfig, Marginals, SequenceState
@@ -37,18 +37,27 @@ from .timing import StageTimer, maybe_stage
 
 @dataclass(frozen=True)
 class PerBlockStats:
+    """Accounting for one block.
+
+    ``realized_s`` logs the token count of every step taken, accepted
+    chain steps included, so ``acceptances`` is its length less ``nfe``.
+    A lossless run takes exactly the vanilla steps, so ``baseline_nfe``
+    is counted as that length unless a vanilla report was supplied.
+    """
+
     index: int
     nfe: int
     baseline_nfe: int
     acceptances: int
     realized_s: Tuple[int, ...]
-    accepted_s: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RunReport:
     """Accounting for one generation run.
 
+    ``baseline_nfe`` is the vanilla NFE count: the steps the run took,
+    unless a vanilla report was supplied as the baseline.
     ``speedup_all`` is baseline NFEs over actual NFEs across every
     block; ``speedup_to_eot`` restricts both sums to blocks up to and
     including the one holding the first EOT token (equal to speedup_all
@@ -89,12 +98,58 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
     return baseline / actual
 
 
-def _finish_report(
-    per_block: List[PerBlockStats],
-    eot_block: Optional[int],
+def _check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
+    out = tuple(int(t) for t in prompt)
+    for t in out:
+        if not (1 <= t <= model.vocab_size):
+            raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))
+    return out
+
+
+# One model call: the block after it and the token count of every step it took.
+CallRecord = Tuple[BlockState, Tuple[int, ...]]
+
+
+def _decode_blocks(
+    prompt: Tuple[int, ...],
+    config: GenerationConfig,
+    denoise_block: Callable[[SequenceState], Tuple[SequenceState, List[CallRecord]]],
+    record_trace: bool,
+    baseline: Optional[RunReport],
     timer: Optional[StageTimer],
-) -> RunReport:
-    return RunReport(
+) -> GenerationResult:
+    """The block loop both decoders share.
+
+    ``denoise_block`` completes the active block and returns one record
+    per model call; every report field and the trace come from those.
+    """
+    if baseline is not None and len(baseline.per_block) != config.num_blocks:
+        raise ValueError(
+            "baseline report has %d blocks, config has %d" % (len(baseline.per_block), config.num_blocks)
+        )
+    state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
+    per_block: List[PerBlockStats] = []
+    trace: List[Tuple[int, BlockState]] = []
+    eot_block: Optional[int] = None
+    for k in range(config.num_blocks):
+        state, calls = denoise_block(state)
+        realized = tuple(s for _, steps in calls for s in steps)
+        if record_trace:
+            trace.extend((k, block) for block, _ in calls)
+        per_block.append(
+            PerBlockStats(
+                index=k,
+                nfe=len(calls),
+                baseline_nfe=len(realized) if baseline is None else baseline.per_block[k].nfe,
+                acceptances=len(realized) - len(calls),
+                realized_s=realized,
+            )
+        )
+        if eot_block is None and config.eot_token in state.active_block.tokens:
+            eot_block = k
+        if k + 1 < config.num_blocks:
+            state = state.advance_block()
+    report = RunReport(
         total_nfe=sum(b.nfe for b in per_block),
         baseline_nfe=sum(b.baseline_nfe for b in per_block),
         acceptances=sum(b.acceptances for b in per_block),
@@ -104,18 +159,12 @@ def _finish_report(
         speedup_to_eot=_speedup(per_block, eot_block),
         stage_seconds=timer.snapshot() if timer is not None else {},
     )
-
-
-def _find_eot(block: BlockState, eot_token: int) -> bool:
-    return eot_token in block.tokens
-
-
-def _check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
-    out = tuple(int(t) for t in prompt)
-    for t in out:
-        if not (1 <= t <= model.vocab_size):
-            raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))
-    return out
+    return GenerationResult(
+        tokens=state.generated_tokens(),
+        state=state,
+        report=report,
+        trace=tuple(trace) if record_trace else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +175,10 @@ def _check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
 class StepRecord:
     """One vanilla denoising step inside a block (used by calibration).
 
-    ``ordered`` is the step's position ranking,
-    ``order_positions(marginals, state_before)``.
+    ``ordered`` is the step's position ranking: ``order_positions`` of
+    ``marginals`` over the block before the step.
     """
 
-    state_before: BlockState
     marginals: Marginals
     ordered: Tuple[int, ...]
     state_after: BlockState
@@ -148,13 +196,12 @@ def vanilla_block_steps(
     steps: List[StepRecord] = []
     while not state.active_block.is_complete:
         before = state.active_block
-        target, _ = forward_batched(model, state, [], timer=timer)
+        with maybe_stage(timer, "model"):
+            target, _ = forward_batched(model, state, [])
         with maybe_stage(timer, "ranking"):
             ordered = order_positions(target, before)
         after, realized = verification.advance(before, target, ordered, config.schedule)
-        steps.append(
-            StepRecord(state_before=before, marginals=target, ordered=ordered, state_after=after, realized=realized)
-        )
+        steps.append(StepRecord(marginals=target, ordered=ordered, state_after=after, realized=realized))
         state = state.with_active_block(after)
     return state, steps
 
@@ -171,57 +218,16 @@ def generate_vanilla(
 
     Stage times go to ``timer`` when one is given."""
     prompt = _check_prompt(model, prompt)
-    state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-    per_block: List[PerBlockStats] = []
-    trace: List[Tuple[int, BlockState]] = []
-    eot_block: Optional[int] = None
-    for k in range(config.num_blocks):
+
+    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
         state, steps = vanilla_block_steps(model, state, config, timer=timer)
-        if record_trace:
-            trace.extend((k, s.state_after) for s in steps)
-        per_block.append(
-            PerBlockStats(
-                index=k,
-                nfe=len(steps),
-                baseline_nfe=len(steps),
-                acceptances=0,
-                realized_s=tuple(s.realized for s in steps),
-                accepted_s=(),
-            )
-        )
-        if eot_block is None and _find_eot(state.active_block, config.eot_token):
-            eot_block = k
-        if k + 1 < config.num_blocks:
-            state = state.advance_block()
-    report = _finish_report(per_block, eot_block, timer)
-    return GenerationResult(
-        tokens=state.generated_tokens(),
-        state=state,
-        report=report,
-        trace=tuple(trace) if record_trace else None,
-    )
+        return state, [(s.state_after, (s.realized,)) for s in steps]
+
+    return _decode_blocks(prompt, config, denoise_block, record_trace, None, timer)
 
 
 # ---------------------------------------------------------------------------
 # speculative
-
-
-def _baseline_per_block(
-    model: ToyDenoiser,
-    prompt: Tuple[int, ...],
-    config: GenerationConfig,
-    baseline: Optional[RunReport],
-) -> List[int]:
-    if baseline is not None:
-        assert len(baseline.per_block) == config.num_blocks
-        return [b.nfe for b in baseline.per_block]
-    if config.schedule.kind == "fixed":
-        calls = math.ceil(config.block_length / config.schedule.tokens_per_step)
-        return [calls] * config.num_blocks
-    # threshold steps are data dependent, so the baseline is measured by
-    # actually running the vanilla schedule once
-    vanilla = generate_vanilla(model, prompt, config)
-    return [b.nfe for b in vanilla.report.per_block]
 
 
 def generate_speculative(
@@ -239,8 +245,10 @@ def generate_speculative(
     Every loop iteration makes exactly one batched model call (one NFE)
     and commits at least one step; accepted drafts commit more.  The
     trace, when recorded, holds the state after each call, which is a
-    subsequence of the vanilla per-step trajectory.  Stage times go to
-    ``timer`` when one is given.
+    subsequence of the vanilla per-step trajectory.  Each block's
+    baseline NFEs are its steps taken, or ``baseline``'s per-block NFEs
+    when a vanilla report is given.  Stage times go to ``timer`` when
+    one is given.
     """
     prompt = _check_prompt(model, prompt)
     if graph.max_vocab_rank() > config.top_k_vocab:
@@ -248,16 +256,9 @@ def generate_speculative(
             "graph/schedule mismatch: graph needs vocabulary rank %d, top_k_vocab is %d"
             % (graph.max_vocab_rank(), config.top_k_vocab)
         )
-    baselines = _baseline_per_block(model, prompt, config, baseline)
-    state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-    per_block: List[PerBlockStats] = []
-    trace: List[Tuple[int, BlockState]] = []
-    eot_block: Optional[int] = None
-    for k in range(config.num_blocks):
-        nfe = 0
-        acceptances = 0
-        realized: List[int] = []
-        accepted_s: List[int] = []
+
+    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
+        calls: List[CallRecord] = []
         rank_source: Optional[Marginals] = None
         positions: Tuple[int, ...] = ()
         while not state.active_block.is_complete:
@@ -270,39 +271,17 @@ def generate_speculative(
                 ranking = RankingView(ordered_positions=positions, vocab_by_position=vocab)
                 with maybe_stage(timer, "drafting"):
                     drafts = spawn_drafts(graph, ranking, block)
-            target, draft_rows = forward_batched(model, state, [d.tokens for d in drafts], timer=timer)
-            nfe += 1
+            with maybe_stage(timer, "model"):
+                target, draft_rows = forward_batched(model, state, [d.tokens for d in drafts])
             with maybe_stage(timer, "verify"):
                 outcome = verification.verify(block, target, drafts, draft_rows, config.schedule)
             state = state.with_active_block(outcome.new_block)
-            if record_trace:
-                trace.append((k, outcome.new_block))
-            acceptances += len(outcome.accepted_levels)
-            realized.extend(outcome.realized_s)
-            accepted_s.extend(outcome.realized_s[1:])
+            calls.append((outcome.new_block, outcome.realized_s))
             rank_source = outcome.adopted_marginals if outcome.adopted_marginals is not None else target
             positions = outcome.remaining_order
-        per_block.append(
-            PerBlockStats(
-                index=k,
-                nfe=nfe,
-                baseline_nfe=baselines[k],
-                acceptances=acceptances,
-                realized_s=tuple(realized),
-                accepted_s=tuple(accepted_s),
-            )
-        )
-        if eot_block is None and _find_eot(state.active_block, config.eot_token):
-            eot_block = k
-        if k + 1 < config.num_blocks:
-            state = state.advance_block()
-    report = _finish_report(per_block, eot_block, timer)
-    return GenerationResult(
-        tokens=state.generated_tokens(),
-        state=state,
-        report=report,
-        trace=tuple(trace) if record_trace else None,
-    )
+        return state, calls
+
+    return _decode_blocks(prompt, config, denoise_block, record_trace, baseline, timer)
 
 
 # ---------------------------------------------------------------------------

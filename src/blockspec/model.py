@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import MASK, Marginals, SequenceState, validate_sequence
 from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
-from .timing import StageTimer, maybe_stage
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,6 @@ def forward_batched(
     model: ToyDenoiser,
     state: SequenceState,
     drafts: Sequence[Sequence[int]],
-    *,
-    timer: Optional[StageTimer] = None,
 ) -> Tuple[Marginals, np.ndarray]:
     """Score the true state and every draft in one model call.
 
@@ -169,8 +166,7 @@ def forward_batched(
     sequence = state.all_tokens()
     _check_token_range([sequence, *drafts], model.vocab_size)
     offset = len(state.prompt) + state.active * length
-    with maybe_stage(timer, "model"):
-        rows = _mixture_pass(model, [block.tokens, *drafts], sequence[offset - 1] if offset else MASK)
+    rows = _mixture_pass(model, [block.tokens, *drafts], sequence[offset - 1] if offset else MASK)
     rows.setflags(write=False)
     return Marginals(rows=rows[0]), rows[1:]
 

@@ -294,7 +294,7 @@ def test_criterion_9_eot_prefix_accounting():
     blocks = tuple(
         PerBlockStats(
             index=i, nfe=n, baseline_nfe=8, acceptances=8 - n,
-            realized_s=(1,) * 8, accepted_s=(1,) * (8 - n),
+            realized_s=(1,) * 8,
         )
         for i, n in enumerate((2, 4, 8, 1, 5, 5, 5, 5))
     )

@@ -12,7 +12,6 @@ from blockspec.core import (
     format_config,
     one_hot_marginals,
     parse_config,
-    remaining_nfe_without_speculation,
     validate_sequence,
 )
 
@@ -193,42 +192,6 @@ class TestGenerationConfig:
             GenerationConfig(
                 total_length=8, block_length=4, schedule=UnmaskSchedule.fixed(1), eot_token=MASK
             )
-
-
-# ---------------------------------------------------------------------------
-# remaining NFE
-# ---------------------------------------------------------------------------
-
-
-class TestRemainingNfe:
-    """Oracle: count masked positions by hand and apply ceil division."""
-
-    def test_fully_masked_fixed_1(self):
-        state = SequenceState.initial((), 8, 32)
-        assert remaining_nfe_without_speculation(state, UnmaskSchedule.fixed(1)) == 256
-
-    def test_fully_masked_fixed_4(self):
-        state = SequenceState.initial((), 8, 32)
-        assert remaining_nfe_without_speculation(state, UnmaskSchedule.fixed(4)) == 64
-
-    def test_partial_block_hand_count(self):
-        # active block of 32 with 5 unmasked leaves 27 calls, plus 7 fully
-        # masked blocks of 32: 27 + 224 = 251
-        state = SequenceState.initial((), 8, 32)
-        block = state.active_block
-        for n in range(5):
-            block = block.with_token(n, 1)
-        state = state.with_active_block(block)
-        assert remaining_nfe_without_speculation(state, UnmaskSchedule.fixed(1)) == 251
-
-    def test_ceil_rounding(self):
-        # 5 masked under fixed:4 needs 2 calls, not 1.25
-        state = SequenceState.initial((), 1, 8)
-        block = state.active_block
-        for n in range(3):
-            block = block.with_token(n, 1)
-        state = state.with_active_block(block)
-        assert remaining_nfe_without_speculation(state, UnmaskSchedule.fixed(4)) == 2
 
 
 # ---------------------------------------------------------------------------

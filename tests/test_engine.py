@@ -11,6 +11,7 @@ position for the early-stop accounting.
 import pytest
 from conftest import make_config
 
+from blockspec import engine
 from blockspec.core import GenerationConfig, UnmaskSchedule, validate_sequence
 from blockspec.drafting import DraftFormula, build_graph
 from blockspec.engine import (
@@ -161,7 +162,6 @@ class TestGenerateSpeculative:
             # realized_s logs every step taken, accepted chain steps included
             assert len(b.realized_s) == b.nfe + b.acceptances
             assert sum(b.realized_s) == 8
-            assert len(b.accepted_s) == b.acceptances
         assert report.speedup_all == pytest.approx(report.baseline_nfe / report.total_nfe)
 
     def test_graph_needs_vocab_rank_within_topk(self, model):
@@ -175,6 +175,25 @@ class TestGenerateSpeculative:
         spec = generate_speculative(model, (2, 2, 2), cfg, _chain_graph())
         assert spec.report.baseline_nfe == vanilla.report.total_nfe
         assert spec.tokens == vanilla.tokens
+
+    def test_threshold_baseline_needs_no_vanilla_decode(self, model, monkeypatch):
+        """The baseline is counted from the run's own steps."""
+        cfg = make_config("threshold:0.9")
+        want = generate_vanilla(model, (2, 2, 2), cfg)
+
+        def no_vanilla(*args, **kwargs):
+            raise AssertionError("generate_speculative ran a vanilla decode")
+
+        monkeypatch.setattr(engine, "generate_vanilla", no_vanilla)
+        spec = generate_speculative(model, (2, 2, 2), cfg, _chain_graph())
+        assert spec.tokens == want.tokens
+        assert spec.report.baseline_nfe == want.report.total_nfe
+
+    def test_baseline_block_count_must_match(self, model):
+        cfg = make_config("fixed:1")
+        short = generate_vanilla(model, (5, 5), make_config("fixed:1", total_length=16)).report
+        with pytest.raises(ValueError, match="baseline report has 2 blocks, config has 4"):
+            generate_speculative(model, (5, 5), cfg, _chain_graph(), baseline=short)
 
     def test_supplied_baseline_is_reused(self, model):
         cfg = make_config("fixed:1")
@@ -236,7 +255,7 @@ class TestEotAccounting:
     def test_prefix_speedup_on_handmade_report(self):
         """compute_speedup slices exactly the blocks up to the EOT one."""
         blocks = tuple(
-            PerBlockStats(index=i, nfe=n, baseline_nfe=8, acceptances=8 - n, realized_s=(1,) * n, accepted_s=(1,) * (8 - n))
+            PerBlockStats(index=i, nfe=n, baseline_nfe=8, acceptances=8 - n, realized_s=(1,) * 8)
             for i, n in enumerate((4, 8, 2, 8))
         )
         report = RunReport(

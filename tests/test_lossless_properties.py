@@ -7,8 +7,13 @@ drafts are skipped), and ``tokens_per_level`` need not match the
 schedule.  For every case the speculative decoder must produce the
 vanilla tokens, its trace must be a subsequence of the vanilla trace,
 and every step it takes is either its own call or an accepted draft, so
-``total_nfe + acceptances == baseline_nfe``.
+``total_nfe + acceptances == baseline_nfe``.  Without a vanilla report
+the baseline is counted from the run's own steps, so it is checked
+against the vanilla run and, under fixed:s, against ceil(L / s) calls
+per block.
 """
+
+from math import ceil
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,13 +93,18 @@ def test_speculative_decoding_is_lossless(case):
     assert result.ok, result.message
     report = result.speculative.report
     assert report.total_nfe + report.acceptances == report.baseline_nfe
+    counted = generate_speculative(model, prompt, config, graph).report
+    assert counted.per_block == report.per_block
+    assert [b.baseline_nfe for b in counted.per_block] == [b.nfe for b in result.vanilla.report.per_block]
 
 
 @PROPERTY
 @given(cases(fixed_schedules))
 def test_fixed_schedule_identity_holds_without_a_measured_baseline(case):
-    """Under fixed:s the baseline is computed, not measured, so the
-    identity also checks that computation."""
+    """Under fixed:s vanilla takes ceil(L / s) calls per block, so the
+    counted baseline must equal that."""
     model, prompt, config, graph = case
     report = generate_speculative(model, prompt, config, graph).report
+    calls = ceil(config.block_length / config.schedule.tokens_per_step)
+    assert report.baseline_nfe == config.num_blocks * calls
     assert report.total_nfe + report.acceptances == report.baseline_nfe
