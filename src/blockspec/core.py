@@ -8,8 +8,7 @@ place, so they are safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,12 +28,11 @@ class BlockState:
 
     def __post_init__(self):
         assert len(self.tokens) > 0, "empty block"
-        for t in self.tokens:
-            assert t >= 0, "negative token id"
+        assert min(self.tokens) >= 0, "negative token id"
 
     @staticmethod
     def masked(length: int) -> "BlockState":
-        return BlockState(tokens=(MASK,) * length)
+        return BlockState((MASK,) * length)
 
     @property
     def length(self) -> int:
@@ -42,7 +40,7 @@ class BlockState:
 
     @property
     def masked_positions(self) -> Tuple[int, ...]:
-        return tuple(n for n, t in enumerate(self.tokens) if t == MASK)
+        return tuple([n for n, t in enumerate(self.tokens) if t == MASK])
 
     @property
     def unmasked_count(self) -> int:
@@ -50,12 +48,12 @@ class BlockState:
 
     @property
     def is_complete(self) -> bool:
-        return self.unmasked_count == self.length
+        return MASK not in self.tokens
 
     def with_token(self, position: int, token: int) -> "BlockState":
         toks = list(self.tokens)
         unmask(toks, position, token)
-        return BlockState(tokens=tuple(toks))
+        return BlockState(tuple(toks))
 
 
 def unmask(tokens: List[int], position: int, token: int) -> None:
@@ -81,28 +79,28 @@ class SequenceState:
 
     @staticmethod
     def initial(prompt: Tuple[int, ...], num_blocks: int, block_length: int) -> "SequenceState":
-        blocks = tuple(BlockState.masked(block_length) for _ in range(num_blocks))
-        return SequenceState(prompt=tuple(prompt), blocks=blocks, active=0)
+        # one shared masked block: states are immutable, so sharing is safe
+        return SequenceState(tuple(prompt), (BlockState.masked(block_length),) * num_blocks, 0)
 
     @property
     def active_block(self) -> BlockState:
         return self.blocks[self.active]
 
     def with_active_block(self, block: BlockState) -> "SequenceState":
-        if block.length != self.active_block.length:
+        active = self.active
+        length = len(self.blocks[active].tokens)
+        if len(block.tokens) != length:
             raise ValueError(
-                "block of length %d cannot replace an active block of length %d"
-                % (block.length, self.active_block.length)
+                "block of length %d cannot replace an active block of length %d" % (len(block.tokens), length)
             )
-        blocks = self.blocks[: self.active] + (block,) + self.blocks[self.active + 1 :]
-        return replace(self, blocks=blocks)
+        return SequenceState(self.prompt, self.blocks[:active] + (block,) + self.blocks[active + 1 :], active)
 
     def advance_block(self) -> "SequenceState":
         if not self.active_block.is_complete:
             raise ValueError("active block %d not complete" % self.active)
         if self.active + 1 >= len(self.blocks):
             raise ValueError("no block after block %d" % self.active)
-        return replace(self, active=self.active + 1)
+        return SequenceState(self.prompt, self.blocks, self.active + 1)
 
     def all_tokens(self) -> Tuple[int, ...]:
         out = list(self.prompt)
@@ -123,14 +121,13 @@ def validate_sequence(state: SequenceState) -> List[str]:
     if not (0 <= state.active < len(state.blocks)):
         problems.append("active block index out of range")
         return problems
-    for t in state.prompt:
-        if t == MASK:
-            problems.append("prompt contains MASK")
-            break
+    if MASK in state.prompt:
+        problems.append("prompt contains MASK")
     for i, b in enumerate(state.blocks):
-        if i < state.active and not b.is_complete:
-            problems.append("block %d left of active is incomplete" % i)
-        if i > state.active and b.unmasked_count != 0:
+        if i < state.active:
+            if not b.is_complete:
+                problems.append("block %d left of active is incomplete" % i)
+        elif i > state.active and b.unmasked_count != 0:
             problems.append("block %d right of active is partially unmasked" % i)
     return problems
 
@@ -145,14 +142,19 @@ class Marginals:
 
     ``rows`` has shape (L, V); column c holds the probability of token
     c + 1.  Rows for unmasked positions are one-hot on the committed
-    token.  The array is frozen after construction.
+    token.  The array is frozen after construction.  ``top1`` holds,
+    per position, the largest probability in its row; it is set at
+    construction, since every step that builds a Marginals ranks its
+    positions by it.
     """
 
     rows: np.ndarray
+    top1: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.rows.ndim == 2
         self.rows.setflags(write=False)
+        object.__setattr__(self, "top1", tuple(np.maximum.reduce(self.rows, axis=1).tolist()))
 
     @property
     def block_length(self) -> int:
@@ -161,11 +163,6 @@ class Marginals:
     @property
     def vocab_size(self) -> int:
         return self.rows.shape[1]
-
-    @cached_property
-    def top1(self) -> Tuple[float, ...]:
-        """Per position, the largest probability in its row."""
-        return tuple(self.rows.max(axis=1).tolist())
 
     def argmax_token(self, position: int) -> int:
         # ties broken toward the smaller token id (argmax returns first max)
@@ -179,7 +176,7 @@ def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
     rows = np.zeros((block.length, vocab_size), dtype=np.float64)
     for n, t in enumerate(block.tokens):
         rows[n, t - 1] = 1.0
-    return Marginals(rows=rows)
+    return Marginals(rows)
 
 
 # ---------------------------------------------------------------------------

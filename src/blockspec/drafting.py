@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import MASK, BlockState, Marginals
 
 
@@ -51,16 +49,18 @@ def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
     masked = block.masked_positions
     if not masked:
         raise ValueError("no masked positions to rank")
-    top1 = marginals.top1
-    return tuple(sorted(masked, key=lambda n: (-top1[n], n)))
+    # masked is ascending and the sort is stable (reverse keeps it so), so
+    # equal top-1 probabilities stay in position order
+    return tuple(sorted(masked, key=marginals.top1.__getitem__, reverse=True))
 
 
 def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     """Per position: top_k token ids by descending probability, ties toward
-    the lower id (one stable argsort over the negated rows)."""
+    the lower id (one stable argsort over all negated rows, read at
+    ``positions``)."""
     assert top_k >= 1
-    ranked = np.argsort(-marginals.rows.take(positions, axis=0), axis=1, kind="stable")[:, :top_k] + 1
-    return tuple(map(tuple, ranked.tolist()))
+    ranked = ((-marginals.rows).argsort(axis=1, kind="stable")[:, :top_k] + 1).tolist()
+    return tuple([tuple(ranked[n]) for n in positions])
 
 
 def rank(marginals: Marginals, block: BlockState, top_k: int) -> RankingView:
@@ -256,7 +256,8 @@ def spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState)
         tokens = base[:]
         for i, j in pairs:
             tokens[positions[i]] = vocab[i][j]
-        out.append(DraftBlock(tuple(tokens), node, level))
+        # DraftBlock(tokens, node, level) without the Python frame of its __new__
+        out.append(tuple.__new__(DraftBlock, (tuple(tokens), node, level)))
     return out
 
 

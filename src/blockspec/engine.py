@@ -22,13 +22,13 @@ for it yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import verification
 from .core import BlockState, GenerationConfig, Marginals, SequenceState
 from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
 from .model import ToyDenoiser, forward_batched
-from .timing import StageTimer, maybe_stage
+from .timing import StageTimer, timed
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +171,9 @@ def _decode_blocks(
 # vanilla
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One vanilla denoising step inside a block (used by calibration).
+class StepRecord(NamedTuple):
+    """One vanilla denoising step inside a block (used by calibration); a
+    tuple record, since one is built per step.
 
     ``ordered`` is the step's position ranking: ``order_positions`` of
     ``marginals`` over the block before the step.
@@ -193,16 +193,17 @@ def vanilla_block_steps(
     timer: Optional[StageTimer] = None,
 ) -> Tuple[SequenceState, List[StepRecord]]:
     """Denoise the active block to completion, one call per step."""
+    forward = timed(timer, "model", forward_batched)
+    rank_positions = timed(timer, "ranking", order_positions)
     steps: List[StepRecord] = []
-    while not state.active_block.is_complete:
-        before = state.active_block
-        with maybe_stage(timer, "model"):
-            target, _ = forward_batched(model, state, [])
-        with maybe_stage(timer, "ranking"):
-            ordered = order_positions(target, before)
-        after, realized = verification.advance(before, target, ordered, config.schedule)
-        steps.append(StepRecord(marginals=target, ordered=ordered, state_after=after, realized=realized))
-        state = state.with_active_block(after)
+    block = state.active_block
+    while not block.is_complete:
+        target, _ = forward(model, state, [])
+        ordered = rank_positions(target, block)
+        after, realized = verification.advance(block, target, ordered, config.schedule)
+        steps.append(StepRecord(target, ordered, after, realized))
+        block = after
+        state = state.with_active_block(block)
     return state, steps
 
 
@@ -257,26 +258,27 @@ def generate_speculative(
             % (graph.max_vocab_rank(), config.top_k_vocab)
         )
 
+    rank_vocab = timed(timer, "ranking", order_vocab)
+    spawn = timed(timer, "drafting", spawn_drafts)
+    forward = timed(timer, "model", forward_batched)
+    verify = timed(timer, "verify", verification.verify)
+
     def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
         calls: List[CallRecord] = []
         rank_source: Optional[Marginals] = None
         positions: Tuple[int, ...] = ()
-        while not state.active_block.is_complete:
-            block = state.active_block
+        block = state.active_block
+        while not block.is_complete:
             if rank_source is None or graph.num_nodes == 0:
                 drafts = []
             else:
-                with maybe_stage(timer, "ranking"):
-                    vocab = order_vocab(rank_source, positions, config.top_k_vocab)
-                ranking = RankingView(ordered_positions=positions, vocab_by_position=vocab)
-                with maybe_stage(timer, "drafting"):
-                    drafts = spawn_drafts(graph, ranking, block)
-            with maybe_stage(timer, "model"):
-                target, draft_rows = forward_batched(model, state, [d.tokens for d in drafts])
-            with maybe_stage(timer, "verify"):
-                outcome = verification.verify(block, target, drafts, draft_rows, config.schedule)
-            state = state.with_active_block(outcome.new_block)
-            calls.append((outcome.new_block, outcome.realized_s))
+                vocab = rank_vocab(rank_source, positions, config.top_k_vocab)
+                drafts = spawn(graph, RankingView(positions, vocab), block)
+            target, draft_rows = forward(model, state, [d.tokens for d in drafts])
+            outcome = verify(block, target, drafts, draft_rows, config.schedule)
+            block = outcome.new_block
+            state = state.with_active_block(block)
+            calls.append((block, outcome.realized_s))
             rank_source = outcome.adopted_marginals if outcome.adopted_marginals is not None else target
             positions = outcome.remaining_order
         return state, calls

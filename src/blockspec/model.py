@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +67,11 @@ class ToyDenoiser:
         self.unigram.setflags(write=False)
 
     @cached_property
+    def token_ids(self) -> frozenset:
+        """Every id a sequence may hold: MASK and 1..vocab_size."""
+        return frozenset(range(self.vocab_size + 1))
+
+    @cached_property
     def _prob_left(self) -> np.ndarray:
         return _smooth_rows(self.bigram_left, self.alpha)
 
@@ -96,17 +102,19 @@ def train_from_corpus(
     if not sequences or all(len(s) == 0 for s in sequences):
         raise ValueError("empty corpus")
     v = vocab_size
-    bigram_left = np.zeros((v + 1, v), dtype=np.int64)
-    bigram_right = np.zeros((v + 1, v), dtype=np.int64)
-    unigram = np.zeros(v, dtype=np.int64)
+    ids = frozenset(range(1, v + 1))
     for seq in sequences:
-        for t in seq:
-            if not (1 <= t <= v):
-                raise ValueError("corpus token %d outside 1..%d" % (t, v))
-            unigram[t - 1] += 1
-        for a, b in zip(seq, seq[1:]):
-            bigram_left[a][b - 1] += 1
-            bigram_right[b][a - 1] += 1
+        if not ids.issuperset(seq):
+            bad = next(t for t in seq if t not in ids)
+            raise ValueError("corpus token %d outside 1..%d" % (bad, v))
+    tokens = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+    # the adjacent pairs (before[k], after[k]) within each sequence; the
+    # (v + 1, v) tables are counted flat at index a * v + (b - 1)
+    before = np.fromiter(chain.from_iterable(s[:-1] for s in sequences), dtype=np.int64)
+    after = np.fromiter(chain.from_iterable(s[1:] for s in sequences), dtype=np.int64)
+    unigram = np.bincount(tokens - 1, minlength=v)
+    bigram_left = np.bincount(before * v + (after - 1), minlength=(v + 1) * v).reshape(v + 1, v)
+    bigram_right = np.bincount(after * v + (before - 1), minlength=(v + 1) * v).reshape(v + 1, v)
     return ToyDenoiser(
         vocab_size=v,
         alpha=alpha,
@@ -158,24 +166,26 @@ def forward_batched(
         raise ValueError("invalid sequence state: " + "; ".join(problems))
     block = state.active_block
     length = block.length
-    for i, d in enumerate(drafts):
-        if len(d) != length:
-            raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
+    if not all(map(length.__eq__, map(len, drafts))):
+        i, d = next((i, d) for i, d in enumerate(drafts) if len(d) != length)
+        raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
     sequence = state.all_tokens()
-    _check_token_range([sequence, *drafts], model.vocab_size)
+    _check_token_range(model, [sequence, *drafts])
     offset = len(state.prompt) + state.active * length
     rows = _mixture_pass(model, [block.tokens, *drafts], sequence[offset - 1] if offset else MASK)
     rows.setflags(write=False)
-    return Marginals(rows=rows[0]), rows[1:]
+    return Marginals(rows[0]), rows[1:]
 
 
-def _check_token_range(blocks: Sequence[Sequence[int]], vocab_size: int) -> None:
-    """Every token of every sequence in ``blocks`` is MASK or in 1..vocab_size."""
-    if min(map(min, blocks)) < MASK or max(map(max, blocks)) > vocab_size:
-        bad = next(t for tokens in blocks for t in tokens if t != MASK and not 1 <= t <= vocab_size)
-        raise ValueError("token %d outside 1..%d" % (bad, vocab_size))
+def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> None:
+    """Every token of every sequence in ``blocks`` is MASK or in 1..vocab_size;
+    the error names the first one that is not, in order."""
+    ids = model.token_ids
+    if not all(map(ids.issuperset, blocks)):
+        bad = next(t for tokens in blocks for t in tokens if t not in ids)
+        raise ValueError("token %d outside 1..%d" % (bad, model.vocab_size))
 
 
 def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_context: int) -> np.ndarray:

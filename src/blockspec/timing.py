@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, contextmanager, nullcontext
-from typing import Dict, Iterator, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, Optional
 
 
 class StageTimer:
@@ -25,9 +25,15 @@ class StageTimer:
         return dict(self.seconds)
 
 
-_UNTIMED = nullcontext()
+def timed(timer: Optional[StageTimer], name: str, fn: Callable) -> Callable:
+    """``fn`` with the wall time of every call added to ``timer``'s stage
+    ``name``; ``fn`` itself when ``timer`` is None, so untimed runs pay
+    nothing per call."""
+    if timer is None:
+        return fn
 
+    def staged(*args, **kwargs):
+        with timer.stage(name):
+            return fn(*args, **kwargs)
 
-def maybe_stage(timer: Optional[StageTimer], name: str) -> AbstractContextManager:
-    """``timer.stage(name)``, or a shared no-op context when ``timer`` is None."""
-    return _UNTIMED if timer is None else timer.stage(name)
+    return staged

@@ -14,12 +14,11 @@ output never depends on draft quality, only speed does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BlockState, Marginals, UnmaskSchedule
+from .core import BlockState, Marginals, UnmaskSchedule, unmask
 from .drafting import DraftBlock, order_positions
 
 
@@ -35,8 +34,10 @@ def advance(
     the caller.  Fixed{s} takes the first min(s, masked) positions;
     Threshold{p} takes the prefix whose top-1 probability clears p, and
     at least one position.  Each chosen position commits its argmax token
-    (ties toward the lower id).  Both schedules commit a prefix, so
-    ``ordered[realized:]`` is the new block's order under ``marginals``.
+    (ties toward the lower id) into one token list, so a step builds one
+    ``BlockState`` however many it commits.  Both schedules commit a
+    prefix, so ``ordered[realized:]`` is the new block's order under
+    ``marginals``.
     """
     if not ordered:
         raise ValueError("advance on a fully unmasked block")
@@ -49,15 +50,15 @@ def advance(
         count = 1
         while count < len(ordered) and top1[ordered[count]] >= schedule.threshold:
             count += 1
-    out = block
+    tokens = list(block.tokens)
     for n in ordered[:count]:
-        out = out.with_token(n, marginals.argmax_token(n))
-    return out, count
+        unmask(tokens, n, marginals.argmax_token(n))
+    return BlockState(tuple(tokens)), count
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
-    """Result of one verify call.
+class VerifyOutcome(NamedTuple):
+    """Result of one verify call; a tuple record, since one is built per
+    speculative model call.
 
     ``adopted_marginals`` is the last accepted draft's distribution
     (None when the single advance came straight from the fresh target);
@@ -86,14 +87,13 @@ def verify(
 
     ``draft_rows[d]`` is the (L, V) marginals of ``drafts[d]``, as
     ``forward_batched`` returns them.  After every advance the new state's
-    tokens are looked up in a dict from draft tokens to draft index; a
-    hit is accepted and its rows drive the next advance.  Equal tokens
-    mean an equal unmasked count, so a threshold step that jumps past a
-    draft's count simply never finds it.  When two drafts have the same
-    tokens the first in scan order wins.  A state never repeats within a
-    call (each advance commits at least one slot), so no draft can be
-    accepted twice.  Only the adopted draft's rows become a
-    ``Marginals``.
+    tokens are looked up among the drafts' tokens; a hit is accepted and
+    its rows drive the next advance.  Equal tokens mean an equal
+    unmasked count, so a threshold step that jumps past a draft's count
+    simply never finds it.  When two drafts have the same tokens the
+    first in scan order wins.  A state never repeats within a call (each
+    advance commits at least one slot), so no draft can be accepted
+    twice.  Only the adopted draft's rows become a ``Marginals``.
     """
     if len(drafts) != len(draft_rows):
         raise ValueError("drafts and draft_rows length mismatch")
@@ -102,22 +102,12 @@ def verify(
     realized: List[int] = [s0]
     accepted: List[int] = []
     adopted: Optional[Marginals] = None
-    by_content: Dict[Tuple[int, ...], int] = {}
-    for index, draft in enumerate(drafts):
-        by_content.setdefault(draft.tokens, index)
-    while not current.is_complete:
-        hit = by_content.get(current.tokens)
-        if hit is None:
-            break
+    contents = [draft.tokens for draft in drafts]
+    while not current.is_complete and current.tokens in contents:
+        hit = contents.index(current.tokens)
         accepted.append(drafts[hit].level)
-        adopted = Marginals(rows=draft_rows[hit])
+        adopted = Marginals(draft_rows[hit])
         ordered = order_positions(adopted, current)
         current, s = advance(current, adopted, ordered, schedule)
         realized.append(s)
-    return VerifyOutcome(
-        new_block=current,
-        accepted_levels=tuple(accepted),
-        adopted_marginals=adopted,
-        realized_s=tuple(realized),
-        remaining_order=ordered[realized[-1]:],
-    )
+    return VerifyOutcome(current, tuple(accepted), adopted, tuple(realized), ordered[realized[-1]:])

@@ -10,10 +10,11 @@ forward in ``scalar_forward``.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_forward import scalar_forward_batched
 
@@ -116,6 +117,42 @@ class TestTrainFromCorpus:
         fields.update(change)
         with pytest.raises(ValueError, match=message):
             ToyDenoiser(**fields)
+
+
+@st.composite
+def corpora(draw):
+    """A vocabulary size and a corpus over it; half the corpora may also
+    hold ids outside 1..vocab."""
+    vocab = draw(st.integers(1, 6))
+    low, high = (-1, vocab + 1) if draw(st.booleans()) else (1, vocab)
+    return vocab, draw(st.lists(st.lists(st.integers(low, high), max_size=8), max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corpora())
+@example((3, [[], [2], [1, 3, 3], [3]]))
+@example((2, [[1], [], [2]]))
+def test_training_counts_match_a_pure_python_count(case):
+    """Empty and one-token sequences contribute no pairs; pairs never span
+    two sequences; a bad token is named in corpus order."""
+    vocab, corpus = case
+    if not any(corpus):
+        with pytest.raises(ValueError, match="^empty corpus$"):
+            train_from_corpus(corpus, vocab)
+        return
+    bad = [t for seq in corpus for t in seq if not 1 <= t <= vocab]
+    if bad:
+        with pytest.raises(ValueError, match="^corpus token %d outside 1..%d$" % (bad[0], vocab)):
+            train_from_corpus(corpus, vocab)
+        return
+    m = train_from_corpus(corpus, vocab)
+    unigrams = Counter(t for seq in corpus for t in seq)
+    pairs = Counter(pair for seq in corpus for pair in zip(seq, seq[1:]))
+    ids = range(1, vocab + 1)
+    assert m.unigram.tolist() == [unigrams[t] for t in ids]
+    assert m.bigram_left.tolist() == [[pairs[a, b] for b in ids] for a in range(vocab + 1)]
+    assert m.bigram_right.tolist() == [[pairs[b, a] for b in ids] for a in range(vocab + 1)]
+    assert m.unigram.dtype == m.bigram_left.dtype == m.bigram_right.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +360,45 @@ def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
     assert len(per_draft) == len(want_drafts)
     for got, want in zip(per_draft, want_drafts):
         assert got.tobytes() == want.rows.tobytes()
+
+
+@st.composite
+def range_cases(draw):
+    """A well-formed state and same-length drafts.  Half the cases may hold
+    ids outside 1..V: too large anywhere, negative in the prompt and the
+    drafts (a BlockState rejects negative ids itself)."""
+    vocab = draw(st.integers(1, 5))
+    m = train_from_corpus([tuple(range(1, vocab + 1))], vocab)
+    low, high = (-2, vocab + 2) if draw(st.booleans()) else (MASK, vocab)
+    length = draw(st.integers(1, 5))
+    num_blocks = draw(st.integers(1, 3))
+    active = draw(st.integers(0, num_blocks - 1))
+    row = st.lists(st.integers(low, high), min_size=length, max_size=length)
+    filled = st.lists(st.integers(1, max(high, 1)), min_size=length, max_size=length)
+    prompt = draw(st.lists(st.integers(low, high).filter(lambda t: t != MASK), max_size=4))
+    blocks = [BlockState(tokens=tuple(draw(filled))) for _ in range(active)]
+    current = [max(t, MASK) for t in draw(row)]
+    current[draw(st.integers(0, length - 1))] = MASK
+    blocks.append(BlockState(tokens=tuple(current)))
+    blocks += [BlockState.masked(length)] * (num_blocks - active - 1)
+    drafts = draw(st.lists(row.map(tuple), max_size=6))
+    return m, SequenceState(prompt=tuple(prompt), blocks=tuple(blocks), active=active), drafts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(range_cases())
+def test_token_range_error_names_the_first_bad_token(case):
+    """The error names the first id outside MASK and 1..V of a plain scan:
+    the sequence first, then the drafts in order.  Valid inputs pass."""
+    m, state, drafts = case
+    v = m.vocab_size
+    bad = [t for tokens in (state.all_tokens(), *drafts) for t in tokens if t != MASK and not 1 <= t <= v]
+    if not bad:
+        target, rows = forward_batched(m, state, drafts)
+        assert rows.shape == (len(drafts), state.active_block.length, v)
+        return
+    with pytest.raises(ValueError, match="^token %d outside 1..%d$" % (bad[0], v)):
+        forward_batched(m, state, drafts)
 
 
 class TestPinnedMarginals:

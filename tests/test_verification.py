@@ -7,8 +7,10 @@ drafts is exercised end to end in the engine and acceptance suites.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockspec.core import BlockState, Marginals, UnmaskSchedule
+from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
 from blockspec.drafting import DraftBlock, DraftFormula, order_positions
 from blockspec.verification import VerifyOutcome, advance, verify
 
@@ -76,6 +78,55 @@ class TestAdvance:
         m = _marginals([[1.0]])
         with pytest.raises(ValueError, match="fully unmasked"):
             advance(BlockState(tokens=(3,)), m, (), UnmaskSchedule.fixed(1))
+
+
+@st.composite
+def advance_cases(draw):
+    """A block with at least one masked slot, tie-heavy marginals over it,
+    and a fixed or threshold schedule."""
+    length = draw(st.integers(1, 8))
+    vocab = draw(st.integers(1, 5))
+    tokens = draw(st.lists(st.integers(MASK, vocab), min_size=length, max_size=length))
+    tokens[draw(st.integers(0, length - 1))] = MASK
+    cell = st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
+    rows = np.array(draw(st.lists(st.lists(cell, min_size=vocab, max_size=vocab), min_size=length, max_size=length)))
+    schedule = draw(
+        st.one_of(
+            st.integers(1, 9).map(UnmaskSchedule.fixed),
+            st.sampled_from((0.1, 0.25, 0.5, 0.9, 1.0)).map(UnmaskSchedule.at_threshold),
+        )
+    )
+    return BlockState(tokens=tuple(tokens)), Marginals(rows=rows), schedule
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(advance_cases())
+def test_advance_equals_committing_the_prefix_one_token_at_a_time(case):
+    block, m, schedule = case
+    ordered = order_positions(m, block)
+    if schedule.kind == "fixed":
+        count = min(schedule.tokens_per_step, len(ordered))
+    else:
+        count = 1
+        while count < len(ordered) and m.top1[ordered[count]] >= schedule.threshold:
+            count += 1
+    want = block
+    for n in ordered[:count]:
+        want = want.with_token(n, m.argmax_token(n))
+    assert advance(block, m, ordered, schedule) == (want, count)
+
+
+@pytest.mark.parametrize("schedule", [UnmaskSchedule.fixed(s) for s in (1, 3, 8)] + [UnmaskSchedule.at_threshold(0.1)])
+def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypatch, schedule):
+    m = _marginals([[0.5, 0.5]] * 8)
+    block = BlockState.masked(8)
+    ordered = order_positions(m, block)
+    built = []
+    check = BlockState.__post_init__
+    monkeypatch.setattr(BlockState, "__post_init__", lambda self: (built.append(self), check(self)))
+    out, realized = advance(block, m, ordered, schedule)
+    assert realized == min(schedule.tokens_per_step or 8, 8)
+    assert built == [out]
 
 
 # ---------------------------------------------------------------------------
