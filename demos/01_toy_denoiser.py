@@ -22,8 +22,8 @@ def main() -> None:
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     vocab_size = max(t for seq in corpus for t in seq)
     print("corpus: %d sequences, %d tokens, vocabulary 1..%d (EOT = %d)" % (
-        len(corpus), sum(len(s) for s in corpus), vocab_size, synthetic.eot_id(vocab_size)))
-    print("park tokens (self-loop heavy):", synthetic.park_tokens(vocab_size))
+        len(corpus), sum(len(s) for s in corpus), vocab_size, synthetic.eot_id()))
+    print("park tokens (self-loop heavy):", synthetic.PARK_TOKENS)
 
     model = train_from_corpus(corpus, vocab_size)
 
@@ -42,7 +42,7 @@ def main() -> None:
     # Block-wise vanilla decoding, one model call per committed token.
     config = GenerationConfig(
         total_length=16, block_length=4, schedule=UnmaskSchedule.fixed(1),
-        top_k_vocab=3, eot_token=synthetic.eot_id(vocab_size), seed=0,
+        top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
     result = generate_vanilla(model, (5, 6), config, record_trace=True)
     print("\nvanilla decode of prompt '5 6' (fixed:1):")
@@ -57,7 +57,7 @@ def main() -> None:
     # Threshold scheduling commits every confident position at once.
     config_thr = GenerationConfig(
         total_length=16, block_length=4, schedule=UnmaskSchedule.at_threshold(0.35),
-        top_k_vocab=3, eot_token=synthetic.eot_id(vocab_size), seed=0,
+        top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
     result_thr = generate_vanilla(model, (5, 6), config_thr)
     print("\nthreshold:0.35 on the same prompt: %d NFEs for the same 16 tokens"

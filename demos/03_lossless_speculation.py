@@ -23,7 +23,7 @@ def main() -> None:
     model = train_from_corpus(corpus, vocab_size)
     config = GenerationConfig(
         total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1),
-        top_k_vocab=3, eot_token=synthetic.eot_id(vocab_size), seed=0,
+        top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
     graph = build_graph(
         [DraftFormula.of([(i, 1) for i in range(1, n + 1)]) for n in (1, 2, 3)],
@@ -60,7 +60,7 @@ def main() -> None:
     # Losslessness is schedule independent, including threshold runs.
     config_thr = GenerationConfig(
         total_length=32, block_length=8, schedule=UnmaskSchedule.at_threshold(0.9),
-        top_k_vocab=3, eot_token=synthetic.eot_id(vocab_size), seed=0,
+        top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
     check_thr = check_lossless(model, (2, 2, 2), config_thr, graph)
     print("under threshold:0.9 as well: ok=%s" % check_thr.ok)

@@ -29,7 +29,7 @@ def main() -> None:
     model = train_from_corpus(corpus, vocab_size)
     config = GenerationConfig(
         total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1),
-        top_k_vocab=3, eot_token=synthetic.eot_id(vocab_size), seed=0,
+        top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
     cal_prompts = synthetic.make_prompts(11, 20)
 

@@ -7,7 +7,6 @@ from .core import (
     Marginals,
     SequenceState,
     UnmaskSchedule,
-    format_config,
     parse_config,
     validate_sequence,
 )
@@ -36,7 +35,6 @@ from .engine import (
     GenerationResult,
     RunReport,
     check_lossless,
-    compute_speedup,
     generate_speculative,
     generate_vanilla,
     per_block_summary,
@@ -54,7 +52,6 @@ __all__ = [
     "UnmaskSchedule",
     "GenerationConfig",
     "validate_sequence",
-    "format_config",
     "parse_config",
     "ToyDenoiser",
     "train_from_corpus",
@@ -83,7 +80,6 @@ __all__ = [
     "GenerationResult",
     "RunReport",
     "check_lossless",
-    "compute_speedup",
     "per_block_summary",
     "profile_stages",
     "build_mask",

@@ -19,9 +19,10 @@ three scores:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby, islice
+from typing import List, Optional, Sequence, Tuple
 
 from .core import MASK, GenerationConfig, SequenceState
 from .drafting import (
@@ -154,21 +155,25 @@ def build_table(
     The lookahead-k records are already cumulative over k steps, so the
     level-k candidates are exactly their pair sets.  Records whose size
     is not k * tokens_per_level (partial steps at a block edge) cannot
-    become level-k formulas and are ignored.
+    become level-k formulas and are ignored, as are records deeper than
+    ``lookahead_max``.  Entries run by level, then by descending count,
+    then by pairs; one pass counts every level, so the cost does not
+    grow with ``lookahead_max``.
     """
     if width < 1:
         raise ValueError("width must be >= 1, got %d" % width)
-    entries: List[TableEntry] = []
-    for level in range(1, lookahead_max + 1):
-        counts: Dict[Tuple[Tuple[int, int], ...], int] = {}
-        for r in records:
-            if r.lookahead != level or len(r.pairs) != level * tokens_per_level:
-                continue
-            counts[r.pairs] = counts.get(r.pairs, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:width]
-        for pairs, count in ranked:
-            entries.append(TableEntry(level=level, formula=DraftFormula(pairs=pairs), count=count))
-    return CandidateTable(entries=tuple(entries), tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
+    counts = Counter(
+        (r.lookahead, r.pairs)
+        for r in records
+        if 1 <= r.lookahead <= lookahead_max and len(r.pairs) == r.lookahead * tokens_per_level
+    )
+    ranked = sorted(counts.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1]))
+    entries = tuple(
+        TableEntry(level=level, formula=DraftFormula(pairs=pairs), count=count)
+        for _, group in groupby(ranked, key=lambda kv: kv[0][0])
+        for (level, pairs), count in islice(group, width)
+    )
+    return CandidateTable(entries=entries, tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
 
 
 def format_table(table: CandidateTable) -> str:

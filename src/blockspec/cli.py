@@ -3,7 +3,7 @@
 Subcommands: calibrate, generate, bench, check-lossless, and graph
 (export-dot | validate | show).  Exit codes: 0 on success, 1 when a
 check fails (lossless divergence), 2 on usage or input errors.  Given
-the same files, flags, and seed every subcommand writes byte-identical
+the same files and flags every subcommand writes byte-identical
 outputs; stage timings are nondeterministic and only enter a report
 under --profile.
 """
@@ -21,7 +21,7 @@ from .core import GenerationConfig, UnmaskSchedule, parse_config
 from .model import ToyDenoiser, parse_corpus, train_from_corpus
 from .timing import StageTimer
 
-_DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3, seed=0)
+_DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3)
 
 
 class InputError(Exception):
@@ -49,14 +49,10 @@ def _write(path: str, text: str) -> None:
         raise InputError("cannot write %s: %s" % (path, exc.strerror))
 
 
-def _load_corpus(path: str) -> List[Tuple[int, ...]]:
-    return parse_corpus(_read(path), source=path)
-
-
 def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationConfig]:
-    corpus = _load_corpus(args.corpus)
-    prompts = _load_corpus(args.prompts)
+    corpus = parse_corpus(_read(args.corpus), source=args.corpus)
     vocab_size = max(t for seq in corpus for t in seq)
+    prompts = parse_corpus(_read(args.prompts), source=args.prompts, vocab_size=vocab_size)
     model = train_from_corpus(corpus, vocab_size)
     if args.config is not None:
         config = parse_config(_read(args.config), source=args.config)
@@ -74,10 +70,6 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
         except ValueError as exc:
             raise InputError("--schedule %s: %s" % (args.schedule, exc))
         config = dataclasses.replace(config, schedule=schedule)
-    for p, prompt in enumerate(prompts):
-        for t in prompt:
-            if t > vocab_size:
-                raise InputError("%s: prompt %d token %d outside corpus vocabulary" % (args.prompts, p, t))
     return model, prompts, config
 
 

@@ -198,20 +198,15 @@ class UnmaskSchedule:
     threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "fixed":
-            if self.threshold is not None or self.tokens_per_step is None or self.tokens_per_step < 1:
-                raise ValueError(
-                    "fixed schedule needs s >= 1 and no threshold, got s=%r, threshold=%r"
-                    % (self.tokens_per_step, self.threshold)
-                )
-        elif self.kind == "threshold":
-            if self.tokens_per_step is not None or self.threshold is None or not 0.0 < self.threshold <= 1.0:
-                raise ValueError(
-                    "threshold schedule needs 0 < p <= 1 and no s, got p=%r, s=%r"
-                    % (self.threshold, self.tokens_per_step)
-                )
+        s, p = self.tokens_per_step, self.threshold
+        if self.kind == "fixed" and p is None:
+            if s is None or s < 1:
+                raise ValueError("fixed schedule needs s >= 1, got %r" % (s,))
+        elif self.kind == "threshold" and s is None:
+            if p is None or not 0.0 < p <= 1.0:
+                raise ValueError("threshold schedule needs 0 < p <= 1, got %r" % (p,))
         else:
-            raise ValueError("unknown schedule kind: %r" % (self.kind,))
+            raise ValueError("bad schedule: kind %r with s=%r, p=%r" % (self.kind, s, p))
 
     @staticmethod
     def fixed(s: int) -> "UnmaskSchedule":
@@ -229,32 +224,21 @@ class UnmaskSchedule:
             raise ValueError("bad schedule %r (want mode:value)" % (text,))
         mode, value = parts[0].strip(), parts[1].strip()
         if mode == "fixed":
-            try:
-                s = int(value)
-            except ValueError:
-                raise ValueError("bad fixed schedule value %r" % (value,))
-            if s < 1:
-                raise ValueError("fixed schedule needs s >= 1, got %d" % s)
-            return UnmaskSchedule.fixed(s)
-        if mode == "threshold":
-            try:
-                p = float(value)
-            except ValueError:
-                raise ValueError("bad threshold schedule value %r" % (value,))
-            if not (0.0 < p <= 1.0):
-                raise ValueError("threshold must be in (0, 1], got %g" % p)
-            return UnmaskSchedule.at_threshold(p)
-        raise ValueError("unknown schedule mode %r" % (mode,))
+            convert, build = int, UnmaskSchedule.fixed
+        elif mode == "threshold":
+            convert, build = float, UnmaskSchedule.at_threshold
+        else:
+            raise ValueError("unknown schedule mode %r" % (mode,))
+        try:
+            number = convert(value)
+        except ValueError:
+            raise ValueError("bad %s schedule value %r" % (mode, value))
+        return build(number)
 
     def format(self) -> str:
         if self.kind == "fixed":
             return "fixed:%d" % self.tokens_per_step
-        return "threshold:%s" % format_float(self.threshold)
-
-
-def format_float(x: float) -> str:
-    """Shortest repr that round-trips (json-style)."""
-    return repr(float(x))
+        return "threshold:%r" % float(self.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +260,6 @@ class GenerationConfig:
     schedule: UnmaskSchedule
     top_k_vocab: int = 3
     eot_token: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.total_length < 1 or self.block_length < 1:
@@ -303,28 +286,14 @@ class GenerationConfig:
 # config file format: flat key/value text
 
 
-_CONFIG_KEYS = ("W", "L", "schedule.mode", "schedule.s", "schedule.p", "top_k_vocab", "eot_token", "seed")
-
-
-def format_config(config: GenerationConfig) -> str:
-    lines = [
-        "W = %d" % config.total_length,
-        "L = %d" % config.block_length,
-        "schedule.mode = %s" % config.schedule.kind,
-    ]
-    if config.schedule.kind == "fixed":
-        lines.append("schedule.s = %d" % config.schedule.tokens_per_step)
-    else:
-        lines.append("schedule.p = %s" % format_float(config.schedule.threshold))
-    lines.append("top_k_vocab = %d" % config.top_k_vocab)
-    lines.append("eot_token = %d" % config.eot_token)
-    lines.append("seed = %d" % config.seed)
-    return "\n".join(lines) + "\n"
+_CONFIG_KEYS = ("W", "L", "schedule", "top_k_vocab", "eot_token")
 
 
 def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
-    """Parse the flat key/value config document.  Raises ValueError with
-    the offending file and line on malformed input."""
+    """Parse the flat key/value config document.  Every key in
+    ``_CONFIG_KEYS`` is required; ``schedule`` takes the ``mode:value``
+    text of ``UnmaskSchedule.parse`` and the rest take integers.  Raises
+    ValueError with the offending file and line on malformed input."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -339,51 +308,22 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
         if key in values:
             raise ValueError("%s:%d: duplicate key %r" % (source, lineno, key))
         values[key] = (lineno, value)
-    lines = {key: lineno for key, (lineno, _) in values.items()}
 
-    def take_int(key):
+    def take(key, convert=int):
         if key not in values:
             raise ValueError("%s: missing key %r" % (source, key))
-        lineno, value = values.pop(key)
+        lineno, value = values[key]
         try:
-            return int(value)
-        except ValueError:
-            raise ValueError("%s:%d: %s must be an integer, got %r" % (source, lineno, key, value))
+            return convert(value)
+        except ValueError as exc:
+            reason = "%s must be an integer, got %r" % (key, value) if convert is int else exc
+            raise ValueError("%s:%d: %s" % (source, lineno, reason))
 
-    w = take_int("W")
-    length = take_int("L")
-    if "schedule.mode" not in values:
-        raise ValueError("%s: missing key 'schedule.mode'" % source)
-    _, mode = values.pop("schedule.mode")
-    if mode == "fixed":
-        s = take_int("schedule.s")
-        try:
-            schedule = UnmaskSchedule.fixed(s)
-        except ValueError as exc:
-            raise ValueError("%s:%d: %s" % (source, lines["schedule.s"], exc))
-        if "schedule.p" in values:
-            lineno, _ = values.pop("schedule.p")
-            raise ValueError("%s:%d: schedule.p given for fixed mode" % (source, lineno))
-    elif mode == "threshold":
-        if "schedule.p" not in values:
-            raise ValueError("%s: missing key 'schedule.p'" % source)
-        lineno, value = values.pop("schedule.p")
-        try:
-            p = float(value)
-        except ValueError:
-            raise ValueError("%s:%d: schedule.p must be a float, got %r" % (source, lineno, value))
-        try:
-            schedule = UnmaskSchedule.at_threshold(p)
-        except ValueError as exc:
-            raise ValueError("%s:%d: %s" % (source, lineno, exc))
-        if "schedule.s" in values:
-            lineno, _ = values.pop("schedule.s")
-            raise ValueError("%s:%d: schedule.s given for threshold mode" % (source, lineno))
-    else:
-        raise ValueError("%s: unknown schedule.mode %r" % (source, mode))
-    top_k = take_int("top_k_vocab")
-    eot = take_int("eot_token")
-    seed = take_int("seed")
+    w = take("W")
+    length = take("L")
+    schedule = take("schedule", UnmaskSchedule.parse)
+    top_k = take("top_k_vocab")
+    eot = take("eot_token")
     try:
         return GenerationConfig(
             total_length=w,
@@ -391,7 +331,6 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
             schedule=schedule,
             top_k_vocab=top_k,
             eot_token=eot,
-            seed=seed,
         )
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError("%s: %s" % (source, exc))

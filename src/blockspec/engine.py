@@ -84,11 +84,6 @@ class GenerationResult:
     trace: Optional[Tuple[Tuple[int, BlockState], ...]]
 
 
-def compute_speedup(report: RunReport, *, up_to_eot: bool) -> float:
-    """Baseline over actual NFEs, optionally filtered to the EOT prefix."""
-    return _speedup(report.per_block, report.eot_block if up_to_eot else None)
-
-
 def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> float:
     """Baseline over actual NFEs for blocks up to ``last_block`` (all when None)."""
     blocks = [b for b in per_block if last_block is None or b.index <= last_block]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,8 +247,11 @@ def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_co
 # corpus files
 
 
-def parse_corpus(text: str, *, source: str = "<corpus>") -> List[Tuple[int, ...]]:
-    """Whitespace-separated ids, one sequence per line; blank lines skipped."""
+def parse_corpus(
+    text: str, *, source: str = "<corpus>", vocab_size: Optional[int] = None
+) -> List[Tuple[int, ...]]:
+    """Whitespace-separated ids, one sequence per line; blank lines skipped.
+    Given ``vocab_size``, ids above it are rejected too."""
     sequences = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -261,6 +264,10 @@ def parse_corpus(text: str, *, source: str = "<corpus>") -> List[Tuple[int, ...]
         for t in seq:
             if t < 1:
                 raise ValueError("%s:%d: token ids must be >= 1, got %d" % (source, lineno, t))
+            if vocab_size is not None and t > vocab_size:
+                raise ValueError(
+                    "%s:%d: token %d outside corpus vocabulary 1..%d" % (source, lineno, t, vocab_size)
+                )
         sequences.append(seq)
     if not sequences:
         raise ValueError("%s: empty corpus" % source)

@@ -1,13 +1,16 @@
 """Bundled synthetic corpus: a peaked bigram process over park and mover tokens.
 
-Content tokens 1..V-1 follow a Markov chain where "mover" tokens hand
-off to their cyclic successor and "park" tokens mostly repeat.  The
-last content token usually emits the EOT id V and ends the sequence.
+The vocabulary is ``DEFAULT_VOCAB`` = 12: content tokens 1..11 and the
+EOT id 12.  Content tokens follow a Markov chain where "mover" tokens
+hand off to their cyclic successor and the two "park" tokens mostly
+repeat; the last content token usually emits EOT and ends the sequence.
 Greedy decoding of the trained bigram model therefore walks a short
 transient of movers and then sits in a park run (or terminates); draft
 acceptance concentrates in the runs while transients exercise the
-rejection path.  Everything is driven by a seeded generator, so the
-corpus, prompts, and anything calibrated from them are reproducible
+rejection path.  ``make_corpus`` draws sequences of at most 150 ids
+until 12000 are emitted, and ``make_prompts`` draws 3-token prompts
+from the same chain.  Everything is driven by a seeded generator, so
+the corpus, prompts, and anything calibrated from them are reproducible
 byte for byte.
 """
 
@@ -20,87 +23,73 @@ import numpy as np
 DEFAULT_VOCAB = 12
 DEFAULT_SEED = 7
 
+_CONTENT = DEFAULT_VOCAB - 1
+PARK_TOKENS = (max(2, _CONTENT // 4), min(_CONTENT - 1, (3 * _CONTENT) // 4))
+_P_MAJOR = 0.8  # a park token's chance to repeat, a mover's to hand off
+_P_MINOR = 0.1  # the other of the two
+_P_END = 0.8  # the last content token's chance to end the sequence
+_CORPUS_TOKENS = 12000
+_MAX_SEQ_LEN = 150
+_PROMPT_LENGTH = 3
 
-def eot_id(vocab_size: int = DEFAULT_VOCAB) -> int:
-    return vocab_size
+
+def _transition(state: int) -> Tuple[float, float, int, Tuple[int, ...]]:
+    """Stay cut-off, move cut-off, successor, and the other content tokens."""
+    successor = state % _CONTENT + 1
+    stay, move = (_P_MAJOR, _P_MINOR) if state in PARK_TOKENS else (_P_MINOR, _P_MAJOR)
+    others = tuple(t for t in range(1, _CONTENT + 1) if t not in (state, successor))
+    return stay, stay + move, successor, others
 
 
-def park_tokens(vocab_size: int = DEFAULT_VOCAB) -> Tuple[int, ...]:
-    content = vocab_size - 1
-    return (max(2, content // 4), min(content - 1, (3 * content) // 4))
+_TRANSITIONS = {state: _transition(state) for state in range(1, _CONTENT + 1)}
 
 
-def _next_state(
-    state: int,
-    vocab_size: int,
-    rng: np.random.Generator,
-    *,
-    p_major: float = 0.8,
-    p_minor: float = 0.1,
-    p_end: float = 0.8,
-) -> Optional[int]:
+def eot_id() -> int:
+    return DEFAULT_VOCAB
+
+
+def _next_state(state: int, rng: np.random.Generator) -> Optional[int]:
     """Next content token, or None when the chain ends the sequence."""
-    content = vocab_size - 1
-    if state == content and rng.random() < p_end:
+    if state == _CONTENT and rng.random() < _P_END:
         return None
-    successor = state % content + 1
-    if state in park_tokens(vocab_size):
-        stay, move = p_major, p_minor
-    else:
-        stay, move = p_minor, p_major
+    stay_below, move_below, successor, others = _TRANSITIONS[state]
     u = rng.random()
-    if u < stay:
+    if u < stay_below:
         return state
-    if u < stay + move:
+    if u < move_below:
         return successor
-    others = [t for t in range(1, content + 1) if t not in (state, successor)]
     return others[rng.integers(len(others))]
 
 
-def make_corpus(
-    seed: int = DEFAULT_SEED,
-    *,
-    total_tokens: int = 12000,
-    vocab_size: int = DEFAULT_VOCAB,
-    max_seq_len: int = 150,
-) -> List[Tuple[int, ...]]:
-    """Sequences totalling at least ``total_tokens`` ids, each EOT-terminated."""
-    assert vocab_size >= 8
-    content = vocab_size - 1
+def make_corpus(seed: int = DEFAULT_SEED) -> List[Tuple[int, ...]]:
+    """EOT-terminated sequences totalling at least 12000 ids."""
     rng = np.random.default_rng(seed)
     sequences: List[Tuple[int, ...]] = []
     emitted = 0
-    while emitted < total_tokens:
-        state: Optional[int] = int(rng.integers(1, content + 1))
+    while emitted < _CORPUS_TOKENS:
+        state: Optional[int] = int(rng.integers(1, _CONTENT + 1))
         seq: List[int] = []
-        while state is not None and len(seq) < max_seq_len - 1:
+        while state is not None and len(seq) < _MAX_SEQ_LEN - 1:
             seq.append(state)
-            state = _next_state(state, vocab_size, rng)
-        seq.append(eot_id(vocab_size))
+            state = _next_state(state, rng)
+        seq.append(eot_id())
         sequences.append(tuple(seq))
         emitted += len(seq)
     return sequences
 
 
-def make_prompts(
-    seed: int,
-    count: int,
-    *,
-    length: int = 3,
-    vocab_size: int = DEFAULT_VOCAB,
-) -> List[Tuple[int, ...]]:
+def make_prompts(seed: int, count: int) -> List[Tuple[int, ...]]:
     """Short prompt sequences drawn from the same chain (no EOT)."""
-    assert count >= 1 and length >= 1
-    content = vocab_size - 1
+    assert count >= 1
     rng = np.random.default_rng(seed)
     prompts = []
     for _ in range(count):
-        state = int(rng.integers(1, content + 1))
+        state = int(rng.integers(1, _CONTENT + 1))
         seq = [state]
-        while len(seq) < length:
-            nxt = _next_state(state, vocab_size, rng)
+        while len(seq) < _PROMPT_LENGTH:
+            nxt = _next_state(state, rng)
             if nxt is None:
-                nxt = int(rng.integers(1, content + 1))
+                nxt = int(rng.integers(1, _CONTENT + 1))
             state = nxt
             seq.append(state)
         prompts.append(tuple(seq))

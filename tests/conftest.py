@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import blockspec
-from blockspec import synthetic
-from blockspec.core import GenerationConfig, UnmaskSchedule
+from blockspec import engine, synthetic
+from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
 from blockspec.model import train_from_corpus
 
 
@@ -53,5 +53,25 @@ def make_config(schedule="fixed:1", total_length=32, block_length=8, vocab_size=
         schedule=UnmaskSchedule.parse(schedule),
         top_k_vocab=kw.pop("top_k_vocab", 3),
         eot_token=kw.pop("eot_token", vocab_size),
-        seed=kw.pop("seed", 0),
     )
+
+
+def scripted_report(nfes, block_length, eot_block):
+    """The report of the shared block loop run on a script instead of a
+    model: block k takes ``nfes[k]`` calls over ``block_length`` one-token
+    steps, and only block ``eot_block`` holds the EOT token."""
+    eot = 2
+    config = GenerationConfig(
+        total_length=len(nfes) * block_length,
+        block_length=block_length,
+        schedule=UnmaskSchedule.fixed(1),
+        eot_token=eot,
+    )
+
+    def denoise_block(state):
+        n = nfes[state.active]
+        block = BlockState((eot if state.active == eot_block else 1,) * block_length)
+        calls = [(block, (1,) * (block_length - n + 1))] + [(block, (1,))] * (n - 1)
+        return state.with_active_block(block), calls
+
+    return engine._decode_blocks((1,), config, denoise_block, False, None, None).report

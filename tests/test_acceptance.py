@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_config
+from conftest import make_config, scripted_report
 from test_calibration import _oracle_best, _random_table
 
 from blockspec import synthetic
@@ -18,14 +18,7 @@ from blockspec.batch import build_mask
 from blockspec.calibration import STRATEGIES, calibrate_graph, select_subgraph
 from blockspec.core import BlockState, GenerationConfig, SequenceState, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, export_dot
-from blockspec.engine import (
-    PerBlockStats,
-    RunReport,
-    check_lossless,
-    compute_speedup,
-    generate_speculative,
-    generate_vanilla,
-)
+from blockspec.engine import check_lossless, generate_speculative, generate_vanilla
 from blockspec.model import forward, forward_batched, one_hot_marginals, train_from_corpus
 from test_calibration import SPEC_TABLE
 
@@ -281,33 +274,18 @@ def test_criterion_8_mask_goldens():
 
 def test_criterion_9_eot_prefix_accounting():
     """Up-to-EOT speedup counts exactly blocks 0..3 when EOT lands in
-    block 3 of 8, on a real run and on a constructed report."""
+    block 3 of 8, on a real run and on a scripted one."""
     chain_model = train_from_corpus([tuple(range(1, 17))], 16)
     config = GenerationConfig(
         total_length=32, block_length=4, schedule=UnmaskSchedule.fixed(1),
-        top_k_vocab=3, eot_token=16, seed=0,
+        top_k_vocab=3, eot_token=16,
     )
     result = generate_vanilla(chain_model, (1,), config)
     assert result.tokens[14] == 16
     assert result.report.eot_block == 3
 
-    blocks = tuple(
-        PerBlockStats(
-            index=i, nfe=n, baseline_nfe=8, acceptances=8 - n,
-            realized_s=(1,) * 8,
-        )
-        for i, n in enumerate((2, 4, 8, 1, 5, 5, 5, 5))
-    )
-    report = RunReport(
-        total_nfe=sum(b.nfe for b in blocks),
-        baseline_nfe=64,
-        acceptances=sum(b.acceptances for b in blocks),
-        per_block=blocks,
-        eot_block=3,
-        speedup_all=64 / 35,
-        speedup_to_eot=32 / 15,
-        stage_seconds={},
-    )
-    assert compute_speedup(report, up_to_eot=True) == pytest.approx(32 / 15)
-    assert compute_speedup(report, up_to_eot=False) == pytest.approx(64 / 35)
+    report = scripted_report((2, 4, 8, 1, 5, 5, 5, 5), 8, eot_block=3)
+    assert (report.total_nfe, report.baseline_nfe, report.eot_block) == (35, 64, 3)
+    assert report.speedup_to_eot == pytest.approx(32 / 15)
+    assert report.speedup_all == pytest.approx(64 / 35)
     print("PASS criterion 9: EOT in block 3 of 8; prefix speedup 32/15 exact")

@@ -230,6 +230,23 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="width must be >= 1, got 0"):
             build_table([], 1, width=0)
 
+    def test_levels_ascend_and_deeper_records_are_ignored(self):
+        records = [
+            _record([(1, 1), (2, 1), (3, 1)], lookahead=3),
+            _record([(1, 1), (2, 1)], lookahead=2),
+            _record([(1, 1)]),
+        ]
+        table = build_table(records, 2)
+        assert [(e.level, e.count) for e in table.entries] == [(1, 1), (2, 1)]
+
+    def test_huge_lookahead_matches_block_length(self, model, prompts):
+        """No window outlives its block, so any lookahead past L gives the
+        entries of lookahead L; counting takes one pass either way."""
+        cfg = make_config("fixed:1")
+        records = collect_records(model, prompts[:2], cfg, 10**9)
+        assert records == collect_records(model, prompts[:2], cfg, cfg.block_length)
+        assert build_table(records, 10**9).entries == build_table(records, cfg.block_length).entries
+
 
 # ---------------------------------------------------------------------------
 # subgraph selection

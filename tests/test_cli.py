@@ -13,7 +13,7 @@ import pytest
 
 from blockspec import cli, synthetic, verification
 from blockspec.calibration import calibrate_graph, format_records, format_table
-from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule, format_config
+from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, format_graph, order_positions, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import format_corpus, train_from_corpus
@@ -63,8 +63,8 @@ def setup_args(files):
     return ["--corpus", files["corpus"], "--prompts", files["prompts"]]
 
 
-_CONFIG = "W = 32\nL = 8\nschedule.mode = fixed\nschedule.s = 1\ntop_k_vocab = %d\neot_token = %d\nseed = 0\n"
-_SCHEDULE_CONFIG = "W = 32\nL = 8\nschedule.mode = %s\n%s\ntop_k_vocab = 3\neot_token = 12\nseed = 0\n"
+_CONFIG = "W = 32\nL = 8\nschedule = fixed:1\ntop_k_vocab = %d\neot_token = %d\n"
+_SCHEDULE_CONFIG = "W = 32\nL = 8\nschedule = %s\ntop_k_vocab = 3\neot_token = 12\n"
 
 # Bad input files for the exit-code table, written into the tmp directory.
 _BAD_FILES = {
@@ -73,10 +73,11 @@ _BAD_FILES = {
     "latin1.graph": b"D 2\ntokens_per_level 1\n1:1 # \xe9\n",
     "bad.graph": b"D 4\ntokens_per_level 1\n1;1\n",
     "bad_prompts.txt": b"2 3\n4 x\n",
-    "s0.cfg": (_SCHEDULE_CONFIG % ("fixed", "schedule.s = 0")).encode(),
-    "p15.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = 1.5")).encode(),
-    "pnan.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = nan")).encode(),
-    "p0.cfg": (_SCHEDULE_CONFIG % ("threshold", "schedule.p = 0")).encode(),
+    "gap_prompts.txt": b"1 2\n\n13 1\n",
+    "s0.cfg": (_SCHEDULE_CONFIG % "fixed:0").encode(),
+    "p15.cfg": (_SCHEDULE_CONFIG % "threshold:1.5").encode(),
+    "pnan.cfg": (_SCHEDULE_CONFIG % "threshold:nan").encode(),
+    "p0.cfg": (_SCHEDULE_CONFIG % "threshold:0").encode(),
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -106,7 +107,7 @@ def calibrated(prompts, **kw):
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     config = GenerationConfig(
         total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1),
-        top_k_vocab=3, eot_token=12, seed=0,
+        top_k_vocab=3, eot_token=12,
     )
     return calibrate_graph(train_from_corpus(corpus, 12), prompts, config, **kw)
 
@@ -185,7 +186,7 @@ class TestGenerate:
         model = train_from_corpus(corpus, 12)
         config = GenerationConfig(
             total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1),
-            top_k_vocab=3, eot_token=12, seed=0,
+            top_k_vocab=3, eot_token=12,
         )
         want = generate_vanilla(model, synthetic.make_prompts(11, 8)[0], config)
         assert stdout.strip() == " ".join(str(t) for t in want.tokens)
@@ -435,15 +436,11 @@ class TestInputValidation:
             capsys, "generate", "--corpus", files["corpus"], "--prompts", bad
         )
         assert code == 2
-        assert "outside corpus vocabulary" in stderr
+        assert "bad_prompts.txt:1: token 99 outside corpus vocabulary 1..12" in stderr
 
     def test_config_file_drives_generation(self, files, capsys):
-        config = GenerationConfig(
-            total_length=16, block_length=4, schedule=UnmaskSchedule.fixed(2),
-            top_k_vocab=3, eot_token=12, seed=0,
-        )
         path = files["tmp"] / "gen.cfg"
-        path.write_text(format_config(config))
+        path.write_text("W = 16\nL = 4\nschedule = fixed:2\ntop_k_vocab = 3\neot_token = 12\n")
         code, stdout, _ = run(
             capsys, "generate", *setup_args(files), "--config", path
         )
@@ -501,20 +498,21 @@ class TestInputValidation:
             (_CALIBRATE + ["--config", "nope.cfg"], "cannot read nope.cfg: " + _NOT_FOUND),
             (_CALIBRATE + ["--corpus", "latin1.txt"], "latin1.txt:2: not UTF-8 text (byte 0xe9)"),
             (_CALIBRATE + ["--prompts", "bad_prompts.txt"], "bad_prompts.txt:2: non-integer token"),
-            (_CALIBRATE + ["--config", "s0.cfg"], "s0.cfg:4: fixed schedule needs s >= 1"),
+            (_CALIBRATE + ["--prompts", "gap_prompts.txt"], "gap_prompts.txt:3: token 13 outside corpus vocabulary"),
+            (_CALIBRATE + ["--config", "s0.cfg"], "s0.cfg:3: fixed schedule needs s >= 1, got 0"),
             (_GENERATE + ["--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
             (_GENERATE + ["--prompts", "latin1.txt"], "latin1.txt:2: not UTF-8 text (byte 0xe9)"),
             (_GENERATE + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
-            (_GENERATE + ["--config", "p15.cfg"], "p15.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_GENERATE + ["--config", "p15.cfg"], "p15.cfg:3: threshold schedule needs 0 < p <= 1, got 1.5"),
             (_GENERATE + ["--index", 99], "--index 99 out of range (8 prompts)"),
             (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
             (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
-            (_BENCH + ["--config", "pnan.cfg"], "pnan.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_BENCH + ["--config", "pnan.cfg"], "pnan.cfg:3: threshold schedule needs 0 < p <= 1, got nan"),
             (_CHECK + ["--corpus", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_CHECK + ["--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (_CHECK + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
-            (_CHECK + ["--config", "p0.cfg"], "p0.cfg:4: threshold schedule needs 0 < p <= 1"),
+            (_CHECK + ["--config", "p0.cfg"], "p0.cfg:3: threshold schedule needs 0 < p <= 1, got 0.0"),
             (_GENERATE + ["--schedule", "warp:9"], "--schedule warp:9: unknown schedule mode 'warp'"),
             (_BENCH + ["--schedule", "fixed:0"], "--schedule fixed:0: fixed schedule needs s >= 1, got 0"),
             (_CHECK + ["--trials", 99], "--trials 99 requested but only 8 prompts available"),
@@ -530,6 +528,7 @@ class TestInputValidation:
             "calibrate-missing",
             "calibrate-not-utf8",
             "calibrate-malformed-line",
+            "calibrate-prompt-vocabulary",
             "calibrate-schedule-s",
             "generate-missing",
             "generate-not-utf8",

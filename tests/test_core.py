@@ -9,7 +9,6 @@ from blockspec.core import (
     Marginals,
     SequenceState,
     UnmaskSchedule,
-    format_config,
     one_hot_marginals,
     parse_config,
     validate_sequence,
@@ -199,6 +198,9 @@ class TestGenerationConfig:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG = "W = 32\nL = 8\nschedule = %s\ntop_k_vocab = 4\neot_token = 12\n"
+
+
 class TestConfigFile:
     def test_round_trip_fixed(self):
         c = GenerationConfig(
@@ -207,19 +209,21 @@ class TestConfigFile:
             schedule=UnmaskSchedule.fixed(2),
             top_k_vocab=4,
             eot_token=12,
-            seed=9,
         )
-        assert parse_config(format_config(c)) == c
+        assert parse_config(_CONFIG % c.schedule.format()) == c
 
     def test_round_trip_threshold(self):
         c = GenerationConfig(
-            total_length=16, block_length=4, schedule=UnmaskSchedule.at_threshold(0.9)
+            total_length=32,
+            block_length=8,
+            schedule=UnmaskSchedule.at_threshold(0.9),
+            top_k_vocab=4,
+            eot_token=12,
         )
-        assert parse_config(format_config(c)) == c
+        assert parse_config(_CONFIG % c.schedule.format()) == c
 
     def test_comments_and_blank_lines_skipped(self):
-        text = "# comment\n\nW = 8\nL = 4\nschedule.mode = fixed\nschedule.s = 1\n" \
-               "top_k_vocab = 3\neot_token = 2\nseed = 0\n"
+        text = "# comment\n\nW = 8\nL = 4\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 2\n"
         c = parse_config(text)
         assert c.total_length == 8 and c.num_blocks == 2
 
@@ -234,12 +238,24 @@ class TestConfigFile:
             parse_config(text)
 
     def test_missing_key_rejected(self):
-        with pytest.raises(ValueError, match="schedule.mode"):
-            parse_config("W = 8\nL = 4\ntop_k_vocab = 3\neot_token = 1\nseed = 0\n")
+        with pytest.raises(ValueError, match="missing key 'schedule'"):
+            parse_config("W = 8\nL = 4\ntop_k_vocab = 3\neot_token = 1\n")
 
-    def test_mode_value_cross_checks(self):
-        base = "W = 8\nL = 4\ntop_k_vocab = 3\neot_token = 1\nseed = 0\n"
-        with pytest.raises(ValueError, match="schedule.p given for fixed"):
-            parse_config(base + "schedule.mode = fixed\nschedule.s = 1\nschedule.p = 0.9\n")
-        with pytest.raises(ValueError, match="schedule.s given for threshold"):
-            parse_config(base + "schedule.mode = threshold\nschedule.p = 0.9\nschedule.s = 1\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fixed:0", "fixed schedule needs s >= 1, got 0"),
+            ("threshold:1.5", "threshold schedule needs 0 < p <= 1, got 1.5"),
+            ("fixed:x", "bad fixed schedule value 'x'"),
+            ("warp:9", "unknown schedule mode 'warp'"),
+        ],
+    )
+    def test_schedule_errors_read_like_the_flag(self, text, message):
+        """The schedule key goes through UnmaskSchedule.parse, so a bad
+        value gets the flag's message, prefixed with the file and line."""
+        with pytest.raises(ValueError) as flag:
+            UnmaskSchedule.parse(text)
+        assert str(flag.value) == message
+        with pytest.raises(ValueError) as config:
+            parse_config(_CONFIG % text, source="cfg.txt")
+        assert str(config.value) == "cfg.txt:3: " + message

@@ -9,16 +9,13 @@ position for the early-stop accounting.
 """
 
 import pytest
-from conftest import make_config
+from conftest import make_config, scripted_report
 
 from blockspec import engine
 from blockspec.core import GenerationConfig, UnmaskSchedule, validate_sequence
 from blockspec.drafting import DraftFormula, build_graph
 from blockspec.engine import (
-    PerBlockStats,
-    RunReport,
     check_lossless,
-    compute_speedup,
     generate_speculative,
     generate_vanilla,
     per_block_summary,
@@ -60,7 +57,6 @@ def _chain16_config(schedule="fixed:1"):
         schedule=UnmaskSchedule.parse(schedule),
         top_k_vocab=3,
         eot_token=16,
-        seed=0,
     )
 
 
@@ -244,7 +240,6 @@ class TestEotAccounting:
         assert report.eot_block == 3
         prefix = [b for b in report.per_block if b.index <= 3]
         want = sum(b.baseline_nfe for b in prefix) / sum(b.nfe for b in prefix)
-        assert compute_speedup(report, up_to_eot=True) == pytest.approx(want)
         assert report.speedup_to_eot == pytest.approx(want)
 
     def test_no_eot_makes_both_speedups_equal(self, model):
@@ -253,23 +248,11 @@ class TestEotAccounting:
         assert report.speedup_to_eot == report.speedup_all
 
     def test_prefix_speedup_on_handmade_report(self):
-        """compute_speedup slices exactly the blocks up to the EOT one."""
-        blocks = tuple(
-            PerBlockStats(index=i, nfe=n, baseline_nfe=8, acceptances=8 - n, realized_s=(1,) * 8)
-            for i, n in enumerate((4, 8, 2, 8))
-        )
-        report = RunReport(
-            total_nfe=22,
-            baseline_nfe=32,
-            acceptances=10,
-            per_block=blocks,
-            eot_block=1,
-            speedup_all=32 / 22,
-            speedup_to_eot=16 / 12,
-            stage_seconds={},
-        )
-        assert compute_speedup(report, up_to_eot=True) == pytest.approx(16 / 12)
-        assert compute_speedup(report, up_to_eot=False) == pytest.approx(32 / 22)
+        """speedup_to_eot slices exactly the blocks up to the EOT one."""
+        report = scripted_report((4, 8, 2, 8), 8, eot_block=1)
+        assert (report.total_nfe, report.baseline_nfe, report.eot_block) == (22, 32, 1)
+        assert report.speedup_to_eot == pytest.approx(16 / 12)
+        assert report.speedup_all == pytest.approx(32 / 22)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Input checks must not be asserts: ``python -O`` strips those, so the
-tests that expect a rejection would pass bad input through instead."""
+tests that expect a rejection would pass bad input through instead.
+The lossless properties run here too, since losslessness must not lean
+on an assert either."""
 
 import subprocess
 import sys
@@ -18,6 +20,7 @@ def test_input_check_tests_pass_under_python_O(child_env):
         "tests/test_engine.py",
         "tests/test_verification.py",
         "tests/test_cli.py",
+        "tests/test_lossless_properties.py",
     ]
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],

@@ -4,6 +4,7 @@ Every ``$ blockspec ...`` command in the README's code blocks runs in
 order through ``cli.main`` in one directory, after the README's corpus
 dump snippet.  Each must exit 0, and every output line the README shows
 under a command (``...`` marks an elided tail) must be printed by it.
+The config file the README shows must be the CLI's default config.
 """
 
 import re
@@ -11,6 +12,7 @@ import shlex
 from pathlib import Path
 
 from blockspec import cli
+from blockspec.core import GenerationConfig, UnmaskSchedule, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,3 +58,9 @@ def test_readme_walkthrough_prints_what_it_shows(tmp_path, monkeypatch, capsys):
         for line in shown:
             assert line in printed, (argv, line)
     assert Path("draft.dot").read_text().startswith("digraph")
+
+
+def test_readme_config_is_the_cli_default():
+    block = next(b for b in code_blocks(README.read_text()) if b.startswith("W = "))
+    want = GenerationConfig(schedule=UnmaskSchedule.fixed(1), eot_token=12, **cli._DEFAULTS)
+    assert parse_config(block) == want
