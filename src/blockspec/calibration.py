@@ -5,10 +5,13 @@ every block: over the next ell steps, which (i, j) ranks did the tokens
 that actually got unmasked hold under step t's own distribution?  Each
 full window yields one record whose pair set is cumulative over the
 window, so the level-k candidates can be read off the lookahead-k
-records directly.  Counting identical sets gives a small candidate
-table per level, and a pruned depth-first search over root-reachable
-subsets picks the best subgraph within the draft budget D under one of
-three scores:
+records directly.  Each piece of that is done once: decoding is
+deterministic, so each distinct prompt is replayed once and a repeat
+gets the same windows under its own sample id, and an origin's windows
+grow by one step's commits at a time rather than re-scanning the block.
+Counting identical sets gives a small candidate table per level, and a
+pruned depth-first search over root-reachable subsets picks the best
+subgraph within the draft budget D under one of three scores:
 
 * degree0: sum of node counts;
 * degree1: sum of node counts plus, per node, its in-graph parents'
@@ -22,18 +25,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import MASK, GenerationConfig, SequenceState
+from .core import GenerationConfig, SequenceState
 from .drafting import (
     DraftFormula,
     DraftGraphSpec,
-    RankingView,
     build_graph,
     order_vocab,
     parent_indices,
 )
-from .engine import StepRecord, vanilla_block_steps
+from .engine import StepRecord, check_prompt, vanilla_block_steps
 from .model import ToyDenoiser
 
 STRATEGIES = ("degree0", "degree1", "total")
@@ -43,40 +45,46 @@ STRATEGIES = ("degree0", "degree1", "total")
 # record collection
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(NamedTuple):
+    """One (origin step, lookahead) window; a tuple record, since one is
+    built per window."""
+
     sample_id: int
     origin_step: int
     lookahead: int
     pairs: Tuple[Tuple[int, int], ...]  # canonical, sorted by position rank
 
 
-def _window_record(
-    steps: Sequence[StepRecord],
-    origin: int,
-    lookahead: int,
-    sample_id: int,
-    ranking: RankingView,
-) -> Optional[CalibrationRecord]:
-    """Rank the tokens unmasked during the next ``lookahead`` steps against
-    the origin step's ranking; None when any rank falls outside the view
-    (skip, not an error)."""
-    after = steps[origin + lookahead - 1].state_after
-    pairs = []
-    for i, n in enumerate(ranking.ordered_positions, start=1):
-        token = after.tokens[n]
-        if token == MASK:
-            continue
-        vocab = ranking.vocab_by_position[i - 1]
-        if token not in vocab:
-            return None
-        pairs.append((i, vocab.index(token) + 1))
-    return CalibrationRecord(
-        sample_id=sample_id,
-        origin_step=origin,
-        lookahead=lookahead,
-        pairs=tuple(pairs),
-    )
+# One window of a replayed prompt: (origin step, lookahead, pairs).
+Window = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+
+
+def _block_windows(steps: Sequence[StepRecord], lookahead_max: int, top_k: int) -> List[Window]:
+    """Every in-view window of one block's steps, by origin, then lookahead.
+
+    A window's pairs rank the tokens committed during its steps against
+    the origin step's ranking.  Step t commits ``ordered[:realized]`` of
+    its own ranking, all of them masked at every earlier step, so the
+    lookahead-ell pairs are the (ell-1) pairs plus those of step
+    origin+ell-1's commits.  A commit outside the origin's top-k view
+    ends the origin's windows: every longer window holds it too.
+    """
+    windows: List[Window] = []
+    for origin, step in enumerate(steps):
+        ordered = step.ordered
+        vocab = order_vocab(step.marginals, ordered, top_k)
+        pairs: List[Tuple[int, int]] = []
+        for ell, later in enumerate(steps[origin : origin + lookahead_max], start=1):
+            tokens = later.state_after.tokens
+            try:
+                for n in later.ordered[: later.realized]:
+                    i = ordered.index(n)
+                    pairs.append((i + 1, vocab[i].index(tokens[n]) + 1))
+            except ValueError:  # tokens[n] is outside the top-k view
+                break
+            pairs.sort()
+            windows.append((origin, ell, tuple(pairs)))
+    return windows
 
 
 def collect_records(
@@ -86,32 +94,31 @@ def collect_records(
     lookahead_max: int,
 ) -> List[CalibrationRecord]:
     """Replay vanilla generation over ``prompts`` and emit one record per
-    (origin step, lookahead) window that fits inside its block.
+    (origin step, lookahead) window that fits inside its block and whose
+    tokens all fall inside the origin step's top-k view.
 
-    Prompts are processed in order and sample_id is the prompt index, so
-    the record list is deterministic.  Each step is ranked once and that
-    ranking serves every window opening at it.
+    Records run by sample (sample_id is the prompt index), block, origin
+    step and lookahead, so the record list is deterministic.  Decoding is
+    deterministic too, so each distinct prompt is replayed once and a
+    repeat gets its first occurrence's windows under its own sample_id.
+    Prompts are checked as the decoders check them.
     """
     if lookahead_max < 1:
         raise ValueError("lookahead must be >= 1, got %d" % lookahead_max)
+    windows_of: Dict[Tuple[int, ...], List[Window]] = {}
     records: List[CalibrationRecord] = []
     for sample_id, prompt in enumerate(prompts):
-        state = SequenceState.initial(tuple(prompt), config.num_blocks, config.block_length)
-        for k in range(config.num_blocks):
-            state, steps = vanilla_block_steps(model, state, config)
-            for origin, step in enumerate(steps):
-                ranking = RankingView(
-                    ordered_positions=step.ordered,
-                    vocab_by_position=order_vocab(step.marginals, step.ordered, config.top_k_vocab),
-                )
-                for ell in range(1, lookahead_max + 1):
-                    if origin + ell > len(steps):
-                        break
-                    record = _window_record(steps, origin, ell, sample_id, ranking)
-                    if record is not None:
-                        records.append(record)
-            if k + 1 < config.num_blocks:
-                state = state.advance_block()
+        prompt = check_prompt(model, prompt)
+        windows = windows_of.get(prompt)
+        if windows is None:
+            windows = windows_of[prompt] = []
+            state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
+            for k in range(config.num_blocks):
+                state, steps = vanilla_block_steps(model, state, config)
+                windows += _block_windows(steps, lookahead_max, config.top_k_vocab)
+                if k + 1 < config.num_blocks:
+                    state = state.advance_block()
+        records += [CalibrationRecord(sample_id, *window) for window in windows]
     return records
 
 

@@ -71,11 +71,19 @@ class SequenceState:
 
     Blocks left of ``active`` must be complete, blocks right of it fully
     masked (strict left-to-right order).
+
+    ``checked_context`` is set by ``model.forward_batched`` once it has
+    checked everything outside the active block: the vocabulary size the
+    tokens were checked against and the token just before the active
+    block.  ``with_active_block`` changes nothing outside the active
+    block, so it carries the value forward; every other way of making a
+    state starts without it.
     """
 
     prompt: Tuple[int, ...]
     blocks: Tuple[BlockState, ...]
     active: int
+    checked_context: Optional[Tuple[int, int]] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def initial(prompt: Tuple[int, ...], num_blocks: int, block_length: int) -> "SequenceState":
@@ -93,7 +101,9 @@ class SequenceState:
             raise ValueError(
                 "block of length %d cannot replace an active block of length %d" % (len(block.tokens), length)
             )
-        return SequenceState(self.prompt, self.blocks[:active] + (block,) + self.blocks[active + 1 :], active)
+        out = SequenceState(self.prompt, self.blocks[:active] + (block,) + self.blocks[active + 1 :], active)
+        object.__setattr__(out, "checked_context", self.checked_context)
+        return out
 
     def advance_block(self) -> "SequenceState":
         if not self.active_block.is_complete:

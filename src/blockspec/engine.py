@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import verification
 from .core import BlockState, GenerationConfig, Marginals, SequenceState
 from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
@@ -93,12 +95,17 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
     return baseline / actual
 
 
-def _check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
-    out = tuple(int(t) for t in prompt)
-    for t in out:
+def check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
+    """``prompt`` as a tuple of ints, each in 1..vocab_size.  Python and
+    numpy integers are accepted; anything else (a bool, a float, a
+    string) is rejected, not converted."""
+    tokens = tuple(prompt)
+    for t in tokens:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError("prompt token %r is not an integer" % (t,))
         if not (1 <= t <= model.vocab_size):
             raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))
-    return out
+    return tuple(map(int, tokens))
 
 
 # One model call: the block after it and the token count of every step it took.
@@ -213,7 +220,7 @@ def generate_vanilla(
     """Reference decode: baseline equals actual, speedup 1.0, M = 0.
 
     Stage times go to ``timer`` when one is given."""
-    prompt = _check_prompt(model, prompt)
+    prompt = check_prompt(model, prompt)
 
     def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
         state, steps = vanilla_block_steps(model, state, config, timer=timer)
@@ -246,7 +253,7 @@ def generate_speculative(
     when a vanilla report is given.  Stage times go to ``timer`` when
     one is given.
     """
-    prompt = _check_prompt(model, prompt)
+    prompt = check_prompt(model, prompt)
     if graph.max_vocab_rank() > config.top_k_vocab:
         raise ValueError(
             "graph/schedule mismatch: graph needs vocabulary rank %d, top_k_vocab is %d"

@@ -160,10 +160,20 @@ def forward_batched(
     neighbours are the nearest unmasked slots inside its own block, or
     the token just before the block when none is to its left.  The
     target and all drafts therefore go through one (D+1, L) pass.
+
+    The whole sequence is checked the first time a state's context is
+    met; the result is kept as ``state.checked_context``, which
+    ``with_active_block`` carries forward.  A state that has it for this
+    vocabulary size only needs its active block and the drafts checked:
+    nothing else can have changed, so the errors and their order are
+    those of the full check.
     """
-    problems = validate_sequence(state)
-    if problems:
-        raise ValueError("invalid sequence state: " + "; ".join(problems))
+    checked = state.checked_context
+    context_checked = checked is not None and checked[0] == model.vocab_size
+    if not context_checked:
+        problems = validate_sequence(state)
+        if problems:
+            raise ValueError("invalid sequence state: " + "; ".join(problems))
     block = state.active_block
     length = block.length
     if not all(map(length.__eq__, map(len, drafts))):
@@ -171,10 +181,16 @@ def forward_batched(
         raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
-    sequence = state.all_tokens()
-    _check_token_range(model, [sequence, *drafts])
-    offset = len(state.prompt) + state.active * length
-    rows = _mixture_pass(model, [block.tokens, *drafts], sequence[offset - 1] if offset else MASK)
+    if context_checked:
+        _check_token_range(model, [block.tokens, *drafts])
+        left_context = checked[1]
+    else:
+        sequence = state.all_tokens()
+        _check_token_range(model, [sequence, *drafts])
+        offset = len(state.prompt) + state.active * length
+        left_context = sequence[offset - 1] if offset else MASK
+        object.__setattr__(state, "checked_context", (model.vocab_size, left_context))
+    rows = _mixture_pass(model, [block.tokens, *drafts], left_context)
     rows.setflags(write=False)
     return Marginals(rows[0]), rows[1:]
 

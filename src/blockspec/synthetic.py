@@ -80,7 +80,8 @@ def make_corpus(seed: int = DEFAULT_SEED) -> List[Tuple[int, ...]]:
 
 def make_prompts(seed: int, count: int) -> List[Tuple[int, ...]]:
     """Short prompt sequences drawn from the same chain (no EOT)."""
-    assert count >= 1
+    if count < 1:
+        raise ValueError("count must be >= 1, got %d" % count)
     rng = np.random.default_rng(seed)
     prompts = []
     for _ in range(count):

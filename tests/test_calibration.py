@@ -8,6 +8,7 @@ the two is a real cross-check and not a copy of the same code path.
 
 import hashlib
 import itertools
+import re
 import time
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from conftest import make_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_calibration import reference_collect_records
 
+from blockspec import calibration
 from blockspec.calibration import (
     STRATEGIES,
     CalibrationRecord,
@@ -29,6 +32,7 @@ from blockspec.calibration import (
     select_subgraph,
 )
 from blockspec.drafting import DraftFormula, build_graph, format_graph
+from blockspec.engine import generate_vanilla, vanilla_block_steps
 
 
 def _record(pairs, sample_id=0, origin=0, lookahead=None):
@@ -186,6 +190,79 @@ class TestCollectRecords:
     def test_lookahead_must_be_positive(self, model):
         with pytest.raises(ValueError, match="lookahead must be >= 1, got 0"):
             collect_records(model, [(2,)], make_config(), 0)
+
+    def test_each_distinct_prompt_is_replayed_once(self, model, prompts, monkeypatch):
+        """The 20 README prompts hold 15 distinct ones; a repeat reuses its
+        first occurrence's windows, so calibration decodes each block of
+        each distinct prompt once."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].prompt)
+            return vanilla_block_steps(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "vanilla_block_steps", counted)
+        cfg = make_config()
+        records = collect_records(model, prompts, cfg, 4)
+        distinct = set(prompts)
+        assert len(distinct) == 15
+        assert sorted(calls) == sorted(list(distinct) * cfg.num_blocks)
+        assert records == reference_collect_records(model, prompts, cfg, 4)
+
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [
+            ((2.7, 3), "prompt token 2.7 is not an integer"),
+            ((True, 2), "prompt token True is not an integer"),
+            (("3", 4), "prompt token '3' is not an integer"),
+            ((2, 13), "prompt token 13 outside 1..12"),
+            ((0,), "prompt token 0 outside 1..12"),
+        ],
+    )
+    def test_prompts_are_checked_as_the_decoders_check_them(self, model, prompt, message):
+        """A repeat of an accepted prompt in another spelling, (True, 2)
+        for (1, 2), is rejected too, not served from the first one."""
+        cfg = make_config()
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate_vanilla(model, prompt, cfg)
+        for bad in ([prompt], [(1, 2), (3, 4), prompt]):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                collect_records(model, bad, cfg, 2)
+
+    def test_numpy_integer_prompts_give_the_same_records(self, model):
+        cfg = make_config("fixed:1", total_length=16, block_length=8)
+        plain = collect_records(model, [(7, 8, 8)], cfg, 3)
+        assert collect_records(model, [np.array([7, 8, 8])], cfg, 3) == plain
+
+
+@st.composite
+def calibration_cases(draw):
+    """Prompts (empty ones too) drawn with repeats from a small pool, a
+    W/L split, one of three schedules and a lookahead from 1 to L + 2
+    (past the block, so windows are cut at its edge)."""
+    block_length = draw(st.integers(1, 6))
+    num_blocks = draw(st.integers(1, 3))
+    schedule = draw(st.sampled_from(("fixed:1", "fixed:2", "threshold:0.4")))
+    top_k = draw(st.integers(1, 3))
+    cfg = make_config(
+        schedule, total_length=block_length * num_blocks, block_length=block_length, top_k_vocab=top_k
+    )
+    tokens = st.integers(1, 12)
+    pool = draw(st.lists(st.lists(tokens, max_size=3).map(tuple), min_size=1, max_size=3))
+    prompts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    return prompts, cfg, draw(st.integers(1, block_length + 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(calibration_cases())
+def test_records_match_the_per_window_reference(model, case):
+    """Replaying each distinct prompt once and growing each origin's
+    windows step by step gives the records of replaying every prompt and
+    re-scanning the block for every window."""
+    prompts, cfg, lookahead = case
+    assert collect_records(model, prompts, cfg, lookahead) == reference_collect_records(
+        model, prompts, cfg, lookahead
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ successor, so nothing is ever accepted) plus a deterministic EOT
 position for the early-stop accounting.
 """
 
+import re
+
+import numpy as np
 import pytest
 from conftest import make_config, scripted_report
 
 from blockspec import engine
+from blockspec import model as model_module
 from blockspec.core import GenerationConfig, UnmaskSchedule, validate_sequence
 from blockspec.drafting import DraftFormula, build_graph
 from blockspec.engine import (
@@ -106,6 +110,31 @@ class TestGenerateVanilla:
             generate_vanilla(model, (0,), make_config())
         with pytest.raises(ValueError, match="outside 1..12"):
             generate_vanilla(model, (2, 13), make_config())
+
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [
+            ([2.7, 3], "prompt token 2.7 is not an integer"),
+            ([True, 2], "prompt token True is not an integer"),
+            (["3", 4], "prompt token '3' is not an integer"),
+            ([np.bool_(True), 2], "prompt token %r is not an integer" % np.bool_(True)),
+        ],
+    )
+    def test_non_integer_prompt_tokens_rejected(self, model, prompt, message):
+        """Floats, bools and strings are rejected, not converted to a
+        different prompt."""
+        cfg = make_config()
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate_vanilla(model, prompt, cfg)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate_speculative(model, prompt, cfg, _chain_graph())
+
+    def test_numpy_integer_prompts_accepted(self, model):
+        cfg = make_config()
+        want = generate_vanilla(model, (3, 4), cfg)
+        for prompt in (np.array([3, 4]), [np.int32(3), np.uint8(4)], iter((3, 4))):
+            got = generate_vanilla(model, prompt, cfg)
+            assert got.tokens == want.tokens and got.state.prompt == (3, 4)
 
     def test_determinism(self, model):
         a = generate_vanilla(model, (7, 8), make_config())
@@ -225,6 +254,35 @@ class TestGenerateSpeculative:
 # ---------------------------------------------------------------------------
 # EOT accounting
 # ---------------------------------------------------------------------------
+
+
+class TestSequenceChecks:
+    """The prompt and the finished blocks are checked once per block: the
+    first call on a block checks the whole sequence and every later
+    call, on a state made by ``with_active_block``, only the active
+    block and the drafts."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def validate_sequence_counted(state):
+            calls.append(state.active)
+            return validate_sequence(state)
+
+        monkeypatch.setattr(model_module, "validate_sequence", validate_sequence_counted)
+        return calls
+
+    def test_vanilla_checks_once_per_block(self, model, prompts, counted):
+        result = generate_vanilla(model, prompts[0], make_config())
+        assert result.report.total_nfe == 32
+        assert counted == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("schedule", ["fixed:1", "fixed:2", "threshold:0.4"])
+    def test_speculative_checks_once_per_block(self, model, prompts, counted, schedule):
+        result = generate_speculative(model, prompts[0], make_config(schedule), _six_node_graph())
+        assert result.report.total_nfe > 4
+        assert counted == [0, 1, 2, 3]
 
 
 class TestEotAccounting:

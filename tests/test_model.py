@@ -401,6 +401,71 @@ def test_token_range_error_names_the_first_bad_token(case):
         forward_batched(m, state, drafts)
 
 
+def _outcome(m, state, drafts):
+    """forward_batched's result bytes, or its error text."""
+    try:
+        target, rows = forward_batched(m, state, drafts)
+    except ValueError as exc:
+        return str(exc)
+    return target.rows.tobytes(), rows.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(range_cases())
+def test_carried_context_check_matches_the_full_check(case):
+    """A state whose context was checked by an earlier call and carried
+    through ``with_active_block`` checks only its active block and the
+    drafts; it gives the bytes or the error text of a fresh state with
+    the same tokens."""
+    m, state, drafts = case
+    active = state.active
+    length = state.active_block.length
+    blocks = state.blocks[:active] + (BlockState.masked(length),) + state.blocks[active + 1 :]
+    earlier = SequenceState(prompt=state.prompt, blocks=blocks, active=active)
+    _outcome(m, earlier, [])
+    carried = earlier.with_active_block(state.active_block)
+    fresh = SequenceState(prompt=state.prompt, blocks=state.blocks, active=active)
+    assert carried == fresh and carried.checked_context == earlier.checked_context
+    assert _outcome(m, carried, drafts) == _outcome(m, fresh, drafts)
+
+
+class TestCheckedContext:
+    def test_set_by_a_passing_call_and_carried_by_with_active_block(self, model):
+        state = SequenceState.initial((2, 3), 2, 4)
+        assert state.checked_context is None
+        forward_batched(model, state, [])
+        assert state.checked_context == (model.vocab_size, 3)
+        carried = state.with_active_block(state.active_block.with_token(0, 4))
+        assert carried.checked_context == (model.vocab_size, 3)
+        nxt = carried.with_active_block(BlockState(tokens=(4, 4, 4, 4))).advance_block()
+        assert nxt.checked_context is None
+        forward_batched(model, nxt, [])
+        assert nxt.checked_context == (model.vocab_size, 4)
+
+    def test_not_set_by_a_failing_call(self, model):
+        state = SequenceState.initial((2, model.vocab_size + 1), 1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            forward_batched(model, state, [])
+        assert state.checked_context is None
+
+    def test_ignored_by_equality_and_hash(self, model):
+        state = SequenceState.initial((2,), 1, 3)
+        fresh = SequenceState.initial((2,), 1, 3)
+        forward_batched(model, state, [])
+        assert state == fresh and hash(state) == hash(fresh)
+        assert "checked_context" not in repr(state)
+
+    def test_rechecked_for_another_vocabulary(self, model):
+        """The context was checked against vocabulary 1..12; a model over
+        1..4 checks it again and finds the prompt's 5."""
+        small = train_from_corpus([(1, 2, 3, 4)], 4)
+        state = SequenceState.initial((5, 2), 1, 3)
+        forward_batched(model, state, [])
+        carried = state.with_active_block(state.active_block.with_token(0, 1))
+        with pytest.raises(ValueError, match="^token 5 outside 1..4$"):
+            forward_batched(small, carried, [])
+
+
 class TestPinnedMarginals:
     """sha256 of the target's and every draft's marginals bytes for fixed
     states at the README settings (corpus seed 7, W=32, L=8): the first

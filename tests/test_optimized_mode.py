@@ -1,7 +1,8 @@
 """Input checks must not be asserts: ``python -O`` strips those, so the
 tests that expect a rejection would pass bad input through instead.
 The lossless properties run here too, since losslessness must not lean
-on an assert either."""
+on an assert either, and so do the ranking properties calibration leans
+on and the corpus generator's checks."""
 
 import subprocess
 import sys
@@ -21,6 +22,8 @@ def test_input_check_tests_pass_under_python_O(child_env):
         "tests/test_verification.py",
         "tests/test_cli.py",
         "tests/test_lossless_properties.py",
+        "tests/test_ranking_properties.py",
+        "tests/test_synthetic.py",
     ]
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],

@@ -45,6 +45,12 @@ def test_corpus_shape():
         assert all(1 <= t < eot for t in seq[:-1])
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_prompt_count_must_be_positive(count):
+    with pytest.raises(ValueError, match="^count must be >= 1, got %d$" % count):
+        synthetic.make_prompts(11, count)
+
+
 def test_prompts_are_three_content_tokens():
     for prompt in synthetic.make_prompts(11, 50):
         assert len(prompt) == 3
