@@ -16,6 +16,13 @@ import numpy as np
 MASK = 0
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer.  A bool is not: an
+    input that must be an integer rejects bools, floats and strings
+    rather than converting them."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # block / sequence state
 
@@ -27,8 +34,10 @@ class BlockState:
     tokens: Tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.tokens) > 0, "empty block"
-        assert min(self.tokens) >= 0, "negative token id"
+        if not self.tokens:
+            raise ValueError("empty block")
+        if min(self.tokens) < 0:
+            raise ValueError("negative token id %d" % min(self.tokens))
 
     @staticmethod
     def masked(length: int) -> "BlockState":

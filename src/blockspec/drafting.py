@@ -82,7 +82,8 @@ class DraftFormula:
     pairs: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        assert len(self.pairs) >= 1, "empty formula"
+        if not self.pairs:
+            raise ValueError("empty formula")
         seen = set()
         for i, j in self.pairs:
             if i < 1 or j < 1:

@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import verification
-from .core import BlockState, GenerationConfig, Marginals, SequenceState
+from .core import BlockState, GenerationConfig, Marginals, SequenceState, is_integer
 from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
 from .model import ToyDenoiser, forward_batched
 from .timing import StageTimer, timed
@@ -101,7 +99,7 @@ def check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
     string) is rejected, not converted."""
     tokens = tuple(prompt)
     for t in tokens:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        if not is_integer(t):
             raise ValueError("prompt token %r is not an integer" % (t,))
         if not (1 <= t <= model.vocab_size):
             raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))

@@ -108,10 +108,15 @@ def train_from_corpus(
             bad = next(t for t in seq if t not in ids)
             raise ValueError("corpus token %d outside 1..%d" % (bad, v))
     tokens = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
-    # the adjacent pairs (before[k], after[k]) within each sequence; the
-    # (v + 1, v) tables are counted flat at index a * v + (b - 1)
-    before = np.fromiter(chain.from_iterable(s[:-1] for s in sequences), dtype=np.int64)
-    after = np.fromiter(chain.from_iterable(s[1:] for s in sequences), dtype=np.int64)
+    # the adjacent pairs (before[k], after[k]) within each sequence start
+    # at every token but a sequence's last; the (v + 1, v) tables are
+    # counted flat at index a * v + (b - 1)
+    ends = np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)))
+    pair_start = np.ones(len(tokens), dtype=bool)
+    pair_start[ends[ends > 0] - 1] = False
+    first = np.flatnonzero(pair_start)
+    before = tokens[first]
+    after = tokens[first + 1]
     unigram = np.bincount(tokens - 1, minlength=v)
     bigram_left = np.bincount(before * v + (after - 1), minlength=(v + 1) * v).reshape(v + 1, v)
     bigram_right = np.bincount(after * v + (before - 1), minlength=(v + 1) * v).reshape(v + 1, v)

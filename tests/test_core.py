@@ -45,6 +45,13 @@ class TestBlockState:
         with pytest.raises(ValueError, match="cannot unmask position 0 to MASK"):
             BlockState.masked(3).with_token(0, MASK)
 
+    @pytest.mark.parametrize(
+        "tokens, message", [((), "empty block"), ((-1, 0), "negative token id -1"), ((2, -3, -7), "negative token id -7")]
+    )
+    def test_malformed_block_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            BlockState(tokens)
+
     def test_complete_block(self):
         b = BlockState(tokens=(1, 2, 3))
         assert b.is_complete

@@ -108,6 +108,12 @@ class TestDraftFormula:
         with pytest.raises(ValueError, match="1-based"):
             DraftFormula.of([(0, 1)])
 
+    def test_empty_formula_rejected(self):
+        with pytest.raises(ValueError, match="^empty formula$"):
+            DraftFormula(pairs=())
+        with pytest.raises(ValueError, match="^empty formula$"):
+            DraftFormula.of([])
+
     def test_unsorted_direct_construction_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             DraftFormula(pairs=((2, 1), (1, 1)))

@@ -2,15 +2,24 @@
 
 Every calibrated graph, pinned count and benchmark figure starts from
 these sequences, so the corpus and the prompt sets the tests and the
-benchmark draw are pinned as the sha256 of their file text.
+benchmark draw are pinned as the sha256 of their file text.  The draws
+are read off PCG64's raw output; they must equal what
+``numpy.random.Generator``'s methods return for the same seed, which the
+reference generator walks the chain with.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_synthetic import reference_corpus, reference_prompts
 
 from blockspec import synthetic
 from blockspec.model import format_corpus
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def digest(sequences):
@@ -45,13 +54,78 @@ def test_corpus_shape():
         assert all(1 <= t < eot for t in seq[:-1])
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_prompt_count_must_be_positive(count):
-    with pytest.raises(ValueError, match="^count must be >= 1, got %d$" % count):
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (0, "count must be >= 1, got 0"),
+        (-3, "count must be >= 1, got -3"),
+        (True, "count True is not an integer"),
+        (2.5, "count 2.5 is not an integer"),
+        (None, "count None is not an integer"),
+    ],
+    ids=["0", "-3", "True", "2.5", "None"],
+)
+def test_prompt_count_must_be_positive(count, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
         synthetic.make_prompts(11, count)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (None, "seed None is not an integer"),
+        (-1, "seed must be >= 0, got -1"),
+        (False, "seed False is not an integer"),
+        (7.0, "seed 7.0 is not an integer"),
+        ("7", "seed '7' is not an integer"),
+    ],
+)
+def test_seed_must_be_a_nonnegative_integer(seed, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        synthetic.make_corpus(seed)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        synthetic.make_prompts(seed, 2)
+
+
+def test_numpy_integers_are_accepted():
+    assert synthetic.make_prompts(np.uint32(11), np.int64(20)) == synthetic.make_prompts(11, 20)
+    assert synthetic.make_corpus(np.int8(7)) == synthetic.make_corpus(7)
 
 
 def test_prompts_are_three_content_tokens():
     for prompt in synthetic.make_prompts(11, 50):
         assert len(prompt) == 3
         assert all(1 <= t < synthetic.eot_id() for t in prompt)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS)
+def test_corpus_matches_the_generator_methods(seed):
+    assert synthetic.make_corpus(seed) == reference_corpus(seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, count=st.integers(1, 300))
+def test_prompts_match_the_generator_methods(seed, count):
+    assert synthetic.make_prompts(seed, count) == reference_prompts(seed, count)
+
+
+# "random" or the n of an integers(n) draw.  n = 1 draws nothing, and
+# 2**31 + 1 redraws about half its draws; 2**32 - 1 is the largest n.
+DRAWS = st.sampled_from(["random", 1, 2, 9, 11, 2**31 + 1, 2**32 - 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, pattern=st.lists(DRAWS, min_size=1, max_size=30), repeats=st.integers(1, 150))
+@example(seed=0, pattern=["random", 1, 2**31 + 1, 1, 9], repeats=1000)  # over two chunks of raw words
+@example(seed=5, pattern=[2, "random", 1, 1, "random"], repeats=1)
+def test_reader_matches_the_generator(seed, pattern, repeats):
+    """Interleaved draws equal ``np.random.default_rng(seed)``'s, value for
+    value, including across the reader's chunk boundaries."""
+    draws = synthetic._Draws(seed)
+    rng = np.random.default_rng(seed)
+    for draw in pattern * repeats:
+        if draw == "random":
+            assert draws.random() == rng.random()
+        else:
+            assert draws.integers(draw) == rng.integers(draw)
