@@ -19,9 +19,15 @@ import numpy as np
 
 def build_mask(prompt_len: int, num_blocks: int, block_length: int, active: int, num_drafts: int) -> np.ndarray:
     """Boolean attention mask; True means "row may attend to column"."""
-    assert prompt_len >= 0 and num_blocks >= 1 and block_length >= 1
+    for name, value, least in (
+        ("prompt_len", prompt_len, 0),
+        ("num_blocks", num_blocks, 1),
+        ("block_length", block_length, 1),
+        ("num_drafts", num_drafts, 0),
+    ):
+        if value < least:
+            raise ValueError("%s must be >= %d, got %d" % (name, least, value))
     _check_active(active, num_blocks)
-    assert num_drafts >= 0
     context = prompt_len + num_blocks * block_length
     side = context + num_drafts * block_length
     mask = np.zeros((side, side), dtype=bool)

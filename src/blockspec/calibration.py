@@ -9,6 +9,9 @@ records directly.  Each piece of that is done once: decoding is
 deterministic, so each distinct prompt is replayed once and a repeat
 gets the same windows under its own sample id, and an origin's windows
 grow by one step's commits at a time rather than re-scanning the block.
+The distinct prompts are replayed together, as a dLLM scores a batch of
+sequences in one forward pass: one model call per denoising step for
+the whole group, each sequence still getting its own rows.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -35,10 +38,15 @@ from .drafting import (
     order_vocab,
     parent_indices,
 )
-from .engine import StepRecord, check_prompt, vanilla_block_steps
-from .model import ToyDenoiser
+from .engine import StepRecord, check_prompt, vanilla_step
+from .engine import vanilla_block_steps  # noqa: F401  (perfbench's span wrappers look this binding up)
+from .model import ToyDenoiser, forward_many
 
 STRATEGIES = ("degree0", "degree1", "total")
+
+# Distinct prompts replayed together: one model call scores at most this
+# many blocks, however long the prompt file.
+_REPLAY_GROUP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +95,42 @@ def _block_windows(steps: Sequence[StepRecord], lookahead_max: int, top_k: int) 
     return windows
 
 
+def _replay(
+    model: ToyDenoiser,
+    prompts: Sequence[Tuple[int, ...]],
+    config: GenerationConfig,
+    lookahead_max: int,
+) -> List[List[Window]]:
+    """Every window of each of ``prompts``, replayed in lockstep.
+
+    Within a block, each step makes one ``forward_many`` call over the
+    states whose active block is not yet complete (under a threshold
+    schedule blocks complete after different step counts); each state
+    then takes the step ``vanilla_block_steps`` takes.
+    """
+    schedule = config.schedule
+    states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
+    windows: List[List[Window]] = [[] for _ in prompts]
+    for k in range(config.num_blocks):
+        steps: List[List[StepRecord]] = [[] for _ in prompts]
+        live = range(len(states))
+        while live:
+            targets = forward_many(model, [states[i] for i in live])
+            still: List[int] = []
+            for i, target in zip(live, targets):
+                step = vanilla_step(states[i].active_block, target, schedule)
+                steps[i].append(step)
+                states[i] = states[i].with_active_block(step.state_after)
+                if not step.state_after.is_complete:
+                    still.append(i)
+            live = still
+        for i, state in enumerate(states):
+            windows[i] += _block_windows(steps[i], lookahead_max, config.top_k_vocab)
+            if k + 1 < config.num_blocks:
+                states[i] = state.advance_block()
+    return windows
+
+
 def collect_records(
     model: ToyDenoiser,
     prompts: Sequence[Sequence[int]],
@@ -98,28 +142,27 @@ def collect_records(
     tokens all fall inside the origin step's top-k view.
 
     Records run by sample (sample_id is the prompt index), block, origin
-    step and lookahead, so the record list is deterministic.  Decoding is
-    deterministic too, so each distinct prompt is replayed once and a
-    repeat gets its first occurrence's windows under its own sample_id.
-    Prompts are checked as the decoders check them.
+    step and lookahead, so the record list is deterministic.  Prompts are
+    checked first, as the decoders check them.  Decoding is deterministic,
+    so each distinct prompt is replayed once and a repeat gets its first
+    occurrence's windows under its own sample_id.  The distinct prompts
+    are replayed together, in first-seen groups of at most
+    ``_REPLAY_GROUP``: one model call per denoising step for the whole
+    group.
     """
     if lookahead_max < 1:
         raise ValueError("lookahead must be >= 1, got %d" % lookahead_max)
+    checked = [check_prompt(model, prompt) for prompt in prompts]
+    distinct = list(dict.fromkeys(checked))
     windows_of: Dict[Tuple[int, ...], List[Window]] = {}
-    records: List[CalibrationRecord] = []
-    for sample_id, prompt in enumerate(prompts):
-        prompt = check_prompt(model, prompt)
-        windows = windows_of.get(prompt)
-        if windows is None:
-            windows = windows_of[prompt] = []
-            state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-            for k in range(config.num_blocks):
-                state, steps = vanilla_block_steps(model, state, config)
-                windows += _block_windows(steps, lookahead_max, config.top_k_vocab)
-                if k + 1 < config.num_blocks:
-                    state = state.advance_block()
-        records += [CalibrationRecord(sample_id, *window) for window in windows]
-    return records
+    for start in range(0, len(distinct), _REPLAY_GROUP):
+        group = distinct[start : start + _REPLAY_GROUP]
+        windows_of.update(zip(group, _replay(model, group, config, lookahead_max)))
+    return [
+        CalibrationRecord(sample_id, *window)
+        for sample_id, prompt in enumerate(checked)
+        for window in windows_of[prompt]
+    ]
 
 
 def format_records(records: Sequence[CalibrationRecord]) -> str:

@@ -81,12 +81,12 @@ class SequenceState:
     Blocks left of ``active`` must be complete, blocks right of it fully
     masked (strict left-to-right order).
 
-    ``checked_context`` is set by ``model.forward_batched`` once it has
-    checked everything outside the active block: the vocabulary size the
-    tokens were checked against and the token just before the active
-    block.  ``with_active_block`` changes nothing outside the active
-    block, so it carries the value forward; every other way of making a
-    state starts without it.
+    ``checked_context`` is set by a model call (``model.forward_batched``
+    or ``model.forward_many``) once it has checked everything outside the
+    active block: the vocabulary size the tokens were checked against and
+    the token just before the active block.  ``with_active_block``
+    changes nothing outside the active block, so it carries the value
+    forward; every other way of making a state starts without it.
     """
 
     prompt: Tuple[int, ...]
@@ -171,7 +171,8 @@ class Marginals:
     top1: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert self.rows.ndim == 2
+        if self.rows.ndim != 2:
+            raise ValueError("marginals rows must be 2-D, got shape %s" % (self.rows.shape,))
         self.rows.setflags(write=False)
         object.__setattr__(self, "top1", tuple(np.maximum.reduce(self.rows, axis=1).tolist()))
 

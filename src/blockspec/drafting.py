@@ -58,7 +58,8 @@ def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> T
     """Per position: top_k token ids by descending probability, ties toward
     the lower id (one stable argsort over all negated rows, read at
     ``positions``)."""
-    assert top_k >= 1
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1, got %d" % top_k)
     ranked = ((-marginals.rows).argsort(axis=1, kind="stable")[:, :top_k] + 1).tolist()
     return tuple([tuple(ranked[n]) for n in positions])
 
@@ -178,7 +179,8 @@ def build_graph(
     every node above level 1 needs at least one in-graph parent through
     which the root is reachable.
     """
-    assert tokens_per_level >= 1
+    if tokens_per_level < 1:
+        raise ValueError("tokens_per_level must be >= 1, got %d" % tokens_per_level)
     nodes = tuple(formulas)
     if budget is None:
         budget = len(nodes)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import verification
-from .core import BlockState, GenerationConfig, Marginals, SequenceState, is_integer
+from .core import BlockState, GenerationConfig, Marginals, SequenceState, UnmaskSchedule, is_integer
 from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
 from .model import ToyDenoiser, forward_batched
 from .timing import StageTimer, timed
@@ -185,6 +185,20 @@ class StepRecord(NamedTuple):
     realized: int
 
 
+def vanilla_step(
+    block: BlockState,
+    target: Marginals,
+    schedule: UnmaskSchedule,
+    rank_positions: Callable[[Marginals, BlockState], Tuple[int, ...]] = order_positions,
+) -> StepRecord:
+    """One vanilla denoising step of ``block`` under ``target``, the model's
+    marginals for it: rank the masked positions, then commit the scheduled
+    prefix.  ``rank_positions`` is ``order_positions``, timed or not."""
+    ordered = rank_positions(target, block)
+    after, realized = verification.advance(block, target, ordered, schedule)
+    return StepRecord(target, ordered, after, realized)
+
+
 def vanilla_block_steps(
     model: ToyDenoiser,
     state: SequenceState,
@@ -195,14 +209,14 @@ def vanilla_block_steps(
     """Denoise the active block to completion, one call per step."""
     forward = timed(timer, "model", forward_batched)
     rank_positions = timed(timer, "ranking", order_positions)
+    schedule = config.schedule
     steps: List[StepRecord] = []
     block = state.active_block
     while not block.is_complete:
         target, _ = forward(model, state, [])
-        ordered = rank_positions(target, block)
-        after, realized = verification.advance(block, target, ordered, config.schedule)
-        steps.append(StepRecord(target, ordered, after, realized))
-        block = after
+        step = vanilla_step(block, target, schedule, rank_positions)
+        steps.append(step)
+        block = step.state_after
         state = state.with_active_block(block)
     return state, steps
 

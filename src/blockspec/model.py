@@ -8,7 +8,12 @@ Everything is exact float64 arithmetic with a fixed evaluation order:
 identical inputs give bit-identical outputs, which is what makes the
 lossless checks in the test suite meaningful.  ``forward_batched`` scores
 the true state and all D drafts of one call in a single numpy pass;
-``forward`` is its draft-free case.
+``forward`` is its draft-free case.  ``forward_many`` scores the active
+blocks of several sequences in one pass, as a dLLM scores a batch:
+calibration replays its distinct prompts together with it, one model
+call per denoising step for the whole group.  Every row is computed on
+its own, with the same arithmetic in the same order, so each equals
+that sequence's draft-free ``forward_batched`` row bit for bit.
 
 The NFE counter lives in the engine; this module only computes
 distributions.
@@ -165,6 +170,41 @@ def forward_batched(
     neighbours are the nearest unmasked slots inside its own block, or
     the token just before the block when none is to its left.  The
     target and all drafts therefore go through one (D+1, L) pass.
+    Inputs are checked by ``_checked_left_context``.
+    """
+    left_context = _checked_left_context(model, state, drafts)
+    blocks = [state.active_block.tokens, *drafts]
+    rows = _mixture_pass(model, blocks, (left_context,) * len(blocks))
+    rows.setflags(write=False)
+    return Marginals(rows[0]), rows[1:]
+
+
+def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> List[Marginals]:
+    """Score the active blocks of several sequences in one model call.
+
+    ``result[i]`` equals ``forward_batched(model, states[i], [])[0]`` bit
+    for bit: every state is checked as that call checks it, in order, so
+    the first bad state raises that call's error, and each block is
+    mixed against its own sequence's left token.  Equal states still get
+    a row each, as they would in a real dLLM's batch.  The active blocks
+    must share one length, as the rows of one (B, L, V) pass do.
+    """
+    if not states:
+        return []
+    left_contexts = [_checked_left_context(model, state, ()) for state in states]
+    blocks = [state.active_block.tokens for state in states]
+    length = len(blocks[0])
+    if not all(map(length.__eq__, map(len, blocks))):
+        i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
+        raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
+    rows = _mixture_pass(model, blocks, left_contexts)
+    rows.setflags(write=False)
+    return list(map(Marginals, rows))
+
+
+def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequence[Sequence[int]]) -> int:
+    """Check one call's ``state`` and ``drafts``; return the token just
+    before the active block (MASK when there is none).
 
     The whole sequence is checked the first time a state's context is
     met; the result is kept as ``state.checked_context``, which
@@ -188,16 +228,13 @@ def forward_batched(
         raise ValueError("nothing to denoise: active block fully unmasked")
     if context_checked:
         _check_token_range(model, [block.tokens, *drafts])
-        left_context = checked[1]
-    else:
-        sequence = state.all_tokens()
-        _check_token_range(model, [sequence, *drafts])
-        offset = len(state.prompt) + state.active * length
-        left_context = sequence[offset - 1] if offset else MASK
-        object.__setattr__(state, "checked_context", (model.vocab_size, left_context))
-    rows = _mixture_pass(model, [block.tokens, *drafts], left_context)
-    rows.setflags(write=False)
-    return Marginals(rows[0]), rows[1:]
+        return checked[1]
+    sequence = state.all_tokens()
+    _check_token_range(model, [sequence, *drafts])
+    offset = len(state.prompt) + state.active * length
+    left_context = sequence[offset - 1] if offset else MASK
+    object.__setattr__(state, "checked_context", (model.vocab_size, left_context))
+    return left_context
 
 
 def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> None:
@@ -209,9 +246,9 @@ def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> N
         raise ValueError("token %d outside 1..%d" % (bad, model.vocab_size))
 
 
-def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_context: int) -> np.ndarray:
-    """(B, L, V) marginals for B blocks that share ``left_context``, the
-    token before the block (MASK when there is none).
+def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_contexts: Sequence[int]) -> np.ndarray:
+    """(B, L, V) marginals for B blocks of one length; ``left_contexts[b]``
+    is the token before block b (MASK when there is none).
 
     The side weights are Python floats computed exactly as for a single
     slot; the rows are then mixed for every masked slot at once in the
@@ -238,7 +275,7 @@ def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_co
             if tokens[n] != MASK:
                 token, at = tokens[n], n
             right_of[n - 1] = (token, at)
-        token, at = left_context, -1
+        token, at = left_contexts[b], -1
         for n, t in enumerate(tokens):
             if t != MASK:
                 hot_slots.append(base + n)

@@ -41,7 +41,8 @@ def advance(
     """
     if not ordered:
         raise ValueError("advance on a fully unmasked block")
-    assert marginals.block_length == block.length
+    if marginals.block_length != block.length:
+        raise ValueError("marginals cover %d positions, block has %d" % (marginals.block_length, block.length))
     if schedule.kind == "fixed":
         count = min(schedule.tokens_per_step, len(ordered))
     else:

@@ -72,6 +72,21 @@ class TestBuildMask:
         with pytest.raises(ValueError, match="active block -1 outside 0..1"):
             build_mask(1, 2, 2, -1, 0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 1, 4, 0, 0), "prompt_len must be >= 0, got -1"),
+            ((2, 0, 4, 0, 0), "num_blocks must be >= 1, got 0"),
+            ((2, 1, 0, 0, 0), "block_length must be >= 1, got 0"),
+            ((2, 1, 4, 0, -1), "num_drafts must be >= 0, got -1"),
+        ],
+    )
+    def test_sizes_validated(self, args, message):
+        """ValueErrors, not asserts, so ``python -O`` rejects them too; at
+        (2, 1, 4, 0, -1) a stripped check returned a (2, 2) mask."""
+        with pytest.raises(ValueError, match="^%s$" % message):
+            build_mask(*args)
+
 
 class TestBuildPositionIds:
     def test_no_drafts_identity_ramp(self):

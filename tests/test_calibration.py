@@ -10,6 +10,8 @@ import hashlib
 import itertools
 import re
 import time
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from blockspec.calibration import (
     select_subgraph,
 )
 from blockspec.drafting import DraftFormula, build_graph, format_graph
-from blockspec.engine import generate_vanilla, vanilla_block_steps
+from blockspec.engine import generate_vanilla
+from blockspec.model import forward_many
 
 
 def _record(pairs, sample_id=0, origin=0, lookahead=None):
@@ -191,22 +194,31 @@ class TestCollectRecords:
         with pytest.raises(ValueError, match="lookahead must be >= 1, got 0"):
             collect_records(model, [(2,)], make_config(), 0)
 
-    def test_each_distinct_prompt_is_replayed_once(self, model, prompts, monkeypatch):
+    @pytest.mark.parametrize("schedule", ["fixed:1", "threshold:0.4"])
+    def test_each_distinct_prompt_is_replayed_once(self, model, prompts, monkeypatch, schedule):
         """The 20 README prompts hold 15 distinct ones; a repeat reuses its
-        first occurrence's windows, so calibration decodes each block of
-        each distinct prompt once."""
+        first occurrence's windows, and the distinct ones are replayed in
+        lockstep.  So each distinct prompt's state is scored once per step
+        its vanilla decode takes, never twice in one call, and each call
+        scores every state whose block is still open: under fixed:1 that
+        is 32 calls (4 blocks of 8 steps) instead of 15 * 32."""
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].prompt)
-            return vanilla_block_steps(*args, **kwargs)
+        def counted(model, states):
+            calls.append([s.prompt for s in states])
+            return forward_many(model, states)
 
-        monkeypatch.setattr(calibration, "vanilla_block_steps", counted)
-        cfg = make_config()
+        monkeypatch.setattr(calibration, "forward_many", counted)
+        cfg = make_config(schedule)
         records = collect_records(model, prompts, cfg, 4)
-        distinct = set(prompts)
+        distinct = list(dict.fromkeys(prompts))
         assert len(distinct) == 15
-        assert sorted(calls) == sorted(list(distinct) * cfg.num_blocks)
+        assert all(len(set(call)) == len(call) for call in calls)
+        reports = [generate_vanilla(model, p, cfg).report for p in distinct]
+        assert Counter(p for call in calls for p in call) == {p: r.total_nfe for p, r in zip(distinct, reports)}
+        assert len(calls) == sum(max(r.per_block[k].nfe for r in reports) for k in range(cfg.num_blocks))
+        if schedule == "fixed:1":
+            assert len(calls) == 32 and all(sorted(call) == sorted(distinct) for call in calls)
         assert records == reference_collect_records(model, prompts, cfg, 4)
 
     @pytest.mark.parametrize(
@@ -256,13 +268,16 @@ def calibration_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(calibration_cases())
 def test_records_match_the_per_window_reference(model, case):
-    """Replaying each distinct prompt once and growing each origin's
-    windows step by step gives the records of replaying every prompt and
-    re-scanning the block for every window."""
+    """Replaying each distinct prompt once, in lockstep groups, and growing
+    each origin's windows step by step gives the records of replaying
+    every prompt on its own and re-scanning the block for every window.
+    Group caps of 1 and 2 put the pool's distinct prompts (up to 3) in
+    several groups."""
     prompts, cfg, lookahead = case
-    assert collect_records(model, prompts, cfg, lookahead) == reference_collect_records(
-        model, prompts, cfg, lookahead
-    )
+    want = reference_collect_records(model, prompts, cfg, lookahead)
+    for cap in (1, 2, calibration._REPLAY_GROUP):
+        with mock.patch.object(calibration, "_REPLAY_GROUP", cap):
+            assert collect_records(model, prompts, cfg, lookahead) == want
 
 
 # ---------------------------------------------------------------------------

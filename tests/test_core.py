@@ -1,5 +1,7 @@
 """Tests for core value types, schedules, and the config file format."""
 
+import re
+
 import pytest
 
 from blockspec.core import (
@@ -137,6 +139,11 @@ class TestMarginals:
         m = Marginals(rows=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             m.rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_rows_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=r"^marginals rows must be 2-D, got shape %s$" % re.escape(str(shape))):
+            Marginals(rows=np.ones(shape))
 
     def test_one_hot_requires_complete_block(self):
         with pytest.raises(ValueError, match="needs a complete block"):

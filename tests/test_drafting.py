@@ -78,6 +78,11 @@ class TestRanking:
         assert order_vocab(m, [0], 2) == ((2, 3),)
         assert order_vocab(m, [0], 5) == ((2, 3, 1),)
 
+    def test_vocab_top_k_must_be_positive(self):
+        m = _marginals([[0.1, 0.6, 0.3]], vocab=3)
+        with pytest.raises(ValueError, match="^top_k must be >= 1, got 0$"):
+            order_vocab(m, [0], 0)
+
     def test_vocab_tie_breaks_to_lower_id(self):
         m = _marginals([[0.4, 0.4, 0.2]], vocab=3)
         assert order_vocab(m, [0], 3) == ((1, 2, 3),)
@@ -166,6 +171,10 @@ class TestBuildGraph:
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             build_graph(_six_node_formulas(), 1, budget=5)
+
+    def test_tokens_per_level_must_be_positive(self):
+        with pytest.raises(ValueError, match="^tokens_per_level must be >= 1, got 0$"):
+            build_graph([DraftFormula.of([(1, 1)])], 0)
 
     def test_size_must_be_level_multiple(self):
         with pytest.raises(ValueError, match="multiple of tokens_per_level"):

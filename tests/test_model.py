@@ -10,6 +10,7 @@ forward in ``scalar_forward``.
 """
 
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from blockspec.model import (
     ToyDenoiser,
     forward,
     forward_batched,
+    forward_many,
     format_corpus,
     parse_corpus,
     train_from_corpus,
@@ -324,28 +326,43 @@ LAMBDAS = ((0.7, 0.1, 0.2), (0.6, 0.3, 0.1), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (
 
 
 @st.composite
-def batched_cases(draw):
-    """A model trained on a generated corpus, a valid state, and drafts.
-
-    Prompts may be empty, any block may be active, and drafts take any
-    tokens (complete ones included), not only extensions of the block."""
+def models(draw):
+    """A model trained on a generated corpus over 1..V, V from 1 to 6."""
     vocab = draw(st.integers(1, 6))
     tokens = st.integers(1, vocab)
     corpus = draw(st.lists(st.lists(tokens, min_size=1, max_size=8), min_size=1, max_size=4))
-    m = train_from_corpus(
+    return train_from_corpus(
         corpus, vocab, alpha=draw(st.sampled_from((0.5, 1.0, 0.01))), lambdas=draw(st.sampled_from(LAMBDAS))
     )
-    length = draw(st.integers(1, 9))
+
+
+@st.composite
+def valid_states(draw, vocab, length):
+    """A valid state over ids 1..vocab whose active block has ``length``
+    slots, one or more of them masked.  Prompts may be empty and any
+    block may be active."""
+    tokens = st.integers(1, vocab)
     num_blocks = draw(st.integers(1, 4))
     active = draw(st.integers(0, num_blocks - 1))
-    partial = st.lists(st.one_of(st.just(MASK), tokens), min_size=length, max_size=length)
-    complete = st.lists(tokens, min_size=length, max_size=length)
-    current = draw(partial)
+    current = draw(st.lists(st.one_of(st.just(MASK), tokens), min_size=length, max_size=length))
     current[draw(st.integers(0, length - 1))] = MASK
+    complete = st.lists(tokens, min_size=length, max_size=length)
     blocks = [BlockState(tokens=tuple(draw(complete))) for _ in range(active)]
     blocks.append(BlockState(tokens=tuple(current)))
     blocks += [BlockState.masked(length)] * (num_blocks - active - 1)
-    state = SequenceState(prompt=tuple(draw(st.lists(tokens, max_size=5))), blocks=tuple(blocks), active=active)
+    return SequenceState(prompt=tuple(draw(st.lists(tokens, max_size=5))), blocks=tuple(blocks), active=active)
+
+
+@st.composite
+def batched_cases(draw):
+    """A model, a valid state, and drafts that take any tokens (complete
+    ones included), not only extensions of the block."""
+    m = draw(models())
+    length = draw(st.integers(1, 9))
+    state = draw(valid_states(m.vocab_size, length))
+    tokens = st.integers(1, m.vocab_size)
+    partial = st.lists(st.one_of(st.just(MASK), tokens), min_size=length, max_size=length)
+    complete = st.lists(tokens, min_size=length, max_size=length)
     drafts = [BlockState(tokens=tuple(d)) for d in draw(st.lists(st.one_of(partial, complete), max_size=16))]
     return m, state, drafts
 
@@ -362,15 +379,18 @@ def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
         assert got.tobytes() == want.rows.tobytes()
 
 
+def id_bounds(vocab):
+    """Half the time (MASK, vocab); otherwise bounds that reach past
+    1..vocab on both sides."""
+    return st.sampled_from(((-2, vocab + 2), (MASK, vocab)))
+
+
 @st.composite
-def range_cases(draw):
-    """A well-formed state and same-length drafts.  Half the cases may hold
-    ids outside 1..V: too large anywhere, negative in the prompt and the
-    drafts (a BlockState rejects negative ids itself)."""
-    vocab = draw(st.integers(1, 5))
-    m = train_from_corpus([tuple(range(1, vocab + 1))], vocab)
-    low, high = (-2, vocab + 2) if draw(st.booleans()) else (MASK, vocab)
-    length = draw(st.integers(1, 5))
+def range_states(draw, vocab, length, bounds):
+    """A well-formed state whose active block has ``length`` slots and ids
+    drawn within ``bounds``: past 1..vocab, they may be too large anywhere
+    and negative in the prompt (a BlockState rejects negative ids itself)."""
+    low, high = bounds
     num_blocks = draw(st.integers(1, 3))
     active = draw(st.integers(0, num_blocks - 1))
     row = st.lists(st.integers(low, high), min_size=length, max_size=length)
@@ -381,8 +401,21 @@ def range_cases(draw):
     current[draw(st.integers(0, length - 1))] = MASK
     blocks.append(BlockState(tokens=tuple(current)))
     blocks += [BlockState.masked(length)] * (num_blocks - active - 1)
-    drafts = draw(st.lists(row.map(tuple), max_size=6))
-    return m, SequenceState(prompt=tuple(prompt), blocks=tuple(blocks), active=active), drafts
+    return SequenceState(prompt=tuple(prompt), blocks=tuple(blocks), active=active)
+
+
+@st.composite
+def range_cases(draw):
+    """A model over 1..V, a well-formed state and same-length drafts.  Half
+    the cases may hold ids outside 1..V, negative ones in the prompt and
+    the drafts too."""
+    vocab = draw(st.integers(1, 5))
+    m = train_from_corpus([tuple(range(1, vocab + 1))], vocab)
+    length = draw(st.integers(1, 5))
+    low, high = draw(id_bounds(vocab))
+    state = draw(range_states(vocab, length, (low, high)))
+    drafts = draw(st.lists(st.lists(st.integers(low, high), min_size=length, max_size=length).map(tuple), max_size=6))
+    return m, state, drafts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -464,6 +497,116 @@ class TestCheckedContext:
         carried = state.with_active_block(state.active_block.with_token(0, 1))
         with pytest.raises(ValueError, match="^token 5 outside 1..4$"):
             forward_batched(small, carried, [])
+
+
+# ---------------------------------------------------------------------------
+# several sequences in one call
+# ---------------------------------------------------------------------------
+
+
+def _fresh(state):
+    """An equal state that no call has checked yet."""
+    return SequenceState(prompt=state.prompt, blocks=state.blocks, active=state.active)
+
+
+def _context_checked_earlier(m, state):
+    """An equal state whose context an earlier call checked: the same
+    sequence with the active block masked, scored, then carried forward
+    by ``with_active_block``."""
+    length = state.active_block.length
+    blocks = state.blocks[: state.active] + (BlockState.masked(length),) + state.blocks[state.active + 1 :]
+    earlier = SequenceState(prompt=state.prompt, blocks=blocks, active=state.active)
+    forward_batched(m, earlier, [])
+    return earlier.with_active_block(state.active_block)
+
+
+@st.composite
+def many_cases(draw):
+    """A model and states of one block length, drawn with repeats from a
+    small pool of states on any block: the same object again, an equal
+    unchecked copy, or an equal state whose context is already checked."""
+    m = draw(models())
+    length = draw(st.integers(1, 9))
+    pool = draw(st.lists(valid_states(m.vocab_size, length), min_size=1, max_size=4))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(("same", "copy", "checked"))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return m, pool, picks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(many_cases())
+def test_forward_many_rows_equal_draft_free_forwards(case):
+    """Row i is byte-equal to a draft-free ``forward_batched`` of state i,
+    repeats included, and afterwards every state carries the checked
+    context that call leaves."""
+    m, pool, picks = case
+    build = {"same": lambda s: s, "copy": _fresh, "checked": lambda s: _context_checked_earlier(m, s)}
+    states = [build[kind](pool[i]) for i, kind in picks]
+    refs = [_fresh(s) for s in states]
+    want = [forward_batched(m, r, [])[0].rows.tobytes() for r in refs]
+    got = forward_many(m, states)
+    assert [g.rows.tobytes() for g in got] == want
+    assert [s.checked_context for s in states] == [r.checked_context for r in refs]
+
+
+@st.composite
+def odd_states(draw, vocab, length):
+    """A state ``forward_batched`` rejects for its shape, not its ids: the
+    active block complete, or a block left of the active one incomplete."""
+    full = BlockState(tokens=tuple(draw(st.lists(st.integers(1, vocab), min_size=length, max_size=length))))
+    if draw(st.booleans()):
+        return SequenceState(prompt=(1,), blocks=(full,), active=0)
+    return SequenceState(prompt=(1,), blocks=(BlockState.masked(length), BlockState.masked(length)), active=1)
+
+
+@st.composite
+def many_error_cases(draw):
+    """A model over 1..V and states of one block length, each of which
+    may hold ids outside 1..V, with an odd state put in at any place half
+    the time."""
+    vocab = draw(st.integers(1, 5))
+    m = train_from_corpus([tuple(range(1, vocab + 1))], vocab)
+    length = draw(st.integers(1, 5))
+    states = draw(st.lists(id_bounds(vocab).flatmap(lambda b: range_states(vocab, length, b)), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        states.insert(draw(st.integers(0, len(states))), draw(odd_states(vocab, length)))
+    return m, states
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(many_error_cases())
+def test_forward_many_raises_the_first_bad_states_error(case):
+    """A list holding states ``forward_batched`` rejects raises the error
+    text of the first one; a list without any scores every state."""
+    m, states = case
+    outcomes = [_outcome(m, _fresh(s), []) for s in states]
+    errors = [o for o in outcomes if isinstance(o, str)]
+    if not errors:
+        assert [g.rows.tobytes() for g in forward_many(m, states)] == [rows for rows, _ in outcomes]
+        return
+    with pytest.raises(ValueError, match="^%s$" % re.escape(errors[0])):
+        forward_many(m, states)
+
+
+class TestForwardMany:
+    def test_no_states_no_rows(self, model):
+        assert forward_many(model, []) == []
+
+    def test_block_lengths_must_agree(self, model):
+        states = [SequenceState.initial((2,), 1, 4), SequenceState.initial((3,), 2, 3)]
+        with pytest.raises(ValueError, match="^state 1 has active block length 3, state 0 has 4$"):
+            forward_many(model, states)
+
+    def test_equal_states_each_get_a_row(self, model):
+        state = SequenceState.initial((2, 3), 2, 4)
+        got = forward_many(model, [state, state, _fresh(state)])
+        assert len(got) == 3
+        assert all(g.rows.tobytes() == forward(model, state).rows.tobytes() for g in got)
 
 
 class TestPinnedMarginals:

@@ -2,7 +2,8 @@
 tests that expect a rejection would pass bad input through instead.
 The lossless properties run here too, since losslessness must not lean
 on an assert either, and so do the ranking properties calibration leans
-on and the corpus generator's checks."""
+on and the corpus generator's checks, and the nine acceptance criteria,
+which are the project's fixed point."""
 
 import subprocess
 import sys
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_input_check_tests_pass_under_python_O(child_env):
     files = [
+        "tests/test_acceptance.py",
         "tests/test_core.py",
         "tests/test_batch.py",
         "tests/test_calibration.py",

@@ -79,6 +79,12 @@ class TestAdvance:
         with pytest.raises(ValueError, match="fully unmasked"):
             advance(BlockState(tokens=(3,)), m, (), UnmaskSchedule.fixed(1))
 
+    def test_marginals_must_cover_the_block(self):
+        """Three rows for a two-slot block are refused, not read in part."""
+        m = _marginals([[0.9], [0.5], [0.1]])
+        with pytest.raises(ValueError, match="^marginals cover 3 positions, block has 2$"):
+            advance(BlockState.masked(2), m, (0, 1), UnmaskSchedule.fixed(1))
+
 
 @st.composite
 def advance_cases(draw):
