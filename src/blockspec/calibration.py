@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import verification
 from .core import GenerationConfig, SequenceState
 from .drafting import (
     DraftFormula,
@@ -38,9 +39,8 @@ from .drafting import (
     order_vocab,
     parent_indices,
 )
-from .engine import StepRecord, check_prompt, vanilla_step
-from .engine import vanilla_block_steps  # noqa: F401  (perfbench's span wrappers look this binding up)
-from .model import ToyDenoiser, forward_many
+from .model import ToyDenoiser, check_prompt, forward_many
+from .verification import StepRecord
 
 STRATEGIES = ("degree0", "degree1", "total")
 
@@ -106,7 +106,8 @@ def _replay(
     Within a block, each step makes one ``forward_many`` call over the
     states whose active block is not yet complete (under a threshold
     schedule blocks complete after different step counts); each state
-    then takes the step ``vanilla_block_steps`` takes.
+    then takes one ``verification.advance`` step, as vanilla decoding
+    does.
     """
     schedule = config.schedule
     states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
@@ -118,7 +119,7 @@ def _replay(
             targets = forward_many(model, [states[i] for i in live])
             still: List[int] = []
             for i, target in zip(live, targets):
-                step = vanilla_step(states[i].active_block, target, schedule)
+                step = verification.advance(states[i].active_block, target, schedule)
                 steps[i].append(step)
                 states[i] = states[i].with_active_block(step.state_after)
                 if not step.state_after.is_complete:
@@ -200,7 +201,8 @@ def build_table(
     *,
     width: int = 3,
 ) -> CandidateTable:
-    """Count identical pair sets per level and keep the top ``width``.
+    """Count identical pair sets per level and keep the top ``width``; a
+    width of at least the record count keeps every candidate.
 
     The lookahead-k records are already cumulative over k steps, so the
     level-k candidates are exactly their pair sets.  Records whose size
@@ -221,7 +223,7 @@ def build_table(
     entries = tuple(
         TableEntry(level=level, formula=DraftFormula(pairs=pairs), count=count)
         for _, group in groupby(ranked, key=lambda kv: kv[0][0])
-        for (level, pairs), count in islice(group, width)
+        for (level, pairs), count in islice(group, min(width, len(records)))
     )
     return CandidateTable(entries=entries, tokens_per_level=tokens_per_level, lookahead_max=lookahead_max)
 
@@ -264,7 +266,10 @@ def select_subgraph(
     the best score; that bound needs counts >= 0.
 
     Returns the best graph and its score; ties prefer the smaller node
-    count, then the lexicographically smaller node list.
+    count, then the lexicographically smaller node list.  Without a
+    level-1 candidate no draft can enter (under a schedule that commits
+    a whole block per step, no window commits one level's tokens), so
+    the graph is empty, with score 0: it decodes exactly as vanilla.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1, got %d" % budget)
@@ -276,7 +281,7 @@ def select_subgraph(
     tpl = table.tokens_per_level
     candidates = sorted({e.formula for e in table.entries}, key=lambda f: (f.size, f.pairs))
     if not any(f.size == tpl for f in candidates):
-        raise ValueError("no level-1 candidates")
+        return build_graph((), tpl, budget=budget), 0
     counts = {e.formula: e.count for e in table.entries}
     count = [counts[f] for f in candidates]
     parents = parent_indices(candidates, tpl)

@@ -6,8 +6,9 @@ against a concrete Marginals: positions ordered by descending top-1
 probability (ties toward the lower position index), vocabulary ordered
 by descending probability (ties toward the lower token id).
 ``order_positions`` and ``order_vocab`` are the only statement of these
-tie-break rules; callers rank once per denoising step and reuse that
-order for advancing, drafting and calibration.  Formulas are
+tie-break rules.  ``verification.advance`` ranks the positions once per
+denoising step and hands that order on, in the step it returns, to
+drafting and calibration.  Formulas are
 state-independent; spawning a graph against a ranking view turns each
 formula that fits into an actual candidate block.
 

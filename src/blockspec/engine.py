@@ -22,13 +22,14 @@ for it yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import BlockState, GenerationConfig, Marginals, SequenceState, UnmaskSchedule, is_integer
-from .drafting import DraftGraphSpec, RankingView, order_positions, order_vocab, spawn_drafts
-from .model import ToyDenoiser, forward_batched
+from .core import BlockState, GenerationConfig, Marginals, SequenceState
+from .drafting import DraftGraphSpec, RankingView, order_vocab, spawn_drafts
+from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
+from .verification import StepRecord
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +92,6 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
     baseline = sum(b.baseline_nfe for b in blocks)
     assert actual > 0
     return baseline / actual
-
-
-def check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
-    """``prompt`` as a tuple of ints, each in 1..vocab_size.  Python and
-    numpy integers are accepted; anything else (a bool, a float, a
-    string) is rejected, not converted."""
-    tokens = tuple(prompt)
-    for t in tokens:
-        if not is_integer(t):
-            raise ValueError("prompt token %r is not an integer" % (t,))
-        if not (1 <= t <= model.vocab_size):
-            raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))
-    return tuple(map(int, tokens))
 
 
 # One model call: the block after it and the token count of every step it took.
@@ -171,34 +159,6 @@ def _decode_blocks(
 # vanilla
 
 
-class StepRecord(NamedTuple):
-    """One vanilla denoising step inside a block (used by calibration); a
-    tuple record, since one is built per step.
-
-    ``ordered`` is the step's position ranking: ``order_positions`` of
-    ``marginals`` over the block before the step.
-    """
-
-    marginals: Marginals
-    ordered: Tuple[int, ...]
-    state_after: BlockState
-    realized: int
-
-
-def vanilla_step(
-    block: BlockState,
-    target: Marginals,
-    schedule: UnmaskSchedule,
-    rank_positions: Callable[[Marginals, BlockState], Tuple[int, ...]] = order_positions,
-) -> StepRecord:
-    """One vanilla denoising step of ``block`` under ``target``, the model's
-    marginals for it: rank the masked positions, then commit the scheduled
-    prefix.  ``rank_positions`` is ``order_positions``, timed or not."""
-    ordered = rank_positions(target, block)
-    after, realized = verification.advance(block, target, ordered, schedule)
-    return StepRecord(target, ordered, after, realized)
-
-
 def vanilla_block_steps(
     model: ToyDenoiser,
     state: SequenceState,
@@ -208,13 +168,13 @@ def vanilla_block_steps(
 ) -> Tuple[SequenceState, List[StepRecord]]:
     """Denoise the active block to completion, one call per step."""
     forward = timed(timer, "model", forward_batched)
-    rank_positions = timed(timer, "ranking", order_positions)
+    advance = timed(timer, "advance", verification.advance)
     schedule = config.schedule
     steps: List[StepRecord] = []
     block = state.active_block
     while not block.is_complete:
         target, _ = forward(model, state, [])
-        step = vanilla_step(block, target, schedule, rank_positions)
+        step = advance(block, target, schedule)
         steps.append(step)
         block = step.state_after
         state = state.with_active_block(block)

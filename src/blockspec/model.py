@@ -24,12 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, validate_sequence
+from .core import MASK, Marginals, SequenceState, is_integer, validate_sequence
 from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
+
+# The largest vocabulary a model may have.  The two bigram count tables
+# and their smoothed probabilities take about 32 * V**2 bytes, 32 MiB at
+# this limit; a corpus id far above it would ask for more memory than
+# the machine has.
+MAX_VOCAB_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,12 @@ def train_from_corpus(
     alpha: float = 0.5,
     lambdas: Tuple[float, float, float] = (0.7, 0.1, 0.2),
 ) -> ToyDenoiser:
-    """Count bigrams/unigrams over ``corpus`` (sequences of ids in 1..V)."""
+    """Count bigrams/unigrams over ``corpus`` (sequences of ids in 1..V).
+
+    ``vocab_size`` is at most ``MAX_VOCAB_SIZE``, checked before anything
+    is allocated."""
+    if vocab_size > MAX_VOCAB_SIZE:
+        raise ValueError("vocab_size %d above the limit of %d" % (vocab_size, MAX_VOCAB_SIZE))
     sequences = [tuple(seq) for seq in corpus]
     if not sequences or all(len(s) == 0 for s in sequences):
         raise ValueError("empty corpus")
@@ -246,6 +257,19 @@ def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> N
         raise ValueError("token %d outside 1..%d" % (bad, model.vocab_size))
 
 
+def check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:
+    """``prompt`` as a tuple of ints, each in 1..vocab_size.  Python and
+    numpy integers are accepted; anything else (a bool, a float, a
+    string) is rejected, not converted."""
+    tokens = tuple(prompt)
+    for t in tokens:
+        if not is_integer(t):
+            raise ValueError("prompt token %r is not an integer" % (t,))
+        if not (1 <= t <= model.vocab_size):
+            raise ValueError("prompt token %d outside 1..%d" % (t, model.vocab_size))
+    return tuple(map(int, tokens))
+
+
 def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_contexts: Sequence[int]) -> np.ndarray:
     """(B, L, V) marginals for B blocks of one length; ``left_contexts[b]``
     is the token before block b (MASK when there is none).
@@ -305,11 +329,10 @@ def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_co
 # corpus files
 
 
-def parse_corpus(
-    text: str, *, source: str = "<corpus>", vocab_size: Optional[int] = None
-) -> List[Tuple[int, ...]]:
+def parse_corpus(text: str, *, source: str = "<corpus>", vocab_size: int = MAX_VOCAB_SIZE) -> List[Tuple[int, ...]]:
     """Whitespace-separated ids, one sequence per line; blank lines skipped.
-    Given ``vocab_size``, ids above it are rejected too."""
+    Ids above ``vocab_size`` are rejected: a prompt file passes its
+    corpus's vocabulary, a corpus keeps the limit a model can hold."""
     sequences = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -322,7 +345,7 @@ def parse_corpus(
         for t in seq:
             if t < 1:
                 raise ValueError("%s:%d: token ids must be >= 1, got %d" % (source, lineno, t))
-            if vocab_size is not None and t > vocab_size:
+            if t > vocab_size:
                 raise ValueError(
                     "%s:%d: token %d outside corpus vocabulary 1..%d" % (source, lineno, t, vocab_size)
                 )

@@ -10,6 +10,10 @@ decoding would have produced, so its marginals are the model's
 distribution for that exact state and can drive the next advance for
 free.  On a miss we simply stop with whatever the target produced:
 output never depends on draft quality, only speed does.
+
+``advance`` is the one denoising step, shared by vanilla decoding,
+verification and calibration: it ranks the block's masked positions
+once and commits the scheduled prefix of that order.
 """
 
 from __future__ import annotations
@@ -22,27 +26,36 @@ from .core import BlockState, Marginals, UnmaskSchedule, unmask
 from .drafting import DraftBlock, order_positions
 
 
-def advance(
-    block: BlockState,
-    marginals: Marginals,
-    ordered: Sequence[int],
-    schedule: UnmaskSchedule,
-) -> Tuple[BlockState, int]:
-    """One denoising step: commit the scheduled prefix of ``ordered``.
+class StepRecord(NamedTuple):
+    """One denoising step; a tuple record, since one is built per step.
 
-    ``ordered`` is ``order_positions(marginals, block)``, ranked once by
-    the caller.  Fixed{s} takes the first min(s, masked) positions;
-    Threshold{p} takes the prefix whose top-1 probability clears p, and
-    at least one position.  Each chosen position commits its argmax token
-    (ties toward the lower id) into one token list, so a step builds one
-    ``BlockState`` however many it commits.  Both schedules commit a
-    prefix, so ``ordered[realized:]`` is the new block's order under
-    ``marginals``.
+    ``ordered`` is the step's position ranking: ``order_positions`` of
+    ``marginals`` over the block before the step.  The step committed
+    ``ordered[:realized]``, so ``ordered[realized:]`` ranks the masked
+    positions of ``state_after`` under ``marginals``.
     """
-    if not ordered:
+
+    marginals: Marginals
+    ordered: Tuple[int, ...]
+    state_after: BlockState
+    realized: int
+
+
+def advance(block: BlockState, marginals: Marginals, schedule: UnmaskSchedule) -> StepRecord:
+    """One denoising step: rank ``block``'s masked positions under
+    ``marginals``, then commit the scheduled prefix of that order.
+
+    Fixed{s} takes the first min(s, masked) positions; Threshold{p} takes
+    the prefix whose top-1 probability clears p, and at least one
+    position.  Each chosen position commits its argmax token (ties toward
+    the lower id) into one token list, so a step builds one
+    ``BlockState`` however many it commits.
+    """
+    if block.is_complete:
         raise ValueError("advance on a fully unmasked block")
     if marginals.block_length != block.length:
         raise ValueError("marginals cover %d positions, block has %d" % (marginals.block_length, block.length))
+    ordered = order_positions(marginals, block)
     if schedule.kind == "fixed":
         count = min(schedule.tokens_per_step, len(ordered))
     else:
@@ -54,7 +67,7 @@ def advance(
     tokens = list(block.tokens)
     for n in ordered[:count]:
         unmask(tokens, n, marginals.argmax_token(n))
-    return BlockState(tuple(tokens)), count
+    return StepRecord(marginals, ordered, BlockState(tuple(tokens)), count)
 
 
 class VerifyOutcome(NamedTuple):
@@ -98,17 +111,15 @@ def verify(
     """
     if len(drafts) != len(draft_rows):
         raise ValueError("drafts and draft_rows length mismatch")
-    ordered = order_positions(target, block)
-    current, s0 = advance(block, target, ordered, schedule)
-    realized: List[int] = [s0]
+    step = advance(block, target, schedule)
+    realized: List[int] = [step.realized]
     accepted: List[int] = []
     adopted: Optional[Marginals] = None
     contents = [draft.tokens for draft in drafts]
-    while not current.is_complete and current.tokens in contents:
-        hit = contents.index(current.tokens)
+    while not step.state_after.is_complete and step.state_after.tokens in contents:
+        hit = contents.index(step.state_after.tokens)
         accepted.append(drafts[hit].level)
         adopted = Marginals(draft_rows[hit])
-        ordered = order_positions(adopted, current)
-        current, s = advance(current, adopted, ordered, schedule)
-        realized.append(s)
-    return VerifyOutcome(current, tuple(accepted), adopted, tuple(realized), ordered[realized[-1]:])
+        step = advance(step.state_after, adopted, schedule)
+        realized.append(step.realized)
+    return VerifyOutcome(step.state_after, tuple(accepted), adopted, tuple(realized), step.ordered[step.realized :])

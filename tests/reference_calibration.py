@@ -12,8 +12,9 @@ from typing import List, Optional, Sequence
 from blockspec.calibration import CalibrationRecord
 from blockspec.core import MASK, GenerationConfig, SequenceState
 from blockspec.drafting import RankingView, order_vocab
-from blockspec.engine import StepRecord, vanilla_block_steps
+from blockspec.engine import vanilla_block_steps
 from blockspec.model import ToyDenoiser
+from blockspec.verification import StepRecord
 
 
 def reference_window_record(

@@ -82,9 +82,9 @@ def reference_verify(
     draft_marginals: Sequence[Marginals],
     schedule: UnmaskSchedule,
 ) -> VerifyOutcome:
-    ordered = order_positions(target, block)
-    current, s0 = advance(block, target, ordered, schedule)
-    realized = [s0]
+    step = advance(block, target, schedule)
+    current = step.state_after
+    realized = [step.realized]
     accepted = []
     adopted = None
     remaining = list(zip(drafts, draft_marginals))
@@ -100,13 +100,13 @@ def reference_verify(
         remaining.remove(hit)
         accepted.append(hit[0].level)
         adopted = hit[1]
-        ordered = order_positions(adopted, current)
-        current, s = advance(current, adopted, ordered, schedule)
-        realized.append(s)
+        step = advance(current, adopted, schedule)
+        current = step.state_after
+        realized.append(step.realized)
     return VerifyOutcome(
         new_block=current,
         accepted_levels=tuple(accepted),
         adopted_marginals=adopted,
         realized_s=tuple(realized),
-        remaining_order=ordered[realized[-1]:],
+        remaining_order=step.ordered[step.realized :],
     )

@@ -318,6 +318,12 @@ class TestBuildTable:
         table = build_table(records, 1, tokens_per_level=2)
         assert [e.count for e in table.entries if e.level == 1] == [4]
 
+    def test_width_of_at_least_the_record_count_keeps_every_candidate(self, model, prompts):
+        records = collect_records(model, prompts, make_config("fixed:1"), 4)
+        every = build_table(records, 4, width=len(records))
+        assert build_table(records, 4, width=10**20) == every
+        assert len(every.entries) > len(build_table(records, 4, width=3).entries)
+
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError, match="width must be >= 1, got 0"):
             build_table([], 1, width=0)
@@ -385,10 +391,18 @@ class TestSelectSubgraph:
         with pytest.raises(ValueError, match="count of 1:1 2:1 is -1; counts must be >= 0"):
             select_subgraph(table, 2, "degree0")
 
-    def test_no_level1_candidates_rejected(self):
-        table = _table([(2, [(1, 1), (2, 1)], 6)], lookahead_max=2)
-        with pytest.raises(ValueError, match="no level-1 candidates"):
-            select_subgraph(table, 2, "degree0")
+    def test_no_level1_candidates_give_the_empty_graph(self):
+        """No draft can enter without a level-1 node, so every strategy
+        returns the empty graph, scored 0, at the requested budget."""
+        tables = (
+            _table([(2, [(1, 1), (2, 1)], 6)], lookahead_max=2),
+            CandidateTable(entries=(), tokens_per_level=2, lookahead_max=3),
+        )
+        for table in tables:
+            for strategy in STRATEGIES:
+                graph, score = select_subgraph(table, 2, strategy)
+                assert (graph.nodes, score) == ((), 0)
+                assert (graph.budget, graph.tokens_per_level) == (2, table.tokens_per_level)
 
     def test_full_chain_wins_under_every_strategy(self):
         table = _table(

@@ -14,7 +14,7 @@ import pytest
 from blockspec import cli, synthetic, verification
 from blockspec.calibration import calibrate_graph, format_records, format_table
 from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule
-from blockspec.drafting import DraftFormula, build_graph, format_graph, order_positions, parse_graph
+from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import format_corpus, train_from_corpus
 from blockspec.verification import VerifyOutcome, advance
@@ -78,6 +78,9 @@ _BAD_FILES = {
     "p15.cfg": (_SCHEDULE_CONFIG % "threshold:1.5").encode(),
     "pnan.cfg": (_SCHEDULE_CONFIG % "threshold:nan").encode(),
     "p0.cfg": (_SCHEDULE_CONFIG % "threshold:0").encode(),
+    # one id past model.MAX_VOCAB_SIZE; a far larger one once allocated
+    # tables until memory ran out
+    "big_corpus.txt": b"1 2\n2 1025 1\n",
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -171,6 +174,40 @@ class TestCalibrate:
             )
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_width_beyond_any_count_keeps_every_candidate(self, files, capsys):
+        """A width too large for islice means "keep every candidate", the
+        same graph and table as a width of the record count."""
+        outputs = []
+        for width in (10**20, 10**5):
+            out, table = files["tmp"] / ("w%d.graph" % width), files["tmp"] / ("w%d.table" % width)
+            code, _, stderr = run(
+                capsys,
+                "calibrate", *setup_args(files),
+                "--lookahead", 4, "--budget", 8, "--width", width, "--out", out, "--table", table,
+            )
+            assert (code, stderr) == (0, "")
+            outputs.append((out.read_bytes(), table.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_schedule_that_commits_whole_blocks_gives_the_empty_graph(self, files, capsys):
+        """Under threshold:0.2 every block completes in one step, so no
+        window commits one level's tokens: calibration writes the empty
+        graph, which check-lossless and bench decode as vanilla."""
+        out = files["tmp"] / "t02.graph"
+        schedule = ["--schedule", "threshold:0.2"]
+        code, stdout, _ = run(
+            capsys, "calibrate", *setup_args(files), *schedule, "--lookahead", 4, "--budget", 8, "--out", out
+        )
+        assert code == 0
+        assert stdout.startswith("calibrated graph: 0 nodes, depth 0, budget 8 (")
+        assert out.read_text() == "D 8\ntokens_per_level 1\n"
+        code, stdout, _ = run(capsys, "check-lossless", *setup_args(files), *schedule, "--graph", out, "--trials", 8)
+        assert code == 0
+        assert stdout == "8 trials, all lossless (schedule threshold:0.2)\n"
+        code, stdout, _ = run(capsys, "bench", *setup_args(files), *schedule, "--graph", out)
+        assert code == 0
+        assert "mean speedup 1.0000 (up to EOT 1.0000), 0 acceptances" in stdout
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +379,9 @@ class TestCheckLossless:
         """Accepting drafts without comparing tokens must exit 1."""
 
         def sloppy_verify(block, target, drafts, draft_rows, schedule):
-            ordered = order_positions(target, block)
-            current, s0 = advance(block, target, ordered, schedule)
-            realized = [s0]
+            step = advance(block, target, schedule)
+            current = step.state_after
+            realized = [step.realized]
             accepted = []
             adopted = None
             remaining = list(range(len(drafts)))
@@ -359,16 +396,15 @@ class TestCheckLossless:
                 remaining.remove(hit)
                 accepted.append(drafts[hit].level)
                 adopted = Marginals(rows=draft_rows[hit])
-                current = BlockState(tokens=drafts[hit].tokens)
-                ordered = order_positions(adopted, current)
-                current, s = advance(current, adopted, ordered, schedule)
-                realized.append(s)
+                step = advance(BlockState(tokens=drafts[hit].tokens), adopted, schedule)
+                current = step.state_after
+                realized.append(step.realized)
             return VerifyOutcome(
                 new_block=current,
                 accepted_levels=tuple(accepted),
                 adopted_marginals=adopted,
                 realized_s=tuple(realized),
-                remaining_order=ordered[realized[-1]:],
+                remaining_order=step.ordered[step.realized :],
             )
 
         monkeypatch.setattr(verification, "verify", sloppy_verify)
@@ -505,6 +541,7 @@ class TestInputValidation:
             (_GENERATE + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
             (_GENERATE + ["--config", "p15.cfg"], "p15.cfg:3: threshold schedule needs 0 < p <= 1, got 1.5"),
             (_GENERATE + ["--index", 99], "--index 99 out of range (8 prompts)"),
+            (_GENERATE + ["--corpus", "big_corpus.txt"], "big_corpus.txt:2: token 1025 outside corpus vocabulary 1..1024"),
             (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
             (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
@@ -535,6 +572,7 @@ class TestInputValidation:
             "generate-malformed-graph",
             "generate-schedule-p",
             "generate-index",
+            "generate-corpus-token-limit",
             "bench-missing",
             "bench-not-utf8",
             "bench-malformed-graph",

@@ -219,9 +219,10 @@ class TestMaterialize:
             m = Marginals(rows=rows)
             view = rank(m, block, 4)
             (made,) = _spawn_one(DraftFormula.of([(1, 1)]), view, block)
-            stepped, realized = advance(block, m, view.ordered_positions, UnmaskSchedule.fixed(1))
-            assert realized == 1
-            assert made.tokens == stepped.tokens
+            step = advance(block, m, UnmaskSchedule.fixed(1))
+            assert step.ordered == view.ordered_positions
+            assert step.realized == 1
+            assert made.tokens == step.state_after.tokens
 
     def test_draft_unmasks_one_slot_per_pair(self):
         m = _marginals([[0.2], [0.9], [0.5]])

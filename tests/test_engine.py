@@ -364,7 +364,7 @@ class TestSummaries:
         assert generate_vanilla(model, (2, 2), config).report.stage_seconds == {}
         assert generate_speculative(model, (2, 2), config, _chain_graph()).report.stage_seconds == {}
         vanilla = generate_vanilla(model, (2, 2), config, timer=StageTimer()).report
-        assert set(vanilla.stage_seconds) == {"model", "ranking"}
+        assert set(vanilla.stage_seconds) == {"model", "advance"}
         spec = generate_speculative(model, (2, 2), config, _chain_graph(), timer=StageTimer()).report
         assert set(spec.stage_seconds) == {"model", "ranking", "drafting", "verify"}
 

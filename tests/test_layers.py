@@ -1,0 +1,59 @@
+"""The package is layered: each module imports only modules below it.
+
+core < model < drafting < verification < {engine, calibration} < cli,
+and a module imports no other module of its own rank, so calibration
+replays decoding steps without importing the decoders.  ``batch`` and
+``timing`` import no other module of the package and may be imported
+from any layer; ``synthetic`` imports only ``core``.  The package's
+``__init__`` gathers the public names and is not part of the order.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import blockspec
+
+PACKAGE = Path(blockspec.__file__).resolve().parent
+LAYERS = (("core",), ("model",), ("drafting",), ("verification",), ("engine", "calibration"), ("cli",))
+LEAVES = ("batch", "timing")
+
+
+def _allowed():
+    allowed = {leaf: set() for leaf in LEAVES}
+    allowed["synthetic"] = {"core"}
+    below = set(LEAVES)
+    for layer in LAYERS:
+        for name in layer:
+            allowed[name] = set(below)
+        below.update(layer)
+    return allowed
+
+
+ALLOWED = _allowed()
+
+
+def package_imports(name):
+    """The package modules that module ``name`` imports, relatively or by
+    the package's own name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / (name + ".py")).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "blockspec":
+            parts = node.module.split(".")
+            found.update(parts[1:2] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("blockspec."))
+    return found
+
+
+def test_every_module_has_a_place():
+    assert {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED))
+def test_module_imports_only_lower_layers(name):
+    imported = package_imports(name)
+    assert imported <= ALLOWED[name], "%s imports %s" % (name, sorted(imported - ALLOWED[name]))

@@ -22,6 +22,7 @@ from scalar_forward import scalar_forward_batched
 from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
 from blockspec.model import (
+    MAX_VOCAB_SIZE,
     ToyDenoiser,
     forward,
     forward_batched,
@@ -69,6 +70,20 @@ class TestTrainFromCorpus:
     def test_out_of_range_token_named(self):
         with pytest.raises(ValueError, match="7"):
             train_from_corpus([(1, 7)], 4)
+
+    def test_vocabulary_limit(self):
+        """The limit itself trains; one past it is refused before the
+        corpus is even read, so nothing is allocated for it."""
+        m = train_from_corpus([(1, MAX_VOCAB_SIZE)], MAX_VOCAB_SIZE)
+        assert m.bigram_left.shape == (MAX_VOCAB_SIZE + 1, MAX_VOCAB_SIZE)
+        assert m.bigram_left[1, MAX_VOCAB_SIZE - 1] == 1
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("corpus read before the vocabulary check")
+
+        with pytest.raises(ValueError, match="^vocab_size 1025 above the limit of 1024$"):
+            train_from_corpus(Unread(), MAX_VOCAB_SIZE + 1)
 
     def test_lambda_sum_checked(self):
         with pytest.raises(ValueError, match="mixture weights"):
@@ -663,6 +678,11 @@ class TestModelFiles:
     def test_corpus_rejects_nonpositive_ids(self):
         with pytest.raises(ValueError, match=">= 1"):
             parse_corpus("1 0 2\n")
+
+    def test_corpus_ids_stop_at_the_vocabulary_limit(self):
+        assert parse_corpus("1 %d\n" % MAX_VOCAB_SIZE) == [(1, MAX_VOCAB_SIZE)]
+        with pytest.raises(ValueError, match="^c.txt:3: token 1025 outside corpus vocabulary 1..1024$"):
+            parse_corpus("1 2\n\n%d 1\n" % (MAX_VOCAB_SIZE + 1), source="c.txt")
 
     def test_corpus_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

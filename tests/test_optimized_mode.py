@@ -2,8 +2,9 @@
 tests that expect a rejection would pass bad input through instead.
 The lossless properties run here too, since losslessness must not lean
 on an assert either, and so do the ranking properties calibration leans
-on and the corpus generator's checks, and the nine acceptance criteria,
-which are the project's fixed point."""
+on and the corpus generator's checks, the nine acceptance criteria,
+which are the project's fixed point, and the layering and rank-once
+checks."""
 
 import subprocess
 import sys
@@ -26,6 +27,8 @@ def test_input_check_tests_pass_under_python_O(child_env):
         "tests/test_lossless_properties.py",
         "tests/test_ranking_properties.py",
         "tests/test_synthetic.py",
+        "tests/test_layers.py",
+        "tests/test_rank_once.py",
     ]
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],

@@ -89,7 +89,7 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
     drafts, draft_rows = [], []
     state, m = block, target
     while True:
-        state, _ = advance(state, m, order_positions(m, state), schedule)
+        state = advance(state, m, schedule).state_after
         if state.is_complete:
             break
         m = data.draw(marginals(length, vocab))

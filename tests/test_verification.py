@@ -22,10 +22,6 @@ def _marginals(rows, vocab=4):
     return Marginals(rows=out)
 
 
-def _advance(block, m, schedule):
-    return advance(block, m, order_positions(m, block), schedule)
-
-
 def _draft(tokens, level=1):
     return DraftBlock(tokens=tokens, formula=DraftFormula.of([(1, 1)]), level=level)
 
@@ -44,46 +40,49 @@ class TestAdvance:
     def test_fixed1_takes_top_position_argmax_token(self):
         m = _marginals([[0.2, 0.0, 0.0], [0.1, 0.8, 0.1], [0.5, 0.0, 0.0]])
         block = BlockState.masked(3)
-        out, realized = _advance(block, m, UnmaskSchedule.fixed(1))
-        assert realized == 1
-        assert out.tokens == (0, 2, 0)
+        step = advance(block, m, UnmaskSchedule.fixed(1))
+        assert step.realized == 1
+        assert step.state_after.tokens == (0, 2, 0)
+        # the step carries the ranking it committed a prefix of
+        assert step.ordered == (1, 2, 0)
+        assert step.marginals is m
 
     def test_fixed_clamps_to_masked_count(self):
         m = _marginals([[0.9], [0.0], [0.8]])
         block = BlockState(tokens=(0, 5, 0))
-        out, realized = _advance(block, m, UnmaskSchedule.fixed(4))
-        assert realized == 2
-        assert out.is_complete
+        step = advance(block, m, UnmaskSchedule.fixed(4))
+        assert step.realized == 2
+        assert step.state_after.is_complete
 
     def test_threshold_takes_all_clearing_positions(self):
         m = _marginals([[0.95], [0.91], [0.5]])
-        out, realized = _advance(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
-        assert realized == 2
-        assert out.tokens == (1, 1, 0)
+        step = advance(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
+        assert step.realized == 2
+        assert step.state_after.tokens == (1, 1, 0)
 
     def test_threshold_floor_of_one(self):
         m = _marginals([[0.5], [0.4]])
-        out, realized = _advance(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
-        assert realized == 1
-        assert out.tokens == (1, 0)
+        step = advance(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
+        assert step.realized == 1
+        assert step.state_after.tokens == (1, 0)
 
     def test_position_and_token_ties_break_low(self):
         m = _marginals([[0.0, 0.4, 0.4], [0.4, 0.4, 0.0]])
-        out, _ = _advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
+        step = advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
         # equal top-1 probs: position 0 wins; equal probs inside the row:
         # lower token id wins
-        assert out.tokens == (2, 0)
+        assert step.state_after.tokens == (2, 0)
 
     def test_complete_block_is_error(self):
         m = _marginals([[1.0]])
         with pytest.raises(ValueError, match="fully unmasked"):
-            advance(BlockState(tokens=(3,)), m, (), UnmaskSchedule.fixed(1))
+            advance(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
 
     def test_marginals_must_cover_the_block(self):
         """Three rows for a two-slot block are refused, not read in part."""
         m = _marginals([[0.9], [0.5], [0.1]])
         with pytest.raises(ValueError, match="^marginals cover 3 positions, block has 2$"):
-            advance(BlockState.masked(2), m, (0, 1), UnmaskSchedule.fixed(1))
+            advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
 
 
 @st.composite
@@ -119,20 +118,21 @@ def test_advance_equals_committing_the_prefix_one_token_at_a_time(case):
     want = block
     for n in ordered[:count]:
         want = want.with_token(n, m.argmax_token(n))
-    assert advance(block, m, ordered, schedule) == (want, count)
+    step = advance(block, m, schedule)
+    assert step.marginals is m
+    assert (step.ordered, step.state_after, step.realized) == (ordered, want, count)
 
 
 @pytest.mark.parametrize("schedule", [UnmaskSchedule.fixed(s) for s in (1, 3, 8)] + [UnmaskSchedule.at_threshold(0.1)])
 def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypatch, schedule):
     m = _marginals([[0.5, 0.5]] * 8)
     block = BlockState.masked(8)
-    ordered = order_positions(m, block)
     built = []
     check = BlockState.__post_init__
     monkeypatch.setattr(BlockState, "__post_init__", lambda self: (built.append(self), check(self)))
-    out, realized = advance(block, m, ordered, schedule)
-    assert realized == min(schedule.tokens_per_step or 8, 8)
-    assert built == [out]
+    step = advance(block, m, schedule)
+    assert step.realized == min(schedule.tokens_per_step or 8, 8)
+    assert built == [step.state_after]
 
 
 # ---------------------------------------------------------------------------
