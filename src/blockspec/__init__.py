@@ -22,7 +22,7 @@ from .drafting import (
     rank,
     spawn_drafts,
 )
-from .verification import VerifyOutcome, advance, verify
+from .verification import StepRecord, advance, verify
 from .calibration import (
     CalibrationRecord,
     CandidateTable,
@@ -68,7 +68,7 @@ __all__ = [
     "export_dot",
     "advance",
     "verify",
-    "VerifyOutcome",
+    "StepRecord",
     "CalibrationRecord",
     "CandidateTable",
     "collect_records",

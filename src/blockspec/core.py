@@ -15,6 +15,12 @@ import numpy as np
 
 MASK = 0
 
+# The longest generation a config may ask for, W (and so L, which divides
+# it).  Every block state holds L token slots and every model call scores
+# L x V marginals, so a far larger W or L allocates until memory runs
+# out.
+MAX_TOTAL_LENGTH = 65536
+
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer.  A bool is not: an
@@ -269,10 +275,10 @@ class UnmaskSchedule:
 class GenerationConfig:
     """Static knobs for one generation run.
 
-    W must divide into N = W / L blocks exactly.  ``top_k_vocab`` bounds
-    the vocabulary rank any draft formula may address; ``eot_token`` is
-    the id whose first occurrence marks the useful prefix for up-to-EOT
-    accounting.
+    W must divide into N = W / L blocks exactly and is at most
+    ``MAX_TOTAL_LENGTH``.  ``top_k_vocab`` bounds the vocabulary rank any
+    draft formula may address; ``eot_token`` is the id whose first
+    occurrence marks the useful prefix for up-to-EOT accounting.
     """
 
     total_length: int
@@ -287,6 +293,8 @@ class GenerationConfig:
                 "total length and block length must be >= 1, got %d and %d"
                 % (self.total_length, self.block_length)
             )
+        if self.total_length > MAX_TOTAL_LENGTH:
+            raise ValueError("total length %d above the limit of %d" % (self.total_length, MAX_TOTAL_LENGTH))
         if self.total_length % self.block_length != 0:
             raise ValueError(
                 "total length %d not divisible by block length %d"

@@ -8,15 +8,18 @@ call can commit several steps.  Outputs are identical by construction;
 only the number of function evaluations (NFEs) differs, and since both
 take the same steps, the steps a run took count its vanilla NFEs.
 
-Drafts for a call are ranked from the most recent distribution in hand:
-the marginals adopted from the last accepted draft, or the previous
-fresh target otherwise.  Either way that source is one step behind the
-committed state; a draft is accepted exactly when the continuation it
-guessed from the older distribution is what the fresh target realizes.
-The position order comes with it: it is the suffix that verification's
-last advance left uncommitted, so only the vocabulary is ranked here.
-Each block opens with a draft-free call since no distribution exists
-for it yet.
+Drafts for a call are ranked from the last step of the previous call:
+its marginals (the fresh target's, or the last accepted draft's) over
+its remaining order, the masked positions that step ranked but left
+uncommitted.  So only the vocabulary is ranked here.  That distribution
+is one step behind the committed state; a draft is accepted exactly
+when the continuation it guessed from it is what the fresh target
+realizes.  Each block opens with a draft-free call since no
+distribution exists for it yet.
+
+A call's record is the tuple of steps it took: ``(step,)`` for vanilla,
+``verify``'s steps for speculative.  Every report field and the trace
+are read off those records.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import BlockState, GenerationConfig, Marginals, SequenceState
+from .core import BlockState, GenerationConfig, SequenceState
 from .drafting import DraftGraphSpec, RankingView, order_vocab, spawn_drafts
 from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
@@ -94,22 +97,19 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
     return baseline / actual
 
 
-# One model call: the block after it and the token count of every step it took.
-CallRecord = Tuple[BlockState, Tuple[int, ...]]
-
-
 def _decode_blocks(
     prompt: Tuple[int, ...],
     config: GenerationConfig,
-    denoise_block: Callable[[SequenceState], Tuple[SequenceState, List[CallRecord]]],
+    denoise_block: Callable[[SequenceState], Tuple[SequenceState, List[Tuple[StepRecord, ...]]]],
     record_trace: bool,
     baseline: Optional[RunReport],
     timer: Optional[StageTimer],
 ) -> GenerationResult:
     """The block loop both decoders share.
 
-    ``denoise_block`` completes the active block and returns one record
-    per model call; every report field and the trace come from those.
+    ``denoise_block`` completes the active block and returns, per model
+    call, the steps that call took; every report field and the trace
+    come from those.
     """
     if baseline is not None and len(baseline.per_block) != config.num_blocks:
         raise ValueError(
@@ -121,9 +121,9 @@ def _decode_blocks(
     eot_block: Optional[int] = None
     for k in range(config.num_blocks):
         state, calls = denoise_block(state)
-        realized = tuple(s for _, steps in calls for s in steps)
+        realized = tuple(step.realized for steps in calls for step in steps)
         if record_trace:
-            trace.extend((k, block) for block, _ in calls)
+            trace.extend((k, steps[-1].state_after) for steps in calls)
         per_block.append(
             PerBlockStats(
                 index=k,
@@ -194,9 +194,9 @@ def generate_vanilla(
     Stage times go to ``timer`` when one is given."""
     prompt = check_prompt(model, prompt)
 
-    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
+    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[Tuple[StepRecord, ...]]]:
         state, steps = vanilla_block_steps(model, state, config, timer=timer)
-        return state, [(s.state_after, (s.realized,)) for s in steps]
+        return state, [(step,) for step in steps]
 
     return _decode_blocks(prompt, config, denoise_block, record_trace, None, timer)
 
@@ -237,24 +237,20 @@ def generate_speculative(
     forward = timed(timer, "model", forward_batched)
     verify = timed(timer, "verify", verification.verify)
 
-    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[CallRecord]]:
-        calls: List[CallRecord] = []
-        rank_source: Optional[Marginals] = None
-        positions: Tuple[int, ...] = ()
+    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[Tuple[StepRecord, ...]]]:
+        calls: List[Tuple[StepRecord, ...]] = []
         block = state.active_block
         while not block.is_complete:
-            if rank_source is None or graph.num_nodes == 0:
-                drafts = []
-            else:
-                vocab = rank_vocab(rank_source, positions, config.top_k_vocab)
-                drafts = spawn(graph, RankingView(positions, vocab), block)
-            target, draft_rows = forward(model, state, [d.tokens for d in drafts])
-            outcome = verify(block, target, drafts, draft_rows, config.schedule)
-            block = outcome.new_block
+            drafts: List[Tuple[int, ...]] = []
+            if calls and graph.num_nodes:
+                last = calls[-1][-1]
+                positions = last.ordered[last.realized :]
+                vocab = rank_vocab(last.marginals, positions, config.top_k_vocab)
+                drafts = [d.tokens for d in spawn(graph, RankingView(positions, vocab), block)]
+            target, draft_rows = forward(model, state, drafts)
+            calls.append(verify(block, target, drafts, draft_rows, config.schedule))
+            block = calls[-1][-1].state_after
             state = state.with_active_block(block)
-            calls.append((block, outcome.realized_s))
-            rank_source = outcome.adopted_marginals if outcome.adopted_marginals is not None else target
-            positions = outcome.remaining_order
         return state, calls
 
     return _decode_blocks(prompt, config, denoise_block, record_trace, baseline, timer)

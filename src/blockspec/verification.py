@@ -11,6 +11,12 @@ distribution for that exact state and can drive the next advance for
 free.  On a miss we simply stop with whatever the target produced:
 output never depends on draft quality, only speed does.
 
+``verify`` returns the steps it took, one ``StepRecord`` each, the
+record vanilla decoding builds for its one step per call: the first
+from the target, each later one from an accepted draft's rows.  The
+last step holds the block after the call, and its marginals and
+uncommitted order are what the engine ranks the next drafts from.
+
 ``advance`` is the one denoising step, shared by vanilla decoding,
 verification and calibration: it ranks the block's masked positions
 once and commits the scheduled prefix of that order.
@@ -18,12 +24,12 @@ once and commits the scheduled prefix of that order.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .core import BlockState, Marginals, UnmaskSchedule, unmask
-from .drafting import DraftBlock, order_positions
+from .drafting import order_positions
 
 
 class StepRecord(NamedTuple):
@@ -70,56 +76,32 @@ def advance(block: BlockState, marginals: Marginals, schedule: UnmaskSchedule) -
     return StepRecord(marginals, ordered, BlockState(tuple(tokens)), count)
 
 
-class VerifyOutcome(NamedTuple):
-    """Result of one verify call; a tuple record, since one is built per
-    speculative model call.
-
-    ``adopted_marginals`` is the last accepted draft's distribution
-    (None when the single advance came straight from the fresh target);
-    the engine uses it as the ranking source for the next round of
-    drafts.  ``realized_s`` logs the token count of every step taken.
-    ``remaining_order`` is ``new_block``'s masked positions ranked under
-    the marginals of the last advance: the suffix that advance left
-    uncommitted, and empty once the block is complete.
-    """
-
-    new_block: BlockState
-    accepted_levels: Tuple[int, ...]
-    adopted_marginals: Optional[Marginals]
-    realized_s: Tuple[int, ...]
-    remaining_order: Tuple[int, ...]
-
-
 def verify(
     block: BlockState,
     target: Marginals,
-    drafts: Sequence[DraftBlock],
+    drafts: Sequence[Tuple[int, ...]],
     draft_rows: np.ndarray,
     schedule: UnmaskSchedule,
-) -> VerifyOutcome:
-    """Advance once with ``target``, then chain through matching drafts.
+) -> Tuple[StepRecord, ...]:
+    """The steps one model call takes: advance once with ``target``, then
+    once more from each accepted draft's rows.
 
-    ``draft_rows[d]`` is the (L, V) marginals of ``drafts[d]``, as
-    ``forward_batched`` returns them.  After every advance the new state's
-    tokens are looked up among the drafts' tokens; a hit is accepted and
-    its rows drive the next advance.  Equal tokens mean an equal
-    unmasked count, so a threshold step that jumps past a draft's count
-    simply never finds it.  When two drafts have the same tokens the
-    first in scan order wins.  A state never repeats within a call (each
-    advance commits at least one slot), so no draft can be accepted
-    twice.  Only the adopted draft's rows become a ``Marginals``.
+    ``drafts`` are the token tuples ``forward_batched`` scored and
+    ``draft_rows[d]`` is the (L, V) marginals of ``drafts[d]``.  After
+    every advance the new state's tokens are looked up among the drafts;
+    a hit is accepted and its rows drive the next advance.  Equal tokens
+    mean an equal unmasked count, so a threshold step that jumps past a
+    draft's count simply never finds it.  When two drafts have the same
+    tokens the first in scan order wins.  A state never repeats within a
+    call (each advance commits at least one slot), so no draft can be
+    accepted twice.  Only an accepted draft's rows become a
+    ``Marginals``.
     """
     if len(drafts) != len(draft_rows):
         raise ValueError("drafts and draft_rows length mismatch")
-    step = advance(block, target, schedule)
-    realized: List[int] = [step.realized]
-    accepted: List[int] = []
-    adopted: Optional[Marginals] = None
-    contents = [draft.tokens for draft in drafts]
-    while not step.state_after.is_complete and step.state_after.tokens in contents:
-        hit = contents.index(step.state_after.tokens)
-        accepted.append(drafts[hit].level)
-        adopted = Marginals(draft_rows[hit])
-        step = advance(step.state_after, adopted, schedule)
-        realized.append(step.realized)
-    return VerifyOutcome(step.state_after, tuple(accepted), adopted, tuple(realized), step.ordered[step.realized :])
+    steps = [advance(block, target, schedule)]
+    state = steps[-1].state_after
+    while not state.is_complete and state.tokens in drafts:
+        steps.append(advance(state, Marginals(draft_rows[drafts.index(state.tokens)]), schedule))
+        state = steps[-1].state_after
+    return tuple(steps)

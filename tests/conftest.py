@@ -10,6 +10,7 @@ import blockspec
 from blockspec import engine, synthetic
 from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
 from blockspec.model import train_from_corpus
+from blockspec.verification import StepRecord
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +72,8 @@ def scripted_report(nfes, block_length, eot_block):
     def denoise_block(state):
         n = nfes[state.active]
         block = BlockState((eot if state.active == eot_block else 1,) * block_length)
-        calls = [(block, (1,) * (block_length - n + 1))] + [(block, (1,))] * (n - 1)
+        step = StepRecord(marginals=None, ordered=(), state_after=block, realized=1)
+        calls = [(step,) * (block_length - n + 1)] + [(step,)] * (n - 1)
         return state.with_active_block(block), calls
 
     return engine._decode_blocks((1,), config, denoise_block, False, None, None).report

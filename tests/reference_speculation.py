@@ -7,7 +7,7 @@ argsorts one position at a time, each graph node is materialized into a
 every draft carries a step tag (its cumulative unmasked count), and
 verify scans the remaining drafts in order for one whose step tag and
 tokens both match, with one ``Marginals`` per draft.  Tests compare the
-new functions against it draft for draft and outcome for outcome.
+new functions against it draft for draft and step for step.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from blockspec.core import BlockState, Marginals, UnmaskSchedule, unmask
 from blockspec.drafting import DraftFormula, DraftGraphSpec, RankingView, order_positions
-from blockspec.verification import VerifyOutcome, advance
+from blockspec.verification import StepRecord, advance
 
 
 def reference_order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -81,12 +81,9 @@ def reference_verify(
     drafts: Sequence[ReferenceDraft],
     draft_marginals: Sequence[Marginals],
     schedule: UnmaskSchedule,
-) -> VerifyOutcome:
-    step = advance(block, target, schedule)
-    current = step.state_after
-    realized = [step.realized]
-    accepted = []
-    adopted = None
+) -> Tuple[StepRecord, ...]:
+    steps = [advance(block, target, schedule)]
+    current = steps[-1].state_after
     remaining = list(zip(drafts, draft_marginals))
     while not current.is_complete:
         hit = None
@@ -98,15 +95,6 @@ def reference_verify(
         if hit is None:
             break
         remaining.remove(hit)
-        accepted.append(hit[0].level)
-        adopted = hit[1]
-        step = advance(current, adopted, schedule)
-        current = step.state_after
-        realized.append(step.realized)
-    return VerifyOutcome(
-        new_block=current,
-        accepted_levels=tuple(accepted),
-        adopted_marginals=adopted,
-        realized_s=tuple(realized),
-        remaining_order=step.ordered[step.realized :],
-    )
+        steps.append(advance(current, hit[1], schedule))
+        current = steps[-1].state_after
+    return tuple(steps)

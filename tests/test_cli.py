@@ -17,7 +17,7 @@ from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedu
 from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import format_corpus, train_from_corpus
-from blockspec.verification import VerifyOutcome, advance
+from blockspec.verification import advance
 
 
 @pytest.fixture()
@@ -81,6 +81,9 @@ _BAD_FILES = {
     # one id past model.MAX_VOCAB_SIZE; a far larger one once allocated
     # tables until memory ran out
     "big_corpus.txt": b"1 2\n2 1025 1\n",
+    # W far past core.MAX_TOTAL_LENGTH once allocated masked blocks until
+    # memory ran out
+    "long.cfg": b"W = 1000000000000000\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -379,33 +382,21 @@ class TestCheckLossless:
         """Accepting drafts without comparing tokens must exit 1."""
 
         def sloppy_verify(block, target, drafts, draft_rows, schedule):
-            step = advance(block, target, schedule)
-            current = step.state_after
-            realized = [step.realized]
-            accepted = []
-            adopted = None
+            steps = [advance(block, target, schedule)]
+            current = steps[-1].state_after
             remaining = list(range(len(drafts)))
             while not current.is_complete:
                 hit = None
                 for index in remaining:
-                    if BlockState(tokens=drafts[index].tokens).unmasked_count == current.unmasked_count:
+                    if BlockState(tokens=drafts[index]).unmasked_count == current.unmasked_count:
                         hit = index
                         break
                 if hit is None:
                     break
                 remaining.remove(hit)
-                accepted.append(drafts[hit].level)
-                adopted = Marginals(rows=draft_rows[hit])
-                step = advance(BlockState(tokens=drafts[hit].tokens), adopted, schedule)
-                current = step.state_after
-                realized.append(step.realized)
-            return VerifyOutcome(
-                new_block=current,
-                accepted_levels=tuple(accepted),
-                adopted_marginals=adopted,
-                realized_s=tuple(realized),
-                remaining_order=step.ordered[step.realized :],
-            )
+                steps.append(advance(BlockState(tokens=drafts[hit]), Marginals(rows=draft_rows[hit]), schedule))
+                current = steps[-1].state_after
+            return tuple(steps)
 
         monkeypatch.setattr(verification, "verify", sloppy_verify)
         code, stdout, _ = run(
@@ -542,6 +533,7 @@ class TestInputValidation:
             (_GENERATE + ["--config", "p15.cfg"], "p15.cfg:3: threshold schedule needs 0 < p <= 1, got 1.5"),
             (_GENERATE + ["--index", 99], "--index 99 out of range (8 prompts)"),
             (_GENERATE + ["--corpus", "big_corpus.txt"], "big_corpus.txt:2: token 1025 outside corpus vocabulary 1..1024"),
+            (_GENERATE + ["--config", "long.cfg"], "long.cfg: total length 1000000000000000 above the limit of 65536"),
             (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
             (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
@@ -573,6 +565,7 @@ class TestInputValidation:
             "generate-schedule-p",
             "generate-index",
             "generate-corpus-token-limit",
+            "generate-total-length-limit",
             "bench-missing",
             "bench-not-utf8",
             "bench-malformed-graph",

@@ -6,6 +6,7 @@ import pytest
 
 from blockspec.core import (
     MASK,
+    MAX_TOTAL_LENGTH,
     BlockState,
     GenerationConfig,
     Marginals,
@@ -199,6 +200,17 @@ class TestGenerationConfig:
             GenerationConfig(total_length=8, block_length=4, schedule=UnmaskSchedule.fixed(1), top_k_vocab=0)
         with pytest.raises(ValueError, match="must be >= 1, got 0 and 4"):
             GenerationConfig(total_length=0, block_length=4, schedule=UnmaskSchedule.fixed(1))
+
+    def test_total_length_is_capped(self):
+        """W up to MAX_TOTAL_LENGTH is accepted; one more is refused before
+        any block is allocated.  L divides W, so L is capped too."""
+        at_limit = GenerationConfig(
+            total_length=MAX_TOTAL_LENGTH, block_length=MAX_TOTAL_LENGTH, schedule=UnmaskSchedule.fixed(1)
+        )
+        assert at_limit.num_blocks == 1
+        message = "^total length %d above the limit of %d$" % (MAX_TOTAL_LENGTH + 1, MAX_TOTAL_LENGTH)
+        with pytest.raises(ValueError, match=message):
+            GenerationConfig(total_length=MAX_TOTAL_LENGTH + 1, block_length=1, schedule=UnmaskSchedule.fixed(1))
 
     def test_eot_cannot_be_mask(self):
         with pytest.raises(ValueError, match="eot_token cannot be MASK"):

@@ -388,49 +388,95 @@ class TestSpawnProperty:
     @given(spawn_cases(), st.data())
     def test_spawn_and_verify_match_the_reference(self, case, data):
         """Same drafts in the same order, and the same verify outcome, as
-        the materialize-based reference.  The target is often the ranking
-        source itself, so level-1 drafts match; each draft's rows are the
-        source again or fresh draws, so chains continue or stop; and some
-        drafts are appended again with other rows, so the first of equal
-        drafts must win."""
+        the materialize-based reference: the final block, the accepted
+        levels, the adopted rows, the realized counts and the remaining
+        order all agree, read off the two step chains alike."""
         graph, marginals, block, top_k = case
         drafts = spawn_drafts(graph, rank(marginals, block, top_k), block)
         want = reference_spawn_drafts(graph, reference_rank(marginals, block, top_k), block)
         assert [tuple(d) for d in drafts] == [(w.block.tokens, w.formula, w.level) for w in want]
 
-        length, vocab = marginals.rows.shape
-
-        def rows():
-            if data.draw(st.integers(0, 2)) < 2:
-                return marginals.rows
-            seed = data.draw(st.integers(0, 2**16))
-            return np.random.default_rng(seed).choice((0.0, 0.25, 0.5), size=(length, vocab))
-
-        target = Marginals(rows=rows())
-        picks = list(range(len(drafts)))
-        if drafts:
-            picks += data.draw(st.lists(st.integers(0, len(drafts) - 1), max_size=3))
-        draft_rows = np.array([rows() for _ in picks]).reshape(len(picks), length, vocab)
-        schedule = data.draw(
-            st.one_of(
-                st.just(UnmaskSchedule.fixed(graph.tokens_per_level)),
-                st.integers(1, 3).map(UnmaskSchedule.fixed),
-                st.sampled_from((0.25, 0.5, 1.0)).map(UnmaskSchedule.at_threshold),
-            )
-        )
-
-        out = verify(block, target, [drafts[k] for k in picks], draft_rows, schedule)
+        picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
+        out = verify(block, target, [drafts[k].tokens for k in picks], draft_rows, schedule)
         ref = reference_verify(
             block, target, [want[k] for k in picks], [Marginals(rows=r) for r in draft_rows], schedule
         )
-        assert out.new_block == ref.new_block
-        assert out.accepted_levels == ref.accepted_levels
-        assert out.realized_s == ref.realized_s
-        assert out.remaining_order == ref.remaining_order
-        if ref.adopted_marginals is None:
-            assert out.adopted_marginals is None
-        else:
-            assert out.adopted_marginals.rows.tobytes() == ref.adopted_marginals.rows.tobytes()
+        levels = {d.tokens: d.level for d in drafts}
+        assert _outcome(out, levels) == _outcome(ref, levels)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(spawn_cases(), st.data())
+    def test_verify_returns_the_steps_it_took(self, case, data):
+        """The first step is the target's advance; each later one starts
+        from the state before it, which is exactly one spawned draft, and
+        runs on the rows of the first scored copy of that draft; the chain
+        stops on a complete block or a state no draft matches, and its
+        realized counts sum to the slots it unmasked."""
+        graph, marginals, block, top_k = case
+        drafts = [d.tokens for d in spawn_drafts(graph, rank(marginals, block, top_k), block)]
+        picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
+        scored = [drafts[k] for k in picks]
+        steps = verify(block, target, scored, draft_rows, schedule)
+
+        def taken(step):  # the step's fields but its marginals, which hold an array
+            return step.ordered, step.state_after, step.realized
+
+        assert steps[0].marginals is target
+        assert taken(steps[0]) == taken(advance(block, target, schedule))
+        for before, step in zip(steps, steps[1:]):
+            state = before.state_after
+            assert drafts.count(state.tokens) == 1
+            rows = draft_rows[scored.index(state.tokens)]
+            assert step.marginals.rows.tobytes() == rows.tobytes()
+            assert taken(step) == taken(advance(state, step.marginals, schedule))
+        last = steps[-1].state_after
+        assert last.is_complete or last.tokens not in scored
+        assert sum(step.realized for step in steps) == last.unmasked_count - block.unmasked_count
+
+
+def _verify_inputs(graph, marginals, num_drafts, data):
+    """What one model call hands verify: the indices of the spawned drafts
+    it scored, the target, the drafts' rows and a fixed or threshold
+    schedule.  The target is often the ranking source itself, so level-1
+    drafts match; each draft's rows are the source again or fresh draws,
+    so chains continue or stop; and some drafts are scored again with
+    other rows, so the first of equal drafts must win."""
+    length, vocab = marginals.rows.shape
+
+    def rows():
+        if data.draw(st.integers(0, 2)) < 2:
+            return marginals.rows
+        seed = data.draw(st.integers(0, 2**16))
+        return np.random.default_rng(seed).choice((0.0, 0.25, 0.5), size=(length, vocab))
+
+    target = Marginals(rows=rows())
+    picks = list(range(num_drafts))
+    if num_drafts:
+        picks += data.draw(st.lists(st.integers(0, num_drafts - 1), max_size=3))
+    draft_rows = np.array([rows() for _ in picks]).reshape(len(picks), length, vocab)
+    schedule = data.draw(
+        st.one_of(
+            st.just(UnmaskSchedule.fixed(graph.tokens_per_level)),
+            st.integers(1, 3).map(UnmaskSchedule.fixed),
+            st.sampled_from((0.25, 0.5, 1.0)).map(UnmaskSchedule.at_threshold),
+        )
+    )
+    return picks, target, draft_rows, schedule
+
+
+def _outcome(steps, levels):
+    """One verify call's outcome, read off its steps: the final block, the
+    levels of the accepted drafts (looked up by their tokens), the
+    adopted draft's rows (None when no draft was accepted), the realized
+    counts and the order the last step left uncommitted."""
+    last = steps[-1]
+    return (
+        last.state_after,
+        tuple(levels[step.state_after.tokens] for step in steps[:-1]),
+        last.marginals.rows.tobytes() if len(steps) > 1 else None,
+        tuple(step.realized for step in steps),
+        last.ordered[last.realized :],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -57,3 +57,11 @@ def test_every_module_has_a_place():
 def test_module_imports_only_lower_layers(name):
     imported = package_imports(name)
     assert imported <= ALLOWED[name], "%s imports %s" % (name, sorted(imported - ALLOWED[name]))
+
+
+def test_star_import_resolves_every_public_name():
+    """Every name in ``__all__`` exists, so removing a type cannot leave
+    a stale export behind."""
+    namespace = {}
+    exec("from blockspec import *", namespace)  # a stale name raises here
+    assert set(blockspec.__all__) <= set(namespace)

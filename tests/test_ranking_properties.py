@@ -4,8 +4,9 @@ Marginals are drawn from a handful of probability levels, so equal top-1
 values across positions and equal entries inside a row are common: the
 tie-break rules, not the values, decide most of the orders checked here.
 The last property is the suffix identity the decoders rely on: the order
-``verify`` hands on for drafting is exactly a fresh ranking of the block
-it produced, under the marginals of its last advance.
+the last step of ``verify`` leaves uncommitted, which the engine drafts
+over, is exactly a fresh ranking of the block it produced, under that
+step's marginals.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
-from blockspec.drafting import DraftBlock, DraftFormula, order_positions, order_vocab
+from blockspec.drafting import order_positions, order_vocab
 from blockspec.verification import advance, verify
 
 LEVELS = (0.0, 0.125, 0.25, 0.5)
@@ -94,14 +95,13 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
             break
         m = data.draw(marginals(length, vocab))
         if data.draw(st.booleans()):
-            formula = DraftFormula.of([(1, 1)])
-            drafts.append(DraftBlock(tokens=state.tokens, formula=formula, level=1))
+            drafts.append(state.tokens)
             draft_rows.append(m.rows)
 
-    out = verify(block, target, drafts, np.array(draft_rows).reshape(len(drafts), length, vocab), schedule)
+    steps = verify(block, target, drafts, np.array(draft_rows).reshape(len(drafts), length, vocab), schedule)
 
-    source = out.adopted_marginals if out.adopted_marginals is not None else target
-    if out.new_block.is_complete:
-        assert out.remaining_order == ()
+    last = steps[-1]
+    if last.state_after.is_complete:
+        assert last.ordered[last.realized :] == ()
     else:
-        assert out.remaining_order == order_positions(source, out.new_block)
+        assert last.ordered[last.realized :] == order_positions(last.marginals, last.state_after)

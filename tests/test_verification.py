@@ -1,6 +1,6 @@
 """Tests for the advance step and draft verification.
 
-Drafts here are handcrafted DraftBlock records so each oracle controls
+Drafts here are handcrafted token tuples so each oracle controls
 exactly which chain verify can walk; losslessness against real spawned
 drafts is exercised end to end in the engine and acceptance suites.
 """
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
-from blockspec.drafting import DraftBlock, DraftFormula, order_positions
-from blockspec.verification import VerifyOutcome, advance, verify
+from blockspec.drafting import order_positions
+from blockspec.verification import StepRecord, advance, verify
 
 
 def _marginals(rows, vocab=4):
@@ -20,10 +20,6 @@ def _marginals(rows, vocab=4):
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
     return Marginals(rows=out)
-
-
-def _draft(tokens, level=1):
-    return DraftBlock(tokens=tokens, formula=DraftFormula.of([(1, 1)]), level=level)
 
 
 def _rows(*marginals, length=3, vocab=4):
@@ -143,40 +139,36 @@ def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypat
 class TestVerify:
     def test_no_drafts_single_step(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        out = verify(BlockState.masked(3), target, [], _rows(), UnmaskSchedule.fixed(1))
-        assert isinstance(out, VerifyOutcome)
-        assert len(out.realized_s) == 1
-        assert out.accepted_levels == ()
-        assert out.adopted_marginals is None
-        assert out.realized_s == (1,)
-        assert out.new_block.tokens == (0, 1, 0)
+        steps = verify(BlockState.masked(3), target, [], _rows(), UnmaskSchedule.fixed(1))
+        assert isinstance(steps, tuple) and all(isinstance(s, StepRecord) for s in steps)
+        (step,) = steps
+        assert step.marginals is target
+        assert step.realized == 1
+        assert step.state_after.tokens == (0, 1, 0)
         # the target's order minus the committed position: 0.5 before 0.2
-        assert out.remaining_order == (2, 0)
+        assert step.ordered[step.realized :] == (2, 0)
 
     def test_acceptance_chain_walks_matching_drafts(self):
-        """Two drafts that reproduce the greedy path give three steps."""
+        """Two drafts that reproduce the greedy path give three steps,
+        each after the first driven by the accepted draft's rows."""
         target = _marginals([[0.2], [0.9], [0.5]])          # step 1: pos 1 -> 1
         m1 = _marginals([[0.3], [0.0], [0.0, 0.7]])          # step 2: pos 2 -> 2
         m2 = _marginals([[0.0, 0.0, 0.6], [0.0], [0.0]])     # step 3: pos 0 -> 3
-        d1 = _draft((0, 1, 0), level=1)
-        d2 = _draft((0, 1, 2), level=2)
-        out = verify(BlockState.masked(3), target, [d1, d2], _rows(m1, m2), UnmaskSchedule.fixed(1))
-        assert len(out.realized_s) == 3
-        assert out.accepted_levels == (1, 2)
-        assert list(out.accepted_levels) == sorted(out.accepted_levels)
-        assert out.adopted_marginals.rows.tobytes() == m2.rows.tobytes()
-        assert out.new_block.tokens == (3, 1, 2)
-        assert out.realized_s == (1, 1, 1)
-        assert out.remaining_order == ()
+        drafts = [(0, 1, 0), (0, 1, 2)]
+        steps = verify(BlockState.masked(3), target, drafts, _rows(m1, m2), UnmaskSchedule.fixed(1))
+        assert [s.state_after.tokens for s in steps] == [(0, 1, 0), (0, 1, 2), (3, 1, 2)]
+        assert steps[0].marginals is target
+        assert [s.marginals.rows.tobytes() for s in steps[1:]] == [m1.rows.tobytes(), m2.rows.tobytes()]
+        assert tuple(s.realized for s in steps) == (1, 1, 1)
+        assert steps[-1].ordered[steps[-1].realized :] == ()
 
     def test_one_token_mismatch_rejects(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        bad = _draft((0, 2, 0))  # wrong token at position 1
+        bad = (0, 2, 0)  # wrong token at position 1
         m1 = _marginals([[0.3], [0.0], [0.7]])
-        out = verify(BlockState.masked(3), target, [bad], _rows(m1), UnmaskSchedule.fixed(1))
-        assert len(out.realized_s) == 1
-        assert out.accepted_levels == ()
-        assert out.adopted_marginals is None
+        steps = verify(BlockState.masked(3), target, [bad], _rows(m1), UnmaskSchedule.fixed(1))
+        assert len(steps) == 1
+        assert steps[0].marginals is target
 
     def test_first_of_equal_drafts_wins(self):
         """Equal tokens, different rows: the draft first in scan order is
@@ -184,40 +176,38 @@ class TestVerify:
         target = _marginals([[0.2], [0.9], [0.5]])
         first = _marginals([[0.3], [0.0], [0.0, 0.7]])  # commits pos 2 -> 2
         second = _marginals([[0.0, 0.0, 0.8], [0.0], [0.1]])  # would commit pos 0 -> 3
-        drafts = [_draft((0, 1, 0), level=1), _draft((0, 1, 0), level=2)]
-        out = verify(BlockState.masked(3), target, drafts, _rows(first, second), UnmaskSchedule.fixed(1))
-        assert out.accepted_levels == (1,)
-        assert out.adopted_marginals.rows.tobytes() == first.rows.tobytes()
-        assert out.new_block.tokens == (0, 1, 2)
+        drafts = [(0, 1, 0), (0, 1, 0)]
+        steps = verify(BlockState.masked(3), target, drafts, _rows(first, second), UnmaskSchedule.fixed(1))
+        assert len(steps) == 2
+        assert steps[1].marginals.rows.tobytes() == first.rows.tobytes()
+        assert steps[1].state_after.tokens == (0, 1, 2)
 
     def test_committed_slot_must_match_too(self):
         target = _marginals([[0.2], [0.9], [0.5]])
         start = BlockState(tokens=(0, 0, 9))
-        wrong = _draft((0, 1, 4))  # disagrees on the old slot
+        wrong = (0, 1, 4)  # disagrees on the old slot
         m1 = _marginals([[0.3], [0.0], [0.0]])
-        out = verify(start, target, [wrong], _rows(m1), UnmaskSchedule.fixed(1))
-        assert len(out.realized_s) == 1
+        steps = verify(start, target, [wrong], _rows(m1), UnmaskSchedule.fixed(1))
+        assert len(steps) == 1
 
     def test_complete_state_stops_before_scanning(self):
         """A draft matching the finished block is never accepted."""
         target = _marginals([[0.0], [0.9]])
         start = BlockState(tokens=(5, 0))
-        finished = _draft((5, 1))
+        finished = (5, 1)
         m1 = _marginals([[0.0], [0.0]])
-        out = verify(start, target, [finished], _rows(m1, length=2), UnmaskSchedule.fixed(1))
-        assert out.new_block.is_complete
-        assert len(out.realized_s) == 1
-        assert out.accepted_levels == ()
+        steps = verify(start, target, [finished], _rows(m1, length=2), UnmaskSchedule.fixed(1))
+        assert len(steps) == 1
+        assert steps[0].state_after.is_complete
 
     def test_threshold_step_can_jump_past_draft(self):
         target = _marginals([[0.95], [0.91], [0.5]])
-        d = _draft((1, 0, 0))
+        d = (1, 0, 0)
         m1 = _marginals([[0.0], [0.9], [0.0]])
-        out = verify(BlockState.masked(3), target, [d], _rows(m1), UnmaskSchedule.at_threshold(0.9))
-        assert out.realized_s == (2,)
-        assert out.accepted_levels == ()
+        steps = verify(BlockState.masked(3), target, [d], _rows(m1), UnmaskSchedule.at_threshold(0.9))
+        assert tuple(s.realized for s in steps) == (2,)
 
     def test_misaligned_lists_error(self):
         target = _marginals([[0.5]])
         with pytest.raises(ValueError, match="length mismatch"):
-            verify(BlockState.masked(1), target, [_draft((1,))], _rows(length=1), UnmaskSchedule.fixed(1))
+            verify(BlockState.masked(1), target, [(1,)], _rows(length=1), UnmaskSchedule.fixed(1))
