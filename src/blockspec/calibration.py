@@ -11,7 +11,9 @@ gets the same windows under its own sample id, and an origin's windows
 grow by one step's commits at a time rather than re-scanning the block.
 The distinct prompts are replayed together, as a dLLM scores a batch of
 sequences in one forward pass: one model call per denoising step for
-the whole group, each sequence still getting its own rows.
+the whole group, each sequence still getting its own rows, and one
+ranking pass per call: ``drafting.vocab_ranking``, which states the
+vocabulary tie rule, ranks every row of the call at once.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -28,7 +30,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import verification
 from .core import GenerationConfig, SequenceState
@@ -36,8 +41,8 @@ from .drafting import (
     DraftFormula,
     DraftGraphSpec,
     build_graph,
-    order_vocab,
     parent_indices,
+    vocab_ranking,
 )
 from .model import ToyDenoiser, check_prompt, forward_many
 from .verification import StepRecord
@@ -67,28 +72,31 @@ class CalibrationRecord(NamedTuple):
 Window = Tuple[int, int, Tuple[Tuple[int, int], ...]]
 
 
-def _block_windows(steps: Sequence[StepRecord], lookahead_max: int, top_k: int) -> List[Window]:
+def _block_windows(
+    steps: Sequence[StepRecord], vocabs: Sequence[Sequence[Sequence[int]]], lookahead_max: int
+) -> List[Window]:
     """Every in-view window of one block's steps, by origin, then lookahead.
 
-    A window's pairs rank the tokens committed during its steps against
-    the origin step's ranking.  Step t commits ``ordered[:realized]`` of
-    its own ranking, all of them masked at every earlier step, so the
-    lookahead-ell pairs are the (ell-1) pairs plus those of step
-    origin+ell-1's commits.  A commit outside the origin's top-k view
-    ends the origin's windows: every longer window holds it too.
+    ``vocabs[t][n]`` is position n's top-k token ids under step t's
+    marginals, in ``vocab_ranking`` order.  A window's pairs rank the
+    tokens committed during its steps against the origin step's ranking.
+    Step t commits ``ordered[:realized]`` of its own ranking, all of them
+    masked at every earlier step, so the lookahead-ell pairs are the
+    (ell-1) pairs plus those of step origin+ell-1's commits.  A commit
+    outside the origin's top-k view ends the origin's windows: every
+    longer window holds it too.
     """
+    # per step, each committed position with the token it got
+    commits = [[(n, step.state_after.tokens[n]) for n in step.ordered[: step.realized]] for step in steps]
     windows: List[Window] = []
-    for origin, step in enumerate(steps):
-        ordered = step.ordered
-        vocab = order_vocab(step.marginals, ordered, top_k)
+    for origin, (step, vocab) in enumerate(zip(steps, vocabs)):
+        rank_of = step.ordered.index
         pairs: List[Tuple[int, int]] = []
-        for ell, later in enumerate(steps[origin : origin + lookahead_max], start=1):
-            tokens = later.state_after.tokens
+        for ell, committed in enumerate(commits[origin : origin + lookahead_max], start=1):
             try:
-                for n in later.ordered[: later.realized]:
-                    i = ordered.index(n)
-                    pairs.append((i + 1, vocab[i].index(tokens[n]) + 1))
-            except ValueError:  # tokens[n] is outside the top-k view
+                for n, token in committed:
+                    pairs.append((rank_of(n) + 1, vocab[n].index(token) + 1))
+            except ValueError:  # token is outside the top-k view
                 break
             pairs.sort()
             windows.append((origin, ell, tuple(pairs)))
@@ -105,7 +113,8 @@ def _replay(
 
     Within a block, each step makes one ``forward_many`` call over the
     states whose active block is not yet complete (under a threshold
-    schedule blocks complete after different step counts); each state
+    schedule blocks complete after different step counts) and ranks the
+    vocabulary of all its rows with one ``vocab_ranking``; each state
     then takes one ``verification.advance`` step, as vanilla decoding
     does.
     """
@@ -114,19 +123,22 @@ def _replay(
     windows: List[List[Window]] = [[] for _ in prompts]
     for k in range(config.num_blocks):
         steps: List[List[StepRecord]] = [[] for _ in prompts]
+        vocabs: List[List[List[List[int]]]] = [[] for _ in prompts]
         live = range(len(states))
         while live:
             targets = forward_many(model, [states[i] for i in live])
+            ranked = vocab_ranking(np.array([target.rows for target in targets]), config.top_k_vocab).tolist()
             still: List[int] = []
-            for i, target in zip(live, targets):
+            for i, target, vocab in zip(live, targets, ranked):
                 step = verification.advance(states[i].active_block, target, schedule)
                 steps[i].append(step)
+                vocabs[i].append(vocab)
                 states[i] = states[i].with_active_block(step.state_after)
                 if not step.state_after.is_complete:
                     still.append(i)
             live = still
         for i, state in enumerate(states):
-            windows[i] += _block_windows(steps[i], lookahead_max, config.top_k_vocab)
+            windows[i] += _block_windows(steps[i], vocabs[i], lookahead_max)
             if k + 1 < config.num_blocks:
                 states[i] = state.advance_block()
     return windows
@@ -159,8 +171,9 @@ def collect_records(
     for start in range(0, len(distinct), _REPLAY_GROUP):
         group = distinct[start : start + _REPLAY_GROUP]
         windows_of.update(zip(group, _replay(model, group, config, lookahead_max)))
+    # CalibrationRecord(sample_id, *window) without the Python frame of its __new__
     return [
-        CalibrationRecord(sample_id, *window)
+        tuple.__new__(CalibrationRecord, (sample_id, *window))
         for sample_id, prompt in enumerate(checked)
         for window in windows_of[prompt]
     ]
@@ -210,16 +223,18 @@ def build_table(
     become level-k formulas and are ignored, as are records deeper than
     ``lookahead_max``.  Entries run by level, then by descending count,
     then by pairs; one pass counts every level, so the cost does not
-    grow with ``lookahead_max``.
+    grow with ``lookahead_max``, and the level and size filter then runs
+    over the distinct (lookahead, pairs) keys, not over every record.
     """
     if width < 1:
         raise ValueError("width must be >= 1, got %d" % width)
-    counts = Counter(
-        (r.lookahead, r.pairs)
-        for r in records
-        if 1 <= r.lookahead <= lookahead_max and len(r.pairs) == r.lookahead * tokens_per_level
-    )
-    ranked = sorted(counts.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1]))
+    counts = Counter(map(itemgetter(2, 3), records))  # (lookahead, pairs)
+    kept = [
+        (key, count)
+        for key, count in counts.items()
+        if 1 <= key[0] <= lookahead_max and len(key[1]) == key[0] * tokens_per_level
+    ]
+    ranked = sorted(kept, key=lambda kv: (kv[0][0], -kv[1], kv[0][1]))
     entries = tuple(
         TableEntry(level=level, formula=DraftFormula(pairs=pairs), count=count)
         for _, group in groupby(ranked, key=lambda kv: kv[0][0])

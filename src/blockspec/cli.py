@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import calibration, drafting, engine
 from .core import GenerationConfig, UnmaskSchedule, parse_config
-from .model import ToyDenoiser, parse_corpus, train_from_corpus
+from .model import MAX_BLOCK_CELLS, ToyDenoiser, parse_corpus, train_from_corpus
 from .timing import StageTimer
 
 _DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3)
@@ -59,6 +59,12 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
         if not (1 <= config.eot_token <= vocab_size):
             raise InputError(
                 "%s: eot_token %d outside corpus vocabulary 1..%d" % (args.config, config.eot_token, vocab_size)
+            )
+        cells = config.block_length * vocab_size
+        if cells > MAX_BLOCK_CELLS:
+            raise InputError(
+                "%s: L %d x vocabulary %d = %d marginals per block, above the limit of %d"
+                % (args.config, config.block_length, vocab_size, cells, MAX_BLOCK_CELLS)
             )
     else:
         config = GenerationConfig(

@@ -195,6 +195,24 @@ class Marginals:
         return int(self.rows[position].argmax()) + 1
 
 
+def split_marginals(rows: np.ndarray) -> List[Marginals]:
+    """``Marginals(rows[b])`` for each (L, V) slice of a (B, L, V) array,
+    which is frozen as a whole, with every ``top1`` taken from one
+    reduction over it.  A maximum is exact, so each ``top1`` equals the
+    one its own construction would compute, bit for bit."""
+    if rows.ndim != 3:
+        raise ValueError("batched marginals rows must be 3-D, got shape %s" % (rows.shape,))
+    rows.setflags(write=False)
+    out: List[Marginals] = []
+    for block_rows, top1 in zip(rows, np.maximum.reduce(rows, axis=2).tolist()):
+        m = object.__new__(Marginals)
+        # the fields __post_init__ would set, without a reduction per block
+        object.__setattr__(m, "rows", block_rows)
+        object.__setattr__(m, "top1", tuple(top1))
+        out.append(m)
+    return out
+
+
 def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
     """Degenerate marginals for a fully unmasked block: every row one-hot."""
     if not block.is_complete:

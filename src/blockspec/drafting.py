@@ -5,12 +5,15 @@ position with its j-th ranked token".  Ranks are 1-based and computed
 against a concrete Marginals: positions ordered by descending top-1
 probability (ties toward the lower position index), vocabulary ordered
 by descending probability (ties toward the lower token id).
-``order_positions`` and ``order_vocab`` are the only statement of these
-tie-break rules.  ``verification.advance`` ranks the positions once per
-denoising step and hands that order on, in the step it returns, to
-drafting and calibration.  Formulas are
-state-independent; spawning a graph against a ranking view turns each
-formula that fits into an actual candidate block.
+``order_positions`` and ``vocab_ranking`` are the only statement of these
+tie-break rules; ``vocab_ranking`` takes rows of any leading shape, and
+``order_vocab`` reads it at one block's positions.  ``verification.advance``
+ranks the positions once per denoising step and hands that order on, in
+the step it returns, to drafting and calibration.  Calibration ranks the
+vocabulary once per lockstep model call, every row of that call in one
+``vocab_ranking``.  Formulas are state-independent; spawning a graph
+against a ranking view turns each formula that fits into an actual
+candidate block.
 
 Formulas are organized into a rooted DAG: A is a parent of B when A's
 pairs are a subset of B's and B has exactly one level's worth of extra
@@ -23,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import MASK, BlockState, Marginals
 
@@ -55,13 +60,22 @@ def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
     return tuple(sorted(masked, key=marginals.top1.__getitem__, reverse=True))
 
 
-def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
-    """Per position: top_k token ids by descending probability, ties toward
-    the lower id (one stable argsort over all negated rows, read at
-    ``positions``)."""
+def vocab_ranking(rows: np.ndarray, top_k: int) -> np.ndarray:
+    """The top_k token ids of every row of ``rows`` (any leading shape,
+    V along the last axis) by descending probability, ties toward the
+    lower id: one stable argsort over the negated rows, ids = index + 1.
+    The result has ``rows``' shape with the last axis cut to
+    min(top_k, V)."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1, got %d" % top_k)
-    ranked = ((-marginals.rows).argsort(axis=1, kind="stable")[:, :top_k] + 1).tolist()
+    return (-rows).argsort(axis=-1, kind="stable")[..., :top_k] + 1
+
+
+def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per position: top_k token ids by descending probability, ties toward
+    the lower id (``vocab_ranking`` of the block's rows, read at
+    ``positions``)."""
+    ranked = vocab_ranking(marginals.rows, top_k).tolist()
     return tuple([tuple(ranked[n]) for n in positions])
 
 

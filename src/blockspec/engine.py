@@ -15,7 +15,9 @@ uncommitted.  So only the vocabulary is ranked here.  That distribution
 is one step behind the committed state; a draft is accepted exactly
 when the continuation it guessed from it is what the fresh target
 realizes.  Each block opens with a draft-free call since no
-distribution exists for it yet.
+distribution exists for it yet.  A spawned draft that fills every
+masked slot is not scored: verification never looks a complete state
+up, so it could never be accepted.
 
 A call's record is the tuple of steps it took: ``(step,)`` for vanilla,
 ``verify``'s steps for speculative.  Every report field and the trace
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import BlockState, GenerationConfig, SequenceState
+from .core import MASK, BlockState, GenerationConfig, SequenceState
 from .drafting import DraftGraphSpec, RankingView, order_vocab, spawn_drafts
 from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
@@ -246,7 +248,9 @@ def generate_speculative(
                 last = calls[-1][-1]
                 positions = last.ordered[last.realized :]
                 vocab = rank_vocab(last.marginals, positions, config.top_k_vocab)
-                drafts = [d.tokens for d in spawn(graph, RankingView(positions, vocab), block)]
+                # verify never looks a complete state up, so a draft that
+                # fills every masked slot could never be accepted
+                drafts = [d.tokens for d in spawn(graph, RankingView(positions, vocab), block) if MASK in d.tokens]
             target, draft_rows = forward(model, state, drafts)
             calls.append(verify(block, target, drafts, draft_rows, config.schedule))
             block = calls[-1][-1].state_after

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, is_integer, validate_sequence
+from .core import MASK, Marginals, SequenceState, is_integer, split_marginals, validate_sequence
 from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
 
 # The largest vocabulary a model may have.  The two bigram count tables
@@ -36,6 +36,11 @@ from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import 
 # this limit; a corpus id far above it would ask for more memory than
 # the machine has.
 MAX_VOCAB_SIZE = 1024
+
+# The most marginals one scored block may hold, L * V: 8 MiB of float64
+# per block of a model call.  Both L and V are capped on their own, but
+# their product at those caps would ask for 512 MiB per scored block.
+MAX_BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,9 @@ def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> List[Ma
     the first bad state raises that call's error, and each block is
     mixed against its own sequence's left token.  Equal states still get
     a row each, as they would in a real dLLM's batch.  The active blocks
-    must share one length, as the rows of one (B, L, V) pass do.
+    must share one length, as the rows of one (B, L, V) pass do.  Every
+    row's ``top1`` comes from one reduction over that whole pass
+    (``core.split_marginals``).
     """
     if not states:
         return []
@@ -208,9 +215,7 @@ def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> List[Ma
     if not all(map(length.__eq__, map(len, blocks))):
         i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
         raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
-    rows = _mixture_pass(model, blocks, left_contexts)
-    rows.setflags(write=False)
-    return list(map(Marginals, rows))
+    return split_marginals(_mixture_pass(model, blocks, left_contexts))
 
 
 def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequence[Sequence[int]]) -> int:

@@ -16,7 +16,7 @@ from blockspec.calibration import calibrate_graph, format_records, format_table
 from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
 from blockspec.engine import generate_vanilla
-from blockspec.model import format_corpus, train_from_corpus
+from blockspec.model import MAX_BLOCK_CELLS, format_corpus, train_from_corpus
 from blockspec.verification import advance
 
 
@@ -84,6 +84,13 @@ _BAD_FILES = {
     # W far past core.MAX_TOTAL_LENGTH once allocated masked blocks until
     # memory ran out
     "long.cfg": b"W = 1000000000000000\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
+    # L x V at model.MAX_BLOCK_CELLS = 2**20 = 1024 * 1024, and one past
+    # it, 17 * 61681; W = L = 65536 with V = 1024 once ran out of memory
+    # inside the model call
+    "v1024_corpus.txt": b"1 2\n2 1024 1\n",
+    "v17_corpus.txt": b"1 2\n2 17 1\n",
+    "cells_limit.cfg": b"W = 1024\nL = 1024\nschedule = fixed:1024\ntop_k_vocab = 3\neot_token = 12\n",
+    "cells_over.cfg": b"W = 61681\nL = 61681\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -534,6 +541,10 @@ class TestInputValidation:
             (_GENERATE + ["--index", 99], "--index 99 out of range (8 prompts)"),
             (_GENERATE + ["--corpus", "big_corpus.txt"], "big_corpus.txt:2: token 1025 outside corpus vocabulary 1..1024"),
             (_GENERATE + ["--config", "long.cfg"], "long.cfg: total length 1000000000000000 above the limit of 65536"),
+            (
+                _GENERATE + ["--corpus", "v17_corpus.txt", "--config", "cells_over.cfg"],
+                "cells_over.cfg: L 61681 x vocabulary 17 = 1048577 marginals per block, above the limit of 1048576",
+            ),
             (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
             (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
@@ -566,6 +577,7 @@ class TestInputValidation:
             "generate-index",
             "generate-corpus-token-limit",
             "generate-total-length-limit",
+            "generate-block-cells-limit",
             "bench-missing",
             "bench-not-utf8",
             "bench-malformed-graph",
@@ -597,3 +609,13 @@ class TestInputValidation:
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_a_block_at_the_cell_limit_decodes(self, files):
+        """The table above has a block one cell past the limit; a block of
+        exactly ``MAX_BLOCK_CELLS`` marginals decodes."""
+        assert MAX_BLOCK_CELLS == 1024 * 1024 == 17 * 61681 - 1
+        for name, data in _BAD_FILES.items():
+            (files["tmp"] / name).write_bytes(data)
+        done = run_process(files, *_GENERATE, "--corpus", "v1024_corpus.txt", "--config", "cells_limit.cfg")
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.split()) == 1024

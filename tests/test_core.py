@@ -14,6 +14,7 @@ from blockspec.core import (
     UnmaskSchedule,
     one_hot_marginals,
     parse_config,
+    split_marginals,
     validate_sequence,
 )
 
@@ -145,6 +146,18 @@ class TestMarginals:
     def test_rows_must_be_2d(self, shape):
         with pytest.raises(ValueError, match=r"^marginals rows must be 2-D, got shape %s$" % re.escape(str(shape))):
             Marginals(rows=np.ones(shape))
+
+    def test_split_gives_each_slice_its_marginals_and_freezes_them(self):
+        rows = np.array([[[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]])
+        got = split_marginals(rows)
+        assert [m.top1 for m in got] == [(0.5, 0.6), (0.5, 1.0)]
+        assert [m.rows.tobytes() for m in got] == [rows[0].tobytes(), rows[1].tobytes()]
+        assert not rows.flags.writeable and not got[1].rows.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 2, 3)])
+    def test_split_rows_must_be_3d(self, shape):
+        with pytest.raises(ValueError, match=r"^batched marginals rows must be 3-D, got shape %s$" % re.escape(str(shape))):
+            split_marginals(np.ones(shape))
 
     def test_one_hot_requires_complete_block(self):
         with pytest.raises(ValueError, match="needs a complete block"):

@@ -16,8 +16,9 @@ from conftest import make_config, scripted_report
 
 from blockspec import engine
 from blockspec import model as model_module
-from blockspec.core import GenerationConfig, UnmaskSchedule, validate_sequence
-from blockspec.drafting import DraftFormula, build_graph
+from blockspec.calibration import calibrate_graph
+from blockspec.core import MASK, GenerationConfig, UnmaskSchedule, validate_sequence
+from blockspec.drafting import DraftFormula, build_graph, spawn_drafts
 from blockspec.engine import (
     check_lossless,
     generate_speculative,
@@ -25,7 +26,7 @@ from blockspec.engine import (
     per_block_summary,
     profile_stages,
 )
-from blockspec.model import train_from_corpus
+from blockspec.model import forward_batched, train_from_corpus
 from blockspec.timing import StageTimer
 
 
@@ -249,6 +250,41 @@ class TestGenerateSpeculative:
         b = generate_speculative(model, (3, 4), cfg, _six_node_graph())
         assert a.tokens == b.tokens
         assert a.report.per_block == b.report.per_block
+
+
+class TestScoredDrafts:
+    """``verify`` never looks a complete state up, so a draft that fills
+    every masked slot can never be accepted; the speculative loop scores
+    none.  The README runs keep their pinned counts."""
+
+    @pytest.mark.parametrize(
+        "schedule, counts",
+        [("fixed:1", (640, 278, 362)), ("threshold:0.4", (415, 311, 104))],
+    )
+    def test_every_scored_draft_holds_a_mask(self, model, prompts, monkeypatch, schedule, counts):
+        cfg = make_config(schedule)
+        graph, _, _ = calibrate_graph(model, prompts, cfg, lookahead_max=4, budget=8)
+        spawned, scored = [], []
+
+        def spawn_counted(graph, ranking, block):
+            drafts = spawn_drafts(graph, ranking, block)
+            spawned.extend(d.tokens for d in drafts)
+            return drafts
+
+        def forward_checked(model, state, drafts):
+            scored.extend(drafts)
+            return forward_batched(model, state, drafts)
+
+        monkeypatch.setattr(engine, "spawn_drafts", spawn_counted)
+        monkeypatch.setattr(engine, "forward_batched", forward_checked)
+        reports = [generate_speculative(model, prompt, cfg, graph).report for prompt in prompts]
+        assert all(MASK in d for d in scored)
+        assert len(scored) == sum(MASK in d for d in spawned) < len(spawned)
+        assert (
+            sum(r.baseline_nfe for r in reports),
+            sum(r.total_nfe for r in reports),
+            sum(r.acceptances for r in reports),
+        ) == counts
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ tests that expect a rejection would pass bad input through instead.
 The lossless properties run here too, since losslessness must not lean
 on an assert either, and so do the ranking properties calibration leans
 on and the corpus generator's checks, the nine acceptance criteria,
-which are the project's fixed point, and the layering and rank-once
-checks."""
+which are the project's fixed point, and the layering, rank-once and
+lockstep ranking checks."""
 
 import subprocess
 import sys
@@ -29,6 +29,7 @@ def test_input_check_tests_pass_under_python_O(child_env):
         "tests/test_synthetic.py",
         "tests/test_layers.py",
         "tests/test_rank_once.py",
+        "tests/test_lockstep_ranking.py",
     ]
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
