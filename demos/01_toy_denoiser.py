@@ -15,7 +15,7 @@ import numpy as np
 from blockspec import synthetic
 from blockspec.core import GenerationConfig, SequenceState, UnmaskSchedule
 from blockspec.engine import generate_vanilla
-from blockspec.model import forward, train_from_corpus
+from blockspec.model import forward_batched, train_from_corpus
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     # One forward call on a fresh two-block state: the active block is
     # all MASK, so every row is a genuine prediction.
     state = SequenceState.initial((2, 2), num_blocks=2, block_length=4)
-    marginals = forward(model, state)
+    marginals = forward_batched(model, state, [])[0]
     print("\nmarginals for the active block after prompt '2 2':")
     for n in range(4):
         row = marginals.rows[n]

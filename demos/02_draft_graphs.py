@@ -20,7 +20,7 @@ from blockspec.drafting import (
     rank,
     spawn_drafts,
 )
-from blockspec.model import forward, train_from_corpus
+from blockspec.model import forward_batched, train_from_corpus
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     model = train_from_corpus(corpus, max(t for s in corpus for t in s))
     state = SequenceState.initial((2, 2), num_blocks=1, block_length=4)
-    marginals = forward(model, state)
+    marginals = forward_batched(model, state, [])[0]
     view = rank(marginals, state.active_block, top_k=3)
     print("\nranking for prompt '2 2', four masked positions:")
     print("  position order:", view.ordered_positions)

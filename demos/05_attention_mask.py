@@ -15,7 +15,7 @@ import numpy as np
 from blockspec import synthetic
 from blockspec.batch import build_mask, build_position_ids, format_mask
 from blockspec.core import BlockState, SequenceState
-from blockspec.model import forward, forward_batched, train_from_corpus
+from blockspec.model import forward_batched, train_from_corpus
 
 
 def show(mask: np.ndarray, row_labels) -> None:
@@ -49,7 +49,7 @@ def main() -> None:
         BlockState(tokens=(2, 2, 2, 2)),  # complete: scored one-hot
     ]
     target, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
-    reference = forward(model, state)
+    reference = forward_batched(model, state, [])[0]
     print("\nbatched target equals the plain forward:",
           np.array_equal(target.rows, reference.rows))
     for i, (draft, got) in enumerate(zip(drafts, per_draft)):
@@ -57,7 +57,7 @@ def main() -> None:
             print("  draft %d is complete, rows one-hot: %s"
                   % (i, bool((got.max(axis=1) == 1.0).all())))
         else:
-            want = forward(model, state.with_active_block(draft))
+            want = forward_batched(model, state.with_active_block(draft), [])[0]
             print("  draft %d bit-matches an independent forward: %s"
                   % (i, np.array_equal(got, want.rows)))
 

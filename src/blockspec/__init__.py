@@ -10,7 +10,7 @@ from .core import (
     parse_config,
     validate_sequence,
 )
-from .model import ToyDenoiser, forward, forward_batched, train_from_corpus
+from .model import ToyDenoiser, forward_batched, train_from_corpus
 from .drafting import (
     DraftBlock,
     DraftFormula,
@@ -55,7 +55,6 @@ __all__ = [
     "parse_config",
     "ToyDenoiser",
     "train_from_corpus",
-    "forward",
     "forward_batched",
     "RankingView",
     "DraftFormula",

@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import calibration, drafting, engine
-from .core import GenerationConfig, UnmaskSchedule, parse_config
+from .core import GenerationConfig, UnmaskSchedule, parse_config, parse_int
 from .model import MAX_BLOCK_CELLS, ToyDenoiser, parse_corpus, train_from_corpus
 from .timing import StageTimer
 
@@ -283,6 +283,15 @@ def _cmd_graph(args) -> int:
 # parser
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag value by ``parse_int``'s rule, rejected with the
+    message argparse gives for ``type=int``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockspec",
@@ -299,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibrate a draft graph from prompts")
     add_setup(p)
-    p.add_argument("--lookahead", type=int, required=True, help="max lookahead depth (graph levels)")
-    p.add_argument("--budget", type=int, required=True, help="draft budget D")
+    p.add_argument("--lookahead", type=_int_flag, required=True, help="max lookahead depth (graph levels)")
+    p.add_argument("--budget", type=_int_flag, required=True, help="draft budget D")
     p.add_argument("--strategy", choices=calibration.STRATEGIES, default="degree1")
-    p.add_argument("--width", type=int, default=3, help="candidates kept per level")
-    p.add_argument("--limit", type=int, default=None, help="use only the first N prompts")
+    p.add_argument("--width", type=_int_flag, default=3, help="candidates kept per level")
+    p.add_argument("--limit", type=_int_flag, default=None, help="use only the first N prompts")
     p.add_argument("--out", required=True, help="output graph file")
     p.add_argument("--records", default=None, help="also dump calibration records here")
     p.add_argument("--table", default=None, help="also dump the candidate table here")
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate from one prompt")
     add_setup(p)
     p.add_argument("--graph", default=None, help="draft graph file (omit for vanilla decoding)")
-    p.add_argument("--index", type=int, default=0, help="prompt index")
+    p.add_argument("--index", type=_int_flag, default=0, help="prompt index")
     p.add_argument("--out", default=None, help="write the run report here (json)")
     p.add_argument("--profile", action="store_true", help="include stage timings in the report")
     p.set_defaults(func=_cmd_generate)
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare speculative vs vanilla over prompts")
     add_setup(p)
     p.add_argument("--graph", required=True, help="draft graph file")
-    p.add_argument("--limit", type=int, default=None, help="use only the first N prompts")
+    p.add_argument("--limit", type=_int_flag, default=None, help="use only the first N prompts")
     p.add_argument("--report", default=None, help="write the benchmark report here (json)")
     p.add_argument("--csv", default=None, help="write per-block rows here (csv)")
     p.add_argument("--profile", action="store_true", help="include stage timings in the report")
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-lossless", help="verify speculative output equals vanilla")
     add_setup(p)
     p.add_argument("--graph", required=True, help="draft graph file")
-    p.add_argument("--trials", type=int, required=True, help="number of prompts to check")
+    p.add_argument("--trials", type=_int_flag, required=True, help="number of prompts to check")
     p.set_defaults(func=_cmd_check_lossless)
 
     p = sub.add_parser("graph", help="inspect draft graph files")

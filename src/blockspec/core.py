@@ -8,6 +8,7 @@ place, so they are safe to share.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,6 +28,19 @@ def is_integer(value) -> bool:
     input that must be an integer rejects bools, floats and strings
     rather than converting them."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """``text`` as an int when it is ASCII digits with an optional sign.
+    Python's ``int`` also takes digit underscores, non-ASCII digits and
+    surrounding whitespace; every integer read from text uses this rule
+    instead.  Raises ValueError otherwise."""
+    if _INTEGER_TEXT.fullmatch(text) is None:
+        raise ValueError("invalid integer %r" % (text,))
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +282,7 @@ class UnmaskSchedule:
             raise ValueError("bad schedule %r (want mode:value)" % (text,))
         mode, value = parts[0].strip(), parts[1].strip()
         if mode == "fixed":
-            convert, build = int, UnmaskSchedule.fixed
+            convert, build = parse_int, UnmaskSchedule.fixed
         elif mode == "threshold":
             convert, build = float, UnmaskSchedule.at_threshold
         else:
@@ -355,14 +369,14 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
             raise ValueError("%s:%d: duplicate key %r" % (source, lineno, key))
         values[key] = (lineno, value)
 
-    def take(key, convert=int):
+    def take(key, convert=parse_int):
         if key not in values:
             raise ValueError("%s: missing key %r" % (source, key))
         lineno, value = values[key]
         try:
             return convert(value)
         except ValueError as exc:
-            reason = "%s must be an integer, got %r" % (key, value) if convert is int else exc
+            reason = "%s must be an integer, got %r" % (key, value) if convert is parse_int else exc
             raise ValueError("%s:%d: %s" % (source, lineno, reason))
 
     w = take("W")

@@ -29,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, BlockState, Marginals
+from .core import MASK, BlockState, Marginals, parse_int
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
 def _parse_positive_int(text: str, source: str, lineno: int, what: str) -> int:
     """``text`` as an integer >= 1; errors name ``source:lineno`` and ``what``."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise ValueError("%s:%d: %s must be an integer, got %r" % (source, lineno, what, text))
     if value < 1:

@@ -1,12 +1,14 @@
-"""Generation loops and NFE accounting.
+"""Generation loop and NFE accounting.
 
-Two entry points share one block loop: ``generate_vanilla`` denoises
-each block one scheduled step per model call; ``generate_speculative``
-runs the same schedule but sends a graph of draft blocks along with
-every call and lets verification chain through accepted drafts, so one
-call can commit several steps.  Outputs are identical by construction;
-only the number of function evaluations (NFEs) differs, and since both
-take the same steps, the steps a run took count its vanilla NFEs.
+One block loop decodes: every model call scores the true state together
+with a graph of draft blocks, and verification chains through accepted
+drafts, so one call can commit several scheduled steps.
+``generate_speculative`` runs it with a calibrated graph;
+``generate_vanilla`` runs it with the empty graph, where each call takes
+exactly one step, just as speculative decoding with no drafts is plain
+decoding.  Outputs are identical by construction; only the number of
+function evaluations (NFEs) differs, and since both take the same steps,
+the steps a run took count its vanilla NFEs.
 
 Drafts for a call are ranked from the last step of the previous call:
 its marginals (the fresh target's, or the last accepted draft's) over
@@ -16,14 +18,13 @@ is one step behind the committed state; a draft is accepted exactly
 when the continuation it guessed from it is what the fresh target
 realizes.  Each block opens with a draft-free call since no
 distribution exists for it yet.  A spawned draft that fills every
-masked slot is not scored: verification never looks a complete state
-up, so it could never be accepted.
+masked slot is not scored: verification never accepts a complete
+state.
 
-A call's record is the tuple of steps it took: ``(step,)`` for vanilla,
-``verify``'s steps for speculative.  Every report field and the trace
-are read off those records.
+A call's record is the tuple of steps ``verify`` took: ``(step,)`` when
+no draft was accepted.  Every report field and the trace are read off
+those records.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
 from .core import MASK, BlockState, GenerationConfig, SequenceState
-from .drafting import DraftGraphSpec, RankingView, order_vocab, spawn_drafts
+from .drafting import DraftGraphSpec, RankingView, build_graph, order_vocab, spawn_drafts
 from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
 from .verification import StepRecord
@@ -158,53 +159,7 @@ def _decode_blocks(
 
 
 # ---------------------------------------------------------------------------
-# vanilla
-
-
-def vanilla_block_steps(
-    model: ToyDenoiser,
-    state: SequenceState,
-    config: GenerationConfig,
-    *,
-    timer: Optional[StageTimer] = None,
-) -> Tuple[SequenceState, List[StepRecord]]:
-    """Denoise the active block to completion, one call per step."""
-    forward = timed(timer, "model", forward_batched)
-    advance = timed(timer, "advance", verification.advance)
-    schedule = config.schedule
-    steps: List[StepRecord] = []
-    block = state.active_block
-    while not block.is_complete:
-        target, _ = forward(model, state, [])
-        step = advance(block, target, schedule)
-        steps.append(step)
-        block = step.state_after
-        state = state.with_active_block(block)
-    return state, steps
-
-
-def generate_vanilla(
-    model: ToyDenoiser,
-    prompt: Sequence[int],
-    config: GenerationConfig,
-    *,
-    record_trace: bool = False,
-    timer: Optional[StageTimer] = None,
-) -> GenerationResult:
-    """Reference decode: baseline equals actual, speedup 1.0, M = 0.
-
-    Stage times go to ``timer`` when one is given."""
-    prompt = check_prompt(model, prompt)
-
-    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[Tuple[StepRecord, ...]]]:
-        state, steps = vanilla_block_steps(model, state, config, timer=timer)
-        return state, [(step,) for step in steps]
-
-    return _decode_blocks(prompt, config, denoise_block, record_trace, None, timer)
-
-
-# ---------------------------------------------------------------------------
-# speculative
+# decoding
 
 
 def generate_speculative(
@@ -239,16 +194,18 @@ def generate_speculative(
     forward = timed(timer, "model", forward_batched)
     verify = timed(timer, "verify", verification.verify)
 
+    has_drafts = graph.num_nodes > 0
+
     def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[Tuple[StepRecord, ...]]]:
         calls: List[Tuple[StepRecord, ...]] = []
         block = state.active_block
         while not block.is_complete:
             drafts: List[Tuple[int, ...]] = []
-            if calls and graph.num_nodes:
+            if calls and has_drafts:
                 last = calls[-1][-1]
                 positions = last.ordered[last.realized :]
                 vocab = rank_vocab(last.marginals, positions, config.top_k_vocab)
-                # verify never looks a complete state up, so a draft that
+                # verify never accepts a complete state, so a draft that
                 # fills every masked slot could never be accepted
                 drafts = [d.tokens for d in spawn(graph, RankingView(positions, vocab), block) if MASK in d.tokens]
             target, draft_rows = forward(model, state, drafts)
@@ -258,6 +215,23 @@ def generate_speculative(
         return state, calls
 
     return _decode_blocks(prompt, config, denoise_block, record_trace, baseline, timer)
+
+
+_NO_DRAFTS = build_graph(())
+
+
+def generate_vanilla(
+    model: ToyDenoiser,
+    prompt: Sequence[int],
+    config: GenerationConfig,
+    *,
+    record_trace: bool = False,
+    timer: Optional[StageTimer] = None,
+) -> GenerationResult:
+    """Reference decode: ``generate_speculative`` with an empty graph, so
+    each model call takes exactly one step; baseline equals actual,
+    speedup 1.0, M = 0.  Stage times go to ``timer`` when one is given."""
+    return generate_speculative(model, prompt, config, _NO_DRAFTS, record_trace=record_trace, timer=timer)
 
 
 # ---------------------------------------------------------------------------

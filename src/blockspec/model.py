@@ -7,13 +7,13 @@ and hands the lost weight to the unigram term, so rows always sum to 1.
 Everything is exact float64 arithmetic with a fixed evaluation order:
 identical inputs give bit-identical outputs, which is what makes the
 lossless checks in the test suite meaningful.  ``forward_batched`` scores
-the true state and all D drafts of one call in a single numpy pass;
-``forward`` is its draft-free case.  ``forward_many`` scores the active
-blocks of several sequences in one pass, as a dLLM scores a batch:
-calibration replays its distinct prompts together with it, one model
-call per denoising step for the whole group.  Every row is computed on
-its own, with the same arithmetic in the same order, so each equals
-that sequence's draft-free ``forward_batched`` row bit for bit.
+the true state and all D drafts of one call in a single numpy pass.
+``forward_many`` scores the active blocks of several sequences in one
+pass, as a dLLM scores a batch: calibration replays its distinct
+prompts together with it, one model call per denoising step for the
+whole group.  Every row is computed on its own, with the same
+arithmetic in the same order, so each equals that sequence's
+draft-free ``forward_batched`` row bit for bit.
 
 The NFE counter lives in the engine; this module only computes
 distributions.
@@ -28,8 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, is_integer, split_marginals, validate_sequence
-from .core import one_hot_marginals  # noqa: F401  (re-exported: callers import it from here)
+from .core import MASK, Marginals, SequenceState, is_integer, parse_int, split_marginals, validate_sequence
 
 # The largest vocabulary a model may have.  The two bigram count tables
 # and their smoothed probabilities take about 32 * V**2 bytes, 32 MiB at
@@ -155,12 +154,6 @@ def train_from_corpus(
 
 # ---------------------------------------------------------------------------
 # forward
-
-
-def forward(model: ToyDenoiser, state: SequenceState) -> Marginals:
-    """Next-step marginals for the active block: ``forward_batched`` with
-    no drafts."""
-    return forward_batched(model, state, [])[0]
 
 
 def forward_batched(
@@ -344,7 +337,7 @@ def parse_corpus(text: str, *, source: str = "<corpus>", vocab_size: int = MAX_V
         if not line:
             continue
         try:
-            seq = tuple(int(tok) for tok in line.split())
+            seq = tuple(map(parse_int, line.split()))
         except ValueError:
             raise ValueError("%s:%d: non-integer token in %r" % (source, lineno, raw))
         for t in seq:

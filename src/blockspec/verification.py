@@ -11,15 +11,15 @@ distribution for that exact state and can drive the next advance for
 free.  On a miss we simply stop with whatever the target produced:
 output never depends on draft quality, only speed does.
 
-``verify`` returns the steps it took, one ``StepRecord`` each, the
-record vanilla decoding builds for its one step per call: the first
-from the target, each later one from an accepted draft's rows.  The
-last step holds the block after the call, and its marginals and
-uncommitted order are what the engine ranks the next drafts from.
+``verify`` returns the steps it took, one ``StepRecord`` each: the
+first from the target, each later one from an accepted draft's rows.
+With no drafts it takes the one step of vanilla decoding.  The last
+step holds the block after the call, and its marginals and uncommitted
+order are what the engine ranks the next drafts from.
 
-``advance`` is the one denoising step, shared by vanilla decoding,
-verification and calibration: it ranks the block's masked positions
-once and commits the scheduled prefix of that order.
+``advance`` is the one denoising step, shared by verification and
+calibration: it ranks the block's masked positions once and commits
+the scheduled prefix of that order.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def verify(
         raise ValueError("drafts and draft_rows length mismatch")
     steps = [advance(block, target, schedule)]
     state = steps[-1].state_after
-    while not state.is_complete and state.tokens in drafts:
+    # the lookup first: with no drafts (vanilla decoding) it ends the loop at once
+    while state.tokens in drafts and not state.is_complete:
         steps.append(advance(state, Marginals(draft_rows[drafts.index(state.tokens)]), schedule))
         state = steps[-1].state_after
     return tuple(steps)

@@ -1,10 +1,11 @@
 """Reference for ``blockspec.calibration.collect_records``.
 
 This is the record collection the incremental one replaced: every prompt
-is replayed, repeats included, and every (origin, lookahead) window
-re-scans the whole block after its last step against the origin step's
-ranking, giving up on the window when any committed token falls outside
-the top-k view.  Tests compare the two record for record.
+is replayed on its own, repeats included, one ``forward_batched`` and
+one ``advance`` per step, and every (origin, lookahead) window re-scans
+the whole block after its last step against the origin step's ranking,
+giving up on the window when any committed token falls outside the
+top-k view.  Tests compare the two record for record.
 """
 
 from typing import List, Optional, Sequence
@@ -12,9 +13,8 @@ from typing import List, Optional, Sequence
 from blockspec.calibration import CalibrationRecord
 from blockspec.core import MASK, GenerationConfig, SequenceState
 from blockspec.drafting import RankingView, order_vocab
-from blockspec.engine import vanilla_block_steps
-from blockspec.model import ToyDenoiser
-from blockspec.verification import StepRecord
+from blockspec.model import ToyDenoiser, forward_batched
+from blockspec.verification import StepRecord, advance
 
 
 def reference_window_record(
@@ -52,7 +52,11 @@ def reference_collect_records(
     for sample_id, prompt in enumerate(prompts):
         state = SequenceState.initial(tuple(prompt), config.num_blocks, config.block_length)
         for k in range(config.num_blocks):
-            state, steps = vanilla_block_steps(model, state, config)
+            steps: List[StepRecord] = []
+            while not state.active_block.is_complete:
+                target, _ = forward_batched(model, state, [])
+                steps.append(advance(state.active_block, target, config.schedule))
+                state = state.with_active_block(steps[-1].state_after)
             for origin, step in enumerate(steps):
                 ranking = RankingView(
                     ordered_positions=step.ordered,

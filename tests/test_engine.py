@@ -150,12 +150,14 @@ class TestGenerateVanilla:
 
 
 class TestGenerateSpeculative:
-    def test_empty_graph_is_vanilla(self, model):
-        cfg = make_config("fixed:1")
-        vanilla = generate_vanilla(model, (3, 4, 5), cfg)
-        spec = generate_speculative(model, (3, 4, 5), cfg, build_graph([], 1))
+    @pytest.mark.parametrize("schedule", ["fixed:1", "fixed:2", "threshold:0.4"])
+    def test_empty_graph_is_vanilla(self, model, schedule):
+        cfg = make_config(schedule)
+        vanilla = generate_vanilla(model, (3, 4, 5), cfg, record_trace=True)
+        spec = generate_speculative(model, (3, 4, 5), cfg, build_graph([], 1), record_trace=True)
         assert spec.tokens == vanilla.tokens
-        assert spec.report.total_nfe == vanilla.report.total_nfe
+        assert spec.report == vanilla.report
+        assert spec.trace == vanilla.trace
         assert spec.report.acceptances == 0
 
     def test_fixed1_nfe_identity(self, model, prompts):
@@ -400,7 +402,7 @@ class TestSummaries:
         assert generate_vanilla(model, (2, 2), config).report.stage_seconds == {}
         assert generate_speculative(model, (2, 2), config, _chain_graph()).report.stage_seconds == {}
         vanilla = generate_vanilla(model, (2, 2), config, timer=StageTimer()).report
-        assert set(vanilla.stage_seconds) == {"model", "advance"}
+        assert set(vanilla.stage_seconds) == {"model", "verify"}
         spec = generate_speculative(model, (2, 2), config, _chain_graph(), timer=StageTimer()).report
         assert set(spec.stage_seconds) == {"model", "ranking", "drafting", "verify"}
 

@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_forward import scalar_forward_batched
+from scalar_forward import scalar_forward, scalar_forward_batched
 
 from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
 from blockspec.model import (
     MAX_VOCAB_SIZE,
     ToyDenoiser,
-    forward,
     forward_batched,
     forward_many,
     format_corpus,
@@ -191,7 +190,7 @@ class TestForward:
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
         state = state.with_active_block(state.active_block.with_token(1, 1))
-        got = forward(m, state)
+        got = forward_batched(m, state, [])[0]
         want0 = (
             0.6 * _smooth([0, 3]) + 0.3 * _smooth([0, 2]) + 0.1 * _smooth([3, 3])
         )
@@ -205,7 +204,7 @@ class TestForward:
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
         state = state.with_active_block(state.active_block.with_token(2, 2))
-        got = forward(m, state)
+        got = forward_batched(m, state, [])[0]
         w_left, w_right = 0.6, 0.3 * 0.5
         w_uni = 1.0 - w_left - w_right
         want0 = (
@@ -219,7 +218,7 @@ class TestForward:
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
         state = state.with_active_block(state.active_block.with_token(1, 1))
-        got = forward(m, state)
+        got = forward_batched(m, state, [])[0]
         # position 2: left neighbor token 1 at gap 0, nothing to the right
         want2 = 0.6 * _smooth([0, 3]) + 0.4 * _smooth([3, 3])
         assert np.allclose(got.rows[2], want2, atol=1e-12)
@@ -227,14 +226,14 @@ class TestForward:
     def test_unigram_only_mixture_collapse(self):
         m = _abab_model(lambdas=(0.0, 0.0, 1.0))
         state = SequenceState.initial((1, 2), 1, 4)
-        got = forward(m, state)
+        got = forward_batched(m, state, [])[0]
         for n in range(4):
             assert np.allclose(got.rows[n], _smooth([3, 3]), atol=1e-12)
 
     def test_deterministic(self, model):
         state = SequenceState.initial((2, 2), 2, 8)
-        a = forward(model, state)
-        b = forward(model, state)
+        a = forward_batched(model, state, [])[0]
+        b = forward_batched(model, state, [])[0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_locality_beyond_nearest_neighbor(self, model):
@@ -246,14 +245,14 @@ class TestForward:
         )
         # every masked position in block 1 resolves its left neighbor inside
         # block 0; the prompt's first token is unreachable
-        a = forward(model, base)
-        b = forward(model, changed)
+        a = forward_batched(model, base, [])[0]
+        b = forward_batched(model, changed, [])[0]
         assert np.array_equal(a.rows, b.rows)
 
     def test_rows_normalized(self, model):
         state = SequenceState.initial((2, 3, 4), 2, 8)
         state = state.with_active_block(state.active_block.with_token(3, 5))
-        got = forward(model, state)
+        got = forward_batched(model, state, [])[0]
         sums = got.rows.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 1e-9)
         assert np.all(got.rows >= 0.0) and np.all(got.rows <= 1.0)
@@ -262,13 +261,13 @@ class TestForward:
         state = SequenceState.initial((1,), 1, 2)
         state = state.with_active_block(BlockState(tokens=(1, 2)))
         with pytest.raises(ValueError, match="nothing to denoise"):
-            forward(model, state)
+            forward_batched(model, state, [])
 
     def test_invalid_state_rejected(self, model):
         blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
         state = SequenceState(prompt=(1,), blocks=blocks, active=0)
         with pytest.raises(ValueError, match="invalid sequence state"):
-            forward(model, state)
+            forward_batched(model, state, [])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ class TestForwardBatched:
         state = SequenceState.initial((2,), 1, 4)
         target, per_draft = forward_batched(model, state, [])
         assert per_draft.shape == (0, 4, model.vocab_size)
-        assert np.array_equal(target.rows, forward(model, state).rows)
+        assert np.array_equal(target.rows, scalar_forward(model, state).rows)
 
     def test_identity_draft_equals_target(self, model):
         state = SequenceState.initial((2,), 1, 4)
@@ -299,7 +298,7 @@ class TestForwardBatched:
         ]
         _, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
         for d, got in zip(drafts, per_draft):
-            want = forward(model, state.with_active_block(d))
+            want = forward_batched(model, state.with_active_block(d), [])[0]
             assert np.array_equal(got, want.rows)
 
     def test_complete_draft_scores_one_hot(self, model):
@@ -621,7 +620,7 @@ class TestForwardMany:
         state = SequenceState.initial((2, 3), 2, 4)
         got = forward_many(model, [state, state, _fresh(state)])
         assert len(got) == 3
-        assert all(g.rows.tobytes() == forward(model, state).rows.tobytes() for g in got)
+        assert all(g.rows.tobytes() == forward_batched(model, state, [])[0].rows.tobytes() for g in got)
 
 
 class TestPinnedMarginals:
