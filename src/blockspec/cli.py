@@ -93,26 +93,12 @@ def _load_graph(path: str) -> drafting.DraftGraphSpec:
 
 
 def _report_dict(report: engine.RunReport, *, profile: bool) -> dict:
-    doc = {
-        "total_nfe": report.total_nfe,
-        "baseline_nfe": report.baseline_nfe,
-        "acceptances": report.acceptances,
-        "eot_block": report.eot_block,
-        "speedup_all": report.speedup_all,
-        "speedup_to_eot": report.speedup_to_eot,
-        "per_block": [
-            {
-                "index": b.index,
-                "nfe": b.nfe,
-                "baseline_nfe": b.baseline_nfe,
-                "acceptances": b.acceptances,
-                "realized_s": list(b.realized_s),
-            }
-            for b in report.per_block
-        ],
-    }
+    """The report's fields, with stage timings only under ``--profile``
+    and then as percentages of model time."""
+    doc = dataclasses.asdict(report)
+    stage_seconds = doc.pop("stage_seconds")
     if profile:
-        doc["stage_percent"] = engine.profile_stages(report.stage_seconds)
+        doc["stage_percent"] = engine.profile_stages(stage_seconds)
     return doc
 
 
@@ -200,15 +186,7 @@ def _cmd_bench(args) -> int:
         "acceptances": sum(r["acceptances"] for r in runs),
         "mean_speedup": mean_speedup,
         "mean_speedup_to_eot": mean_to_eot,
-        "per_block": [
-            {
-                "index": s.index,
-                "runs": s.runs,
-                "mean_speedup": s.mean_speedup,
-                "mean_acceptance_rate": s.mean_acceptance_rate,
-            }
-            for s in summary
-        ],
+        "per_block": [dataclasses.asdict(s) for s in summary],
         "runs": runs,
     }
     if args.profile:
@@ -269,7 +247,7 @@ def _cmd_graph(args) -> int:
             % (graph.num_nodes, graph.depth, graph.tokens_per_level, graph.budget)
         )
         return 0
-    assert args.graph_command == "show"
+    # show: argparse requires one of the three graph subcommands
     graph = _load_graph(args.graph)
     print("budget D = %d, tokens_per_level = %d" % (graph.budget, graph.tokens_per_level))
     for idx, node in enumerate(graph.nodes):

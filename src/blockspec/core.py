@@ -43,6 +43,15 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def _parse_threshold(text: str) -> float:
+    """``text`` read by ``float`` when it is ASCII with no ``_``.
+    ``float`` also takes digit underscores and non-ASCII digits, which
+    ``parse_int`` rejects.  Raises ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("invalid number %r" % (text,))
+    return float(text)
+
+
 # ---------------------------------------------------------------------------
 # block / sequence state
 
@@ -284,7 +293,7 @@ class UnmaskSchedule:
         if mode == "fixed":
             convert, build = parse_int, UnmaskSchedule.fixed
         elif mode == "threshold":
-            convert, build = float, UnmaskSchedule.at_threshold
+            convert, build = _parse_threshold, UnmaskSchedule.at_threshold
         else:
             raise ValueError("unknown schedule mode %r" % (mode,))
         try:

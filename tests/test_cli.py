@@ -98,6 +98,8 @@ _BAD_FILES = {
     "underscore.graph": b"D 2\ntokens_per_level 1\n1:1_0\n",
     "underscore.cfg": b"W = 3_2\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n",
     "fullwidth.cfg": "W = 32\nL = 8\nschedule = fixed:1\ntop_k_vocab = \uff13\neot_token = 12\n".encode(),
+    # Python's float() takes the same spellings; this once read as 0.4
+    "arabic_threshold.cfg": (_SCHEDULE_CONFIG % "threshold:\u0660.\u0664").encode(),
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -569,6 +571,20 @@ class TestInputValidation:
             (_BENCH + ["--config", "underscore.cfg"], "underscore.cfg:1: W must be an integer, got '3_2'"),
             (_CHECK + ["--config", "fullwidth.cfg"], "fullwidth.cfg:4: top_k_vocab must be an integer, got '\uff13'"),
             (_GENERATE + ["--schedule", "fixed:1_0"], "--schedule fixed:1_0: bad fixed schedule value '1_0'"),
+            (_GENERATE + ["--schedule", "threshold:0.4_0"], "--schedule threshold:0.4_0: bad threshold schedule value '0.4_0'"),
+            (
+                _BENCH + ["--schedule", "threshold:\u0660.\u0664"],
+                "--schedule threshold:\u0660.\u0664: bad threshold schedule value '\u0660.\u0664'",
+            ),
+            (
+                _CHECK + ["--schedule", "threshold:\uff10.\uff14"],
+                "--schedule threshold:\uff10.\uff14: bad threshold schedule value '\uff10.\uff14'",
+            ),
+            (
+                _CALIBRATE + ["--config", "arabic_threshold.cfg"],
+                "arabic_threshold.cfg:3: bad threshold schedule value '\u0660.\u0664'",
+            ),
+            (_GENERATE + ["--schedule", "threshold:1_0"], "--schedule threshold:1_0: bad threshold schedule value '1_0'"),
             (_CALIBRATE + ["--budget", "1_0"], "argument --budget: invalid int value: '1_0'"),
             (_GENERATE + ["--index", "\u0660"], "argument --index: invalid int value: '\u0660'"),
             (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
@@ -610,6 +626,11 @@ class TestInputValidation:
             "bench-config-underscore",
             "check-lossless-config-fullwidth-digit",
             "generate-schedule-underscore",
+            "generate-threshold-underscore",
+            "bench-threshold-arabic-digit",
+            "check-lossless-threshold-fullwidth-digit",
+            "calibrate-config-threshold-arabic-digit",
+            "generate-threshold-underscore-above-one",
             "calibrate-flag-underscore",
             "generate-flag-arabic-digit",
             "validate-missing",

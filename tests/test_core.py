@@ -3,6 +3,8 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockspec.core import (
     MASK,
@@ -189,6 +191,20 @@ class TestUnmaskSchedule:
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             UnmaskSchedule.parse(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**30).map(UnmaskSchedule.fixed),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(UnmaskSchedule.at_threshold),
+        )
+    )
+    @example(UnmaskSchedule.at_threshold(1e-05))
+    @example(UnmaskSchedule.at_threshold(5e-324))
+    def test_parse_reads_every_spelling_format_writes(self, schedule):
+        """``format`` writes thresholds by ``repr``, exponents and
+        subnormals included; the ASCII rule must accept each of them."""
+        assert UnmaskSchedule.parse(schedule.format()) == schedule
 
     def test_constructor_invariants(self):
         with pytest.raises(ValueError, match="fixed schedule needs s >= 1"):

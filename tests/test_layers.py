@@ -6,6 +6,9 @@ replays decoding steps without importing the decoders.  ``batch`` and
 ``timing`` import no other module of the package and may be imported
 from any layer; ``synthetic`` imports only ``core``.  The package's
 ``__init__`` gathers the public names and is not part of the order.
+
+No module holds a construct ``python -O`` changes, so the package runs
+the same with and without it.
 """
 
 import ast
@@ -65,3 +68,39 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from blockspec import *", namespace)  # a stale name raises here
     assert set(blockspec.__all__) <= set(namespace)
+
+
+def optimize_dependent(tree):
+    """The lines of ``tree`` that ``python -O`` can run differently: an
+    ``assert``, which it strips, and a read of ``__debug__`` or
+    ``sys.flags``, which it changes."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "flags":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(a.name == "flags" for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_source_runs_the_same_under_python_O():
+    """No module asserts or reads ``__debug__`` or ``sys.flags``, so every
+    input check and the lossless decode run the same under ``python -O``
+    on every path, not only the paths tests reach."""
+    found = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in optimize_dependent(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_optimize_dependent_finds_each_construct():
+    source = "assert x\nif __debug__:\n    pass\nimport sys\ny = sys.flags.optimize\nfrom sys import flags\n"
+    assert optimize_dependent(ast.parse(source)) == [1, 2, 5, 6]
