@@ -11,13 +11,14 @@ Run: python3 demos/02_draft_graphs.py
 """
 
 from blockspec import synthetic
-from blockspec.core import SequenceState
+from blockspec.core import BlockState, SequenceState
 from blockspec.drafting import (
     DraftFormula,
     build_graph,
     export_dot,
     format_graph,
-    rank,
+    order_positions,
+    order_vocab,
     spawn_drafts,
 )
 from blockspec.model import forward_batched, train_from_corpus
@@ -49,21 +50,26 @@ def main() -> None:
     model = train_from_corpus(corpus, max(t for s in corpus for t in s))
     state = SequenceState.initial((2, 2), num_blocks=1, block_length=4)
     marginals = forward_batched(model, state, [])[0]
-    view = rank(marginals, state.active_block, top_k=3)
+    block = state.active_block
+    positions = order_positions(marginals, block)
     print("\nranking for prompt '2 2', four masked positions:")
-    print("  position order:", view.ordered_positions)
-    drafts = spawn_drafts(graph, view, state.active_block)
+    print("  position order:", positions)
+    drafts = spawn_drafts(graph, positions, order_vocab(marginals, positions, 3), block)
     print("spawned %d drafts (level order):" % len(drafts))
     for d in drafts:
-        print("  level %d  %-14s -> %s" % (d.level, d.formula.format(), d.tokens))
+        # the block starts fully masked, so a draft's unmasked count is its level
+        print("  level %d  -> %s" % (BlockState(d).unmasked_count, d))
 
-    # With fewer masked positions, formulas that need rank 3 skip.
-    shrunken = state.active_block.with_token(0, 2).with_token(3, 2)
-    view2 = rank(marginals, shrunken, top_k=3)
-    survivors = spawn_drafts(graph, view2, shrunken)
+    # With fewer masked positions, formulas that need rank 3 skip, and so
+    # does a formula that would fill every masked slot: verification
+    # never accepts a complete block, so it is not spawned.
+    shrunken = block.with_token(0, 2).with_token(3, 2)
+    positions = order_positions(marginals, shrunken)
+    survivors = spawn_drafts(graph, positions, order_vocab(marginals, positions, 3), shrunken)
     print("\nwith only 2 masked positions, %d of 6 formulas survive:" % len(survivors))
+    print("  (rank 3 is out of range, and 1:1 2:1 would fill both slots)")
     for d in survivors:
-        print("  %-14s -> %s" % (d.formula.format(), d.tokens))
+        print("  %s" % (d,))
 
     # Graphs are plain text on disk and graphviz for the eyes.
     print("\ngraph file format:")

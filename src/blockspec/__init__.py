@@ -12,14 +12,11 @@ from .core import (
 )
 from .model import ToyDenoiser, forward_batched, train_from_corpus
 from .drafting import (
-    DraftBlock,
     DraftFormula,
     DraftGraphSpec,
-    RankingView,
     build_graph,
     export_dot,
     parse_graph,
-    rank,
     spawn_drafts,
 )
 from .verification import StepRecord, advance, verify
@@ -56,11 +53,8 @@ __all__ = [
     "ToyDenoiser",
     "train_from_corpus",
     "forward_batched",
-    "RankingView",
     "DraftFormula",
     "DraftGraphSpec",
-    "DraftBlock",
-    "rank",
     "build_graph",
     "spawn_drafts",
     "parse_graph",

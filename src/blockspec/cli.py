@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import calibration, drafting, engine
-from .core import GenerationConfig, UnmaskSchedule, parse_config, parse_int
+from .core import GenerationConfig, UnmaskSchedule, ascii_split, parse_config, parse_int
 from .model import MAX_BLOCK_CELLS, ToyDenoiser, parse_corpus, train_from_corpus
 from .timing import StageTimer
 
@@ -37,7 +37,7 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = len(ascii_split(data[: exc.start].decode("utf-8"), "\n"))
         raise InputError("%s:%d: not UTF-8 text (byte 0x%02x)" % (path, lineno, data[exc.start]))
 
 
@@ -88,8 +88,16 @@ def _first(prompts: List[Tuple[int, ...]], limit: Optional[int]) -> List[Tuple[i
     return prompts[:limit]
 
 
-def _load_graph(path: str) -> drafting.DraftGraphSpec:
-    return drafting.parse_graph(_read(path), source=path)
+def _load_graph(path: str, config: Optional[GenerationConfig] = None) -> drafting.DraftGraphSpec:
+    """The graph in ``path``; one that cannot decode under ``config``,
+    when given, is an input error naming the file."""
+    graph = drafting.parse_graph(_read(path), source=path)
+    if config is not None:
+        try:
+            engine.check_graph(graph, config)
+        except ValueError as exc:
+            raise InputError("%s: %s" % (path, exc))
+    return graph
 
 
 def _report_dict(report: engine.RunReport, *, profile: bool) -> dict:
@@ -139,7 +147,7 @@ def _cmd_generate(args) -> int:
     prompt = prompts[args.index]
     timer = StageTimer() if args.profile else None
     if args.graph is not None:
-        graph = _load_graph(args.graph)
+        graph = _load_graph(args.graph, config)
         result = engine.generate_speculative(model, prompt, config, graph, timer=timer)
     else:
         result = engine.generate_vanilla(model, prompt, config, timer=timer)
@@ -152,7 +160,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     model, prompts, config = _load_setup(args)
-    graph = _load_graph(args.graph)
+    graph = _load_graph(args.graph, config)
     prompts = _first(prompts, args.limit)
     if not prompts:
         raise InputError("no prompts to bench")
@@ -212,7 +220,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check_lossless(args) -> int:
     model, prompts, config = _load_setup(args)
-    graph = _load_graph(args.graph)
+    graph = _load_graph(args.graph, config)
     if args.trials < 1:
         raise InputError("--trials must be >= 1, got %d" % args.trials)
     if args.trials > len(prompts):

@@ -43,6 +43,26 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+_ASCII_WHITESPACE = " \t\n\r\v\f"
+_ASCII_WHITESPACE_RUN = re.compile("[%s]+" % _ASCII_WHITESPACE)
+_LINE_END = re.compile("\r\n|\r|\n")
+
+
+def ascii_split(text: str, sep: Optional[str] = None, maxsplit: int = -1) -> List[str]:
+    r"""``str.split`` by ASCII rules.  With no ``sep``: the runs of
+    ``text`` between ASCII whitespace, none for blank text.  With one:
+    the parts between at most ``maxsplit`` occurrences of ``sep``, each
+    trimmed of ASCII whitespace; ``"\n"`` splits at every line end,
+    ``\n``, ``\r\n`` or ``\r``.  ``str.split`` and ``str.strip`` also
+    take U+00A0, U+3000 and \x1c-\x1f for whitespace, and
+    ``str.splitlines`` also ends lines at \v, \f, \x1c-\x1e, \x85,
+    U+2028 and U+2029; every text input is read by this rule instead."""
+    if sep is None:
+        return [field for field in _ASCII_WHITESPACE_RUN.split(text) if field]
+    parts = _LINE_END.split(text) if sep == "\n" else text.split(sep, maxsplit)
+    return [part.strip(_ASCII_WHITESPACE) for part in parts]
+
+
 def _parse_threshold(text: str) -> float:
     """``text`` read by ``float`` when it is ASCII with no ``_``.
     ``float`` also takes digit underscores and non-ASCII digits, which
@@ -286,10 +306,10 @@ class UnmaskSchedule:
     @staticmethod
     def parse(text: str) -> "UnmaskSchedule":
         """Parse ``fixed:2`` / ``threshold:0.9`` style schedule strings."""
-        parts = text.strip().split(":")
+        parts = ascii_split(text, ":")
         if len(parts) != 2:
             raise ValueError("bad schedule %r (want mode:value)" % (text,))
-        mode, value = parts[0].strip(), parts[1].strip()
+        mode, value = parts
         if mode == "fixed":
             convert, build = parse_int, UnmaskSchedule.fixed
         elif mode == "threshold":
@@ -364,14 +384,12 @@ def parse_config(text: str, *, source: str = "<config>") -> GenerationConfig:
     text of ``UnmaskSchedule.parse`` and the rest take integers.  Raises
     ValueError with the offending file and line on malformed input."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(ascii_split(text, "\n"), start=1):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError("%s:%d: expected 'key = value', got %r" % (source, lineno, raw))
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+            raise ValueError("%s:%d: expected 'key = value', got %r" % (source, lineno, line))
+        key, value = ascii_split(line, "=", 1)
         if key not in _CONFIG_KEYS:
             raise ValueError("%s:%d: unknown key %r" % (source, lineno, key))
         if key in values:

@@ -1,4 +1,4 @@
-"""Draft formulas, ranking views, and directed draft graphs.
+"""Draft formulas, rankings, and directed draft graphs.
 
 A draft formula is a set of (i, j) pairs: "unmask the i-th ranked masked
 position with its j-th ranked token".  Ranks are 1-based and computed
@@ -11,9 +11,11 @@ tie-break rules; ``vocab_ranking`` takes rows of any leading shape, and
 ranks the positions once per denoising step and hands that order on, in
 the step it returns, to drafting and calibration.  Calibration ranks the
 vocabulary once per lockstep model call, every row of that call in one
-``vocab_ranking``.  Formulas are state-independent; spawning a graph
-against a ranking view turns each formula that fits into an actual
-candidate block.
+``vocab_ranking``.  Formulas are state-independent; ``spawn_drafts``
+turns each formula that fits a ranked position order and its vocabulary
+into the token tuple of a candidate block, and spawns no formula that
+would fill every masked slot, since verification never accepts a
+complete state.
 
 Formulas are organized into a rooted DAG: A is a parent of B when A's
 pairs are a subset of B's and B has exactly one level's worth of extra
@@ -25,28 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, BlockState, Marginals, parse_int
+from .core import MASK, BlockState, Marginals, ascii_split, parse_int
 
 
 # ---------------------------------------------------------------------------
 # ranking
-
-
-class RankingView(NamedTuple):
-    """Position and vocabulary orderings extracted from one Marginals; a
-    tuple record, since the engine builds one per speculative call.
-
-    ``vocab_by_position[i - 1]`` holds the token ids of position rank i
-    in vocabulary-rank order; ``order_vocab`` gives every position the
-    same number of them, min(top_k, V).
-    """
-
-    ordered_positions: Tuple[int, ...]
-    vocab_by_position: Tuple[Tuple[int, ...], ...]  # aligned with ordered_positions
 
 
 def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
@@ -74,17 +63,10 @@ def vocab_ranking(rows: np.ndarray, top_k: int) -> np.ndarray:
 def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     """Per position: top_k token ids by descending probability, ties toward
     the lower id (``vocab_ranking`` of the block's rows, read at
-    ``positions``)."""
+    ``positions``).  Every position gets the same number of them,
+    min(top_k, V)."""
     ranked = vocab_ranking(marginals.rows, top_k).tolist()
     return tuple([tuple(ranked[n]) for n in positions])
-
-
-def rank(marginals: Marginals, block: BlockState, top_k: int) -> RankingView:
-    positions = order_positions(marginals, block)
-    return RankingView(
-        ordered_positions=positions,
-        vocab_by_position=order_vocab(marginals, positions, top_k),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +145,16 @@ class DraftGraphSpec:
         return max((j for node in self.nodes for _, j in node.pairs), default=0)
 
     @cached_property
-    def compiled(self) -> Tuple[Tuple[int, int, int, DraftFormula, Tuple[Tuple[int, int], ...]], ...]:
+    def compiled(self) -> Tuple[Tuple[int, int, int, Tuple[Tuple[int, int], ...]], ...]:
         """The nodes in (level, declaration) order, each as (highest
-        position rank, highest vocabulary rank, level, node, its (i, j)
-        pairs 0-based).  Built on first use and kept with the graph."""
-        out = []
-        for idx in sorted(range(self.num_nodes), key=lambda i: (self.level_of(i), i)):
-            node = self.nodes[idx]
-            out.append(
-                (
-                    max(i for i, _ in node.pairs),
-                    max(j for _, j in node.pairs),
-                    self.level_of(idx),
-                    node,
-                    tuple((i - 1, j - 1) for i, j in node.pairs),
-                )
-            )
-        return tuple(out)
+        position rank, highest vocabulary rank, size, its (i, j) pairs
+        0-based).  Built on first use and kept with the graph."""
+        # a stable sort keeps declaration order within a level, and pairs
+        # are sorted by position rank, so the last holds the highest
+        return tuple(
+            (node.pairs[-1][0], max(j for _, j in node.pairs), node.size, tuple((i - 1, j - 1) for i, j in node.pairs))
+            for node in sorted(self.nodes, key=lambda node: node.size)
+        )
 
 
 def build_graph(
@@ -228,54 +203,53 @@ def build_graph(
 # spawning
 
 
-class DraftBlock(NamedTuple):
-    """A spawned draft: the candidate block's tokens, the formula that
-    made it and the formula's level; a tuple record, since one is built
-    per spawned node per call."""
-
-    tokens: Tuple[int, ...]
-    formula: DraftFormula
-    level: int
-
-
-def spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: BlockState) -> List[DraftBlock]:
-    """Instantiate every node of ``graph`` whose ranks fit ``ranking``
-    against ``block``.  The returned order (ascending level, then node
-    declaration order) is also the verification scan order.
+def spawn_drafts(
+    graph: DraftGraphSpec,
+    positions: Sequence[int],
+    vocab: Sequence[Sequence[int]],
+    block: BlockState,
+) -> List[Tuple[int, ...]]:
+    """The token tuples of every node of ``graph`` that fits the ranking
+    (``positions``, ranked masked positions of ``block``, and ``vocab``,
+    their ``order_vocab`` ids) and leaves a slot of ``block`` masked.
+    The returned order (ascending level, then node declaration order) is
+    also the verification scan order.
 
     The walk goes over ``graph.compiled``: a node is skipped (not an
     error) when its highest position rank exceeds the ranked positions
-    or its highest vocabulary rank exceeds the view's width; a kept node
-    writes its 0-based pairs into one copy of the block's tokens.  Every
-    ranked position is checked once per call to be still masked, so no
-    pair overwrites a committed token, and every written token is >= 1
-    because ``order_vocab`` ids are argsort indices plus one.
+    or its highest vocabulary rank exceeds the ranking's width, or when
+    its size equals ``block``'s masked count.  Such a node would fill
+    every masked slot, and verification never accepts a complete state.
+    A kept node writes its 0-based pairs into one copy of the block's
+    tokens.  Every ranked position is checked once per call to be still
+    masked, so no pair overwrites a committed token, and every written
+    token is >= 1 because ``order_vocab`` ids are argsort indices plus
+    one.
 
     No kept node lacks a kept parent: a parent's pairs are a subset of
-    its child's, so when all of a child's ranks fit the view, so do its
-    parents', and ``build_graph`` gives every node above level 1 a
-    parent.  No two kept drafts share content: positions in the view are
-    distinct, each position's tokens are distinct, and each position is
-    unmasked at most once, so distinct formulas (``build_graph`` rejects
-    duplicates) give distinct blocks.
+    its child's, so when all of a child's ranks fit the ranking, so do
+    its parents', a parent is smaller than its child, and
+    ``build_graph`` gives every node above level 1 a parent.  No two
+    kept drafts share content: ranked positions are distinct, each
+    position's tokens are distinct, and each position is unmasked at
+    most once, so distinct formulas (``build_graph`` rejects duplicates)
+    give distinct blocks.
     """
-    positions = ranking.ordered_positions
-    vocab = ranking.vocab_by_position
     base = list(block.tokens)
     for n in positions:
         if base[n] != MASK:
             raise ValueError("position %d already unmasked" % n)
     ranks = len(positions)
     width = len(vocab[0]) if vocab else 0
-    out: List[DraftBlock] = []
-    for max_i, max_j, level, node, pairs in graph.compiled:
-        if max_i > ranks or max_j > width:
+    masked = base.count(MASK)
+    out: List[Tuple[int, ...]] = []
+    for max_i, max_j, size, pairs in graph.compiled:
+        if max_i > ranks or max_j > width or size == masked:
             continue
         tokens = base[:]
         for i, j in pairs:
             tokens[positions[i]] = vocab[i][j]
-        # DraftBlock(tokens, node, level) without the Python frame of its __new__
-        out.append(tuple.__new__(DraftBlock, (tuple(tokens), node, level)))
+        out.append(tuple(tokens))
     return out
 
 
@@ -294,11 +268,10 @@ def parse_graph(text: str, *, source: str = "<graph>") -> DraftGraphSpec:
     budget = None
     tokens_per_level = None
     formulas: List[DraftFormula] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(ascii_split(text, "\n"), start=1):
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = ascii_split(line)
         if fields[0] == "D":
             if len(fields) != 2 or budget is not None:
                 raise ValueError("%s:%d: bad D header" % (source, lineno))

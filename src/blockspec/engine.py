@@ -17,9 +17,8 @@ uncommitted.  So only the vocabulary is ranked here.  That distribution
 is one step behind the committed state; a draft is accepted exactly
 when the continuation it guessed from it is what the fresh target
 realizes.  Each block opens with a draft-free call since no
-distribution exists for it yet.  A spawned draft that fills every
-masked slot is not scored: verification never accepts a complete
-state.
+distribution exists for it yet.  Every spawned draft is scored;
+``spawn_drafts`` spawns none that fills every masked slot.
 
 A call's record is the tuple of steps ``verify`` took: ``(step,)`` when
 no draft was accepted.  Every report field and the trace are read off
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import MASK, BlockState, GenerationConfig, SequenceState
-from .drafting import DraftGraphSpec, RankingView, build_graph, order_vocab, spawn_drafts
+from .core import BlockState, GenerationConfig, SequenceState
+from .drafting import DraftGraphSpec, build_graph, order_vocab, spawn_drafts
 from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
 from .verification import StepRecord
@@ -161,6 +160,16 @@ def _decode_blocks(
 # decoding
 
 
+def check_graph(graph: DraftGraphSpec, config: GenerationConfig) -> None:
+    """The one rule a graph and a config must agree on: no formula may
+    address a vocabulary rank past ``top_k_vocab``.  Raises ValueError
+    otherwise."""
+    if graph.max_vocab_rank() > config.top_k_vocab:
+        raise ValueError(
+            "graph needs vocabulary rank %d, top_k_vocab is %d" % (graph.max_vocab_rank(), config.top_k_vocab)
+        )
+
+
 def generate_speculative(
     model: ToyDenoiser,
     prompt: Sequence[int],
@@ -182,11 +191,7 @@ def generate_speculative(
     one is given.
     """
     prompt = check_prompt(model, prompt)
-    if graph.max_vocab_rank() > config.top_k_vocab:
-        raise ValueError(
-            "graph/schedule mismatch: graph needs vocabulary rank %d, top_k_vocab is %d"
-            % (graph.max_vocab_rank(), config.top_k_vocab)
-        )
+    check_graph(graph, config)
 
     rank_vocab = timed(timer, "ranking", order_vocab)
     spawn = timed(timer, "drafting", spawn_drafts)
@@ -203,10 +208,7 @@ def generate_speculative(
             if calls and has_drafts:
                 last = calls[-1][-1]
                 positions = last.ordered[last.realized :]
-                vocab = rank_vocab(last.marginals, positions, config.top_k_vocab)
-                # verify never accepts a complete state, so a draft that
-                # fills every masked slot could never be accepted
-                drafts = [d.tokens for d in spawn(graph, RankingView(positions, vocab), block) if MASK in d.tokens]
+                drafts = spawn(graph, positions, rank_vocab(last.marginals, positions, config.top_k_vocab), block)
             target, draft_rows = forward(model, state, drafts)
             calls.append(verify(block, target, drafts, draft_rows, config.schedule))
             block = calls[-1][-1].state_after

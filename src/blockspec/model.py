@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, is_integer, parse_int, split_marginals, validate_sequence
+from .core import MASK, Marginals, SequenceState, ascii_split, is_integer, parse_int, split_marginals, validate_sequence
 
 # The largest vocabulary a model may have.  The two bigram count tables
 # and their smoothed probabilities take about 32 * V**2 bytes, 32 MiB at
@@ -328,18 +328,18 @@ def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_co
 
 
 def parse_corpus(text: str, *, source: str = "<corpus>", vocab_size: int = MAX_VOCAB_SIZE) -> List[Tuple[int, ...]]:
-    """Whitespace-separated ids, one sequence per line; blank lines skipped.
-    Ids above ``vocab_size`` are rejected: a prompt file passes its
-    corpus's vocabulary, a corpus keeps the limit a model can hold."""
+    """Ids separated by ASCII whitespace, one sequence per line; blank
+    lines skipped.  Ids above ``vocab_size`` are rejected: a prompt file
+    passes its corpus's vocabulary, a corpus keeps the limit a model can
+    hold."""
     sequences = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(ascii_split(text, "\n"), start=1):
         if not line:
             continue
         try:
-            seq = tuple(map(parse_int, line.split()))
+            seq = tuple(map(parse_int, ascii_split(line)))
         except ValueError:
-            raise ValueError("%s:%d: non-integer token in %r" % (source, lineno, raw))
+            raise ValueError("%s:%d: non-integer token in %r" % (source, lineno, line))
         for t in seq:
             if t < 1:
                 raise ValueError("%s:%d: token ids must be >= 1, got %d" % (source, lineno, t))

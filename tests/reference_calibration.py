@@ -12,9 +12,11 @@ from typing import List, Optional, Sequence
 
 from blockspec.calibration import CalibrationRecord
 from blockspec.core import MASK, GenerationConfig, SequenceState
-from blockspec.drafting import RankingView, order_vocab
+from blockspec.drafting import order_vocab
 from blockspec.model import ToyDenoiser, forward_batched
 from blockspec.verification import StepRecord, advance
+
+from reference_speculation import RankingView
 
 
 def reference_window_record(

@@ -4,20 +4,29 @@
 This is the speculative step the index-native one replaced: ranking
 argsorts one position at a time, each graph node is materialized into a
 ``BlockState`` through a ranking view's ``token_at`` and ``unmask``,
-every draft carries a step tag (its cumulative unmasked count), and
-verify scans the remaining drafts in order for one whose step tag and
-tokens both match, with one ``Marginals`` per draft.  Tests compare the
-new functions against it draft for draft and step for step.
+a materialized draft with no masked slot left is dropped, every draft
+carries a step tag (its cumulative unmasked count), and verify scans
+the remaining drafts in order for one whose step tag and tokens both
+match, with one ``Marginals`` per draft.  Tests compare the new
+functions against it draft for draft and step for step.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from blockspec.core import BlockState, Marginals, UnmaskSchedule, unmask
-from blockspec.drafting import DraftFormula, DraftGraphSpec, RankingView, order_positions
+from blockspec.drafting import DraftFormula, DraftGraphSpec, order_positions
 from blockspec.verification import StepRecord, advance
+
+
+class RankingView(NamedTuple):
+    """A ranked position order and, aligned with it, each position's
+    token ids in vocabulary-rank order."""
+
+    ordered_positions: Tuple[int, ...]
+    vocab_by_position: Tuple[Tuple[int, ...], ...]
 
 
 def reference_order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -70,7 +79,7 @@ def reference_spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: B
     out = []
     for idx in sorted(range(graph.num_nodes), key=lambda i: (graph.level_of(i), i)):
         made = materialize(graph.nodes[idx], ranking, block, graph.tokens_per_level)
-        if made is not None:
+        if made is not None and not made.block.is_complete:
             out.append(made)
     return out
 

@@ -70,6 +70,8 @@ _SCHEDULE_CONFIG = "W = 32\nL = 8\nschedule = %s\ntop_k_vocab = 3\neot_token = 1
 _BAD_FILES = {
     "latin1.txt": b"1 2\n3 \xe9\n",
     "latin1.cfg": b"W = 32\n# caf\xe9\n",
+    # line ends are \n, \r\n or \r; this once reported line 1
+    "latin1_cr.cfg": b"W = 32\r# caf\xe9\r",
     "latin1.graph": b"D 2\ntokens_per_level 1\n1:1 # \xe9\n",
     "bad.graph": b"D 4\ntokens_per_level 1\n1;1\n",
     "bad_prompts.txt": b"2 3\n4 x\n",
@@ -100,6 +102,15 @@ _BAD_FILES = {
     "fullwidth.cfg": "W = 32\nL = 8\nschedule = fixed:1\ntop_k_vocab = \uff13\neot_token = 12\n".encode(),
     # Python's float() takes the same spellings; this once read as 0.4
     "arabic_threshold.cfg": (_SCHEDULE_CONFIG % "threshold:\u0660.\u0664").encode(),
+    # str.split and str.strip take U+3000 and U+00A0 for whitespace, and
+    # str.splitlines ends a line at \x1c; these once read as (1, 2), 32,
+    # the node 1:1 2:1, and (1, 2) then (3, 4)
+    "ideographic_corpus.txt": "1 2\n1\u30002 1\n".encode(),
+    "nbsp.cfg": "W = 32\u00a0\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n".encode(),
+    "ideographic.graph": "D 2\ntokens_per_level 1\n1:1\n1:1\u30002:1\n".encode(),
+    "separator_prompts.txt": b"1 2\x1c3 4\n",
+    # vocabulary rank 5 with the default top_k_vocab of 3
+    "wide.graph": b"D 1\ntokens_per_level 1\n1:5\n",
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -556,6 +567,7 @@ class TestInputValidation:
             ),
             (_BENCH + ["--prompts", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
             (_BENCH + ["--config", "latin1.cfg"], "latin1.cfg:2: not UTF-8 text (byte 0xe9)"),
+            (_BENCH + ["--config", "latin1_cr.cfg"], "latin1_cr.cfg:2: not UTF-8 text (byte 0xe9)"),
             (_BENCH + ["--graph", "bad.graph"], "bad.graph:3: expected i:j pair"),
             (_BENCH + ["--config", "pnan.cfg"], "pnan.cfg:3: threshold schedule needs 0 < p <= 1, got nan"),
             (_CHECK + ["--corpus", "nope.txt"], "cannot read nope.txt: " + _NOT_FOUND),
@@ -587,6 +599,17 @@ class TestInputValidation:
             (_GENERATE + ["--schedule", "threshold:1_0"], "--schedule threshold:1_0: bad threshold schedule value '1_0'"),
             (_CALIBRATE + ["--budget", "1_0"], "argument --budget: invalid int value: '1_0'"),
             (_GENERATE + ["--index", "\u0660"], "argument --index: invalid int value: '\u0660'"),
+            (
+                _GENERATE + ["--schedule", "threshold:0.4\u3000"],
+                "--schedule threshold:0.4\u3000: bad threshold schedule value '0.4\\u3000'",
+            ),
+            (_BENCH + ["--config", "nbsp.cfg"], "nbsp.cfg:1: W must be an integer, got '32\\xa0'"),
+            (_CALIBRATE + ["--corpus", "ideographic_corpus.txt"], "ideographic_corpus.txt:2: non-integer token"),
+            (["graph", "validate", "--graph", "ideographic.graph"], "ideographic.graph:4: j must be an integer"),
+            (_CHECK + ["--prompts", "separator_prompts.txt"], "separator_prompts.txt:1: non-integer token"),
+            (_GENERATE + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
+            (_BENCH + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
+            (_CHECK + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
             (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
             (["graph", "validate", "--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (["graph", "show", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
@@ -611,6 +634,7 @@ class TestInputValidation:
             "generate-block-cells-limit",
             "bench-missing",
             "bench-not-utf8",
+            "bench-not-utf8-cr-lines",
             "bench-malformed-graph",
             "bench-schedule-p-nan",
             "check-lossless-missing",
@@ -633,6 +657,14 @@ class TestInputValidation:
             "generate-threshold-underscore-above-one",
             "calibrate-flag-underscore",
             "generate-flag-arabic-digit",
+            "generate-threshold-ideographic-space",
+            "bench-config-no-break-space",
+            "calibrate-corpus-ideographic-space",
+            "validate-pair-ideographic-space",
+            "check-lossless-prompt-file-separator",
+            "generate-graph-vocabulary-rank",
+            "bench-graph-vocabulary-rank",
+            "check-lossless-graph-vocabulary-rank",
             "validate-missing",
             "validate-not-utf8",
             "show-missing",

@@ -19,6 +19,8 @@ from blockspec.core import (
     split_marginals,
     validate_sequence,
 )
+from blockspec.drafting import parse_graph
+from blockspec.model import parse_corpus
 
 import numpy as np
 
@@ -314,3 +316,42 @@ class TestConfigFile:
         with pytest.raises(ValueError) as config:
             parse_config(_CONFIG % text, source="cfg.txt")
         assert str(config.value) == "cfg.txt:3: " + message
+
+
+# ---------------------------------------------------------------------------
+# ASCII text rules
+# ---------------------------------------------------------------------------
+
+
+class TestAsciiText:
+    """Files and the schedule flag are read by ASCII rules: lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only, and only ASCII whitespace trims
+    or separates fields."""
+
+    _CORPUS = "1 2\n\n3\t4 \n"
+    _GRAPH = "# chain\nD 2\ntokens_per_level 1\n1:1\n1:1 2:1\n"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_parse_as_lf(self, end):
+        assert parse_corpus(self._CORPUS.replace("\n", end)) == parse_corpus(self._CORPUS)
+        assert parse_graph(self._GRAPH.replace("\n", end)) == parse_graph(self._GRAPH)
+        config = _CONFIG % "threshold:0.5"
+        assert parse_config(config.replace("\n", end)) == parse_config(config)
+
+    def test_ascii_whitespace_inside_a_line_separates_fields(self):
+        assert parse_corpus("1\x0b2\x0c3\n") == [(1, 2, 3)]
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1e", "\x85", "\u2028", "\u3000", "\xa0"])
+    def test_other_breaks_and_spaces_are_not_whitespace(self, char):
+        with pytest.raises(ValueError, match="^c.txt:2: non-integer token"):
+            parse_corpus("1\n1%s2\n" % char, source="c.txt")
+        with pytest.raises(ValueError, match="^g.txt:3: j must be an integer"):
+            parse_graph("D 2\ntokens_per_level 1\n1:1%s\n" % char, source="g.txt")
+        with pytest.raises(ValueError, match="^cfg.txt:1: W must be an integer"):
+            parse_config("W = 32%s\n" % char, source="cfg.txt")
+        with pytest.raises(ValueError, match="^bad threshold schedule value"):
+            UnmaskSchedule.parse("threshold:0.4%s" % char)
+
+    def test_ascii_whitespace_is_trimmed(self):
+        assert UnmaskSchedule.parse(" \tthreshold : 0.4\x0c") == UnmaskSchedule.at_threshold(0.4)
+        assert parse_config((_CONFIG % "fixed:2").replace(" = ", "\t=\x0b")) == parse_config(_CONFIG % "fixed:2")

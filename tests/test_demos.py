@@ -1,4 +1,5 @@
-"""Every demo runs to completion: exit 0 and nothing on stderr."""
+"""Every demo runs to completion: exit 0, nothing on stderr, and stdout
+byte for byte as in its golden file ``tests/golden/<demo>.txt``."""
 
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_all_five_demos_are_found():
@@ -18,12 +20,14 @@ def test_all_five_demos_are_found():
         "04_calibration.py",
         "05_attention_mask.py",
     ]
+    assert sorted(g.stem for g in GOLDEN.glob("*.txt")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs_cleanly(demo, child_env):
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=child_env, capture_output=True, timeout=120
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stderr == b""
+    assert done.stdout == (GOLDEN / (demo.stem + ".txt")).read_bytes()

@@ -20,12 +20,11 @@ from blockspec.drafting import (
     order_positions,
     order_vocab,
     parse_graph,
-    rank,
     spawn_drafts,
 )
 from blockspec.verification import advance, verify
 
-from reference_speculation import reference_rank, reference_spawn_drafts, reference_verify
+from reference_speculation import materialize, reference_rank, reference_spawn_drafts, reference_verify
 
 
 def _marginals(rows, vocab=4):
@@ -34,6 +33,12 @@ def _marginals(rows, vocab=4):
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
     return Marginals(rows=out)
+
+
+def _spawn(graph, marginals, block, top_k):
+    """``spawn_drafts`` against ``block`` ranked under ``marginals``."""
+    positions = order_positions(marginals, block)
+    return spawn_drafts(graph, positions, order_vocab(marginals, positions, top_k), block)
 
 
 def _six_node_formulas():
@@ -87,11 +92,11 @@ class TestRanking:
         m = _marginals([[0.4, 0.4, 0.2]], vocab=3)
         assert order_vocab(m, [0], 3) == ((1, 2, 3),)
 
-    def test_rank_view_accessors(self):
+    def test_order_positions_then_order_vocab(self):
         m = _marginals([[0.2], [0.9]])
-        view = rank(m, BlockState.masked(2), 2)
-        assert view.ordered_positions == (1, 0)
-        assert view.vocab_by_position == ((1, 2), (1, 2))
+        positions = order_positions(m, BlockState.masked(2))
+        assert positions == (1, 0)
+        assert order_vocab(m, positions, 2) == ((1, 2), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +201,10 @@ class TestBuildGraph:
 # ---------------------------------------------------------------------------
 
 
-def _spawn_one(formula, view, block):
+def _spawn_one(formula, marginals, block, top_k):
     """The drafts of a graph holding ``formula`` and its parent chain."""
     chain = [DraftFormula.of(formula.pairs[:n]) for n in range(1, formula.size + 1)]
-    return spawn_drafts(build_graph(chain, 1), view, block)[formula.size - 1:]
+    return _spawn(build_graph(chain, 1), marginals, block, top_k)[formula.size - 1:]
 
 
 class TestMaterialize:
@@ -217,31 +222,30 @@ class TestMaterialize:
             rows = rng.random((length, 4))
             rows /= rows.sum(axis=1, keepdims=True)
             m = Marginals(rows=rows)
-            view = rank(m, block, 4)
-            (made,) = _spawn_one(DraftFormula.of([(1, 1)]), view, block)
+            drafts = _spawn_one(DraftFormula.of([(1, 1)]), m, block, 4)
             step = advance(block, m, UnmaskSchedule.fixed(1))
-            assert step.ordered == view.ordered_positions
+            assert step.ordered == order_positions(m, block)
             assert step.realized == 1
-            assert made.tokens == step.state_after.tokens
+            if step.state_after.is_complete:
+                # one masked slot: the draft would fill it, so none is spawned
+                assert drafts == []
+            else:
+                assert drafts == [step.state_after.tokens]
 
     def test_draft_unmasks_one_slot_per_pair(self):
         m = _marginals([[0.2], [0.9], [0.5]])
         block = BlockState.masked(3)
-        view = rank(m, block, 2)
-        (made,) = _spawn_one(DraftFormula.of([(1, 1), (2, 1)]), view, block)
-        assert made.level == 2
-        assert made.tokens == (0, 1, 1)
-        assert BlockState(tokens=made.tokens).unmasked_count == 2
+        (made,) = _spawn_one(DraftFormula.of([(1, 1), (2, 1)]), m, block, 2)
+        assert made == (0, 1, 1)
+        assert BlockState(tokens=made).unmasked_count == 2
 
     def test_position_rank_out_of_range_skips(self):
         m = _marginals([[0.2], [0.9], [0.5]])
-        view = rank(m, BlockState.masked(3), 2)
-        assert spawn_drafts(build_graph([DraftFormula.of([(5, 1)])], 1), view, BlockState.masked(3)) == []
+        assert _spawn(build_graph([DraftFormula.of([(5, 1)])], 1), m, BlockState.masked(3), 2) == []
 
     def test_vocab_rank_out_of_range_skips(self):
         m = _marginals([[0.2], [0.9], [0.5]])
-        view = rank(m, BlockState.masked(3), 1)
-        assert spawn_drafts(build_graph([DraftFormula.of([(1, 2)])], 1), view, BlockState.masked(3)) == []
+        assert _spawn(build_graph([DraftFormula.of([(1, 2)])], 1), m, BlockState.masked(3), 1) == []
 
     def test_monotone_along_parent_edges(self):
         """If A is a parent of B, A's unmasked set is inside B's."""
@@ -254,10 +258,10 @@ class TestMaterialize:
             rows /= rows.sum(axis=1, keepdims=True)
             m = Marginals(rows=rows)
             block = BlockState.masked(5)
-            _, made_a, made_b = spawn_drafts(graph, rank(m, block, 3), block)
-            assert (made_a.formula, made_b.formula) == (a, b)
-            set_a = {n for n, t in enumerate(made_a.tokens) if t != 0}
-            set_b = {n for n, t in enumerate(made_b.tokens) if t != 0}
+            _, made_a, made_b = _spawn(graph, m, block, 3)
+            set_a = {n for n, t in enumerate(made_a) if t != 0}
+            set_b = {n for n, t in enumerate(made_b) if t != 0}
+            assert (len(set_a), len(set_b)) == (a.size, b.size)
             assert set_a < set_b
 
 
@@ -265,32 +269,47 @@ class TestSpawnDrafts:
     def test_empty_graph(self):
         m = _marginals([[0.5], [0.5]])
         graph = build_graph([], 1)
-        assert spawn_drafts(graph, rank(m, BlockState.masked(2), 2), BlockState.masked(2)) == []
+        assert _spawn(graph, m, BlockState.masked(2), 2) == []
 
     def test_six_nodes_with_room(self):
         graph = build_graph(_six_node_formulas(), 1, budget=10)
+        m = _marginals([[0.2], [0.9], [0.5], [0.1]])
+        block = BlockState.masked(4)
+        drafts = _spawn(graph, m, block, 3)
+        # level order, then declaration order within a level; positions
+        # rank (1, 2, 0, 3) and token 1 ranks first everywhere
+        assert drafts == [
+            (0, 1, 0, 0),
+            (0, 0, 1, 0),
+            (0, 1, 1, 0),
+            (1, 1, 0, 0),
+            (1, 0, 1, 0),
+            (1, 1, 1, 0),
+        ]
+
+    def test_draft_filling_every_masked_slot_not_spawned(self):
+        graph = build_graph(_six_node_formulas(), 1, budget=10)
         m = _marginals([[0.2], [0.9], [0.5]])
         block = BlockState.masked(3)
-        drafts = spawn_drafts(graph, rank(m, block, 3), block)
-        assert len(drafts) == 6
-        assert [d.level for d in drafts] == [1, 1, 2, 2, 2, 3]
-        # level order, then declaration order within a level
-        assert [d.formula.format() for d in drafts[:2]] == ["1:1", "2:1"]
+        drafts = _spawn(graph, m, block, 3)
+        # the level-3 node would fill all three slots
+        assert drafts == [(0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1)]
+        assert all(MASK in d for d in drafts)
+        assert _spawn(build_graph([DraftFormula.of([(1, 1)])], 1), m, BlockState((0, 2, 2)), 3) == []
 
     def test_rank3_nodes_dropped_with_two_masked(self):
         graph = build_graph(_six_node_formulas(), 1, budget=10)
         m = _marginals([[0.2], [0.9], [0.5]])
         block = BlockState(tokens=(0, 0, 7))
-        drafts = spawn_drafts(graph, rank(m, block, 3), block)
-        assert [d.formula.format() for d in drafts] == ["1:1", "2:1", "1:1 2:1"]
+        drafts = _spawn(graph, m, block, 3)
+        # 1:1 and 2:1; 1:1 2:1 would fill both masked slots
+        assert drafts == [(0, 1, 7), (1, 0, 7)]
 
     def test_determinism(self):
         graph = build_graph(_six_node_formulas(), 1, budget=10)
         m = _marginals([[0.3], [0.8], [0.6], [0.1]])
         block = BlockState.masked(4)
-        a = spawn_drafts(graph, rank(m, block, 3), block)
-        b = spawn_drafts(graph, rank(m, block, 3), block)
-        assert [d.tokens for d in a] == [d.tokens for d in b]
+        assert _spawn(graph, m, block, 3) == _spawn(graph, m, block, 3)
 
     def test_surviving_parent_keeps_multiparent_child(self):
         # drop {(2,1)} by vocab range while {(1,1)} survives: the child
@@ -302,25 +321,25 @@ class TestSpawnDrafts:
             DraftFormula.of([(1, 1), (2, 1)]),
         ]
         graph = build_graph(nodes, 1, budget=5)
-        m = _marginals([[0.2], [0.9]])
-        block = BlockState.masked(2)
-        drafts = spawn_drafts(graph, rank(m, block, 1), block)
-        assert [d.formula.format() for d in drafts] == ["1:1", "1:1 2:1"]
+        m = _marginals([[0.2], [0.9], [0.1]])
+        block = BlockState.masked(3)
+        # 1:1 then 1:1 2:1; positions rank (1, 0, 2)
+        assert _spawn(graph, m, block, 1) == [(0, 1, 0), (1, 1, 0)]
 
     def test_ranked_position_already_unmasked_is_error(self):
         graph = build_graph([DraftFormula.of([(1, 1)])], 1)
         m = _marginals([[0.2], [0.9]])
-        view = rank(m, BlockState.masked(2), 2)
+        positions = order_positions(m, BlockState.masked(2))
         with pytest.raises(ValueError, match="position 1 already unmasked"):
-            spawn_drafts(graph, view, BlockState(tokens=(0, 3)))
+            spawn_drafts(graph, positions, order_vocab(m, positions, 2), BlockState(tokens=(0, 3)))
 
 
 @st.composite
 def spawn_cases(draw):
     """A block with some slots already unmasked, tie-heavy marginals, a
     top_k and a valid graph declared in shuffled order.  Ranks reach one
-    past the masked slots and one past the view's vocabulary, so some
-    nodes are skipped."""
+    past the masked slots and one past the view's vocabulary, and node
+    sizes often reach the masked count, so some nodes are skipped."""
     length = draw(st.integers(1, 9))
     vocab = draw(st.integers(1, 4))
     top_k = draw(st.integers(1, 4))
@@ -344,8 +363,12 @@ def spawn_cases(draw):
         st.one_of(st.just(1), st.integers(1, min(top_k, vocab) + 1)),
     )
     depth = min(3, (masked + 1) // tokens_per_level)
+    # when a level's size is the masked count, often reach that level:
+    # its nodes that fit fill every masked slot, so spawning skips them
+    full = masked // tokens_per_level
+    least = full if masked % tokens_per_level == 0 and full <= depth and draw(st.booleans()) else 1
     levels = [[]]
-    for _ in range(draw(st.integers(1, depth))):
+    for _ in range(draw(st.integers(least, depth))):
         level = []
         for _ in range(draw(st.integers(1, 3))):
             below = levels[-1]
@@ -366,8 +389,11 @@ class TestSpawnProperty:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(spawn_cases())
     def test_spawns_every_node_that_fits_in_scan_order(self, case):
+        """Every node whose ranks fit and that leaves a slot masked, in
+        (level, declaration) order; each with a spawned parent above
+        level 1, and no two with the same tokens."""
         graph, marginals, block, top_k = case
-        view = rank(marginals, block, top_k)
+        view = reference_rank(marginals, block, top_k)
 
         def fits(node):
             return all(
@@ -375,14 +401,21 @@ class TestSpawnProperty:
                 for i, j in node.pairs
             )
 
-        drafts = spawn_drafts(graph, view, block)
-        spawned = [graph.nodes.index(d.formula) for d in drafts]
-        assert sorted(spawned) == [idx for idx, node in enumerate(graph.nodes) if fits(node)]
+        drafts = _spawn(graph, marginals, block, top_k)
+        assert len(set(drafts)) == len(drafts)
+        masked = len(block.masked_positions)
+        node_of = {}
+        for idx, node in enumerate(graph.nodes):
+            if fits(node):
+                node_of.setdefault(materialize(node, view, block).block.tokens, []).append(idx)
+        spawned = [idx for d in drafts for idx in node_of[d]]
+        assert sorted(spawned) == [
+            idx for idx, node in enumerate(graph.nodes) if fits(node) and node.size < masked
+        ]
         assert spawned == sorted(spawned, key=lambda idx: (graph.level_of(idx), idx))
         for idx in spawned:
             if graph.level_of(idx) > 1:
                 assert any(p in spawned for p in graph.parents[idx])
-        assert len({d.tokens for d in drafts}) == len(drafts)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(spawn_cases(), st.data())
@@ -392,16 +425,16 @@ class TestSpawnProperty:
         levels, the adopted rows, the realized counts and the remaining
         order all agree, read off the two step chains alike."""
         graph, marginals, block, top_k = case
-        drafts = spawn_drafts(graph, rank(marginals, block, top_k), block)
+        drafts = _spawn(graph, marginals, block, top_k)
         want = reference_spawn_drafts(graph, reference_rank(marginals, block, top_k), block)
-        assert [tuple(d) for d in drafts] == [(w.block.tokens, w.formula, w.level) for w in want]
+        assert drafts == [w.block.tokens for w in want]
 
         picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
-        out = verify(block, target, [drafts[k].tokens for k in picks], draft_rows, schedule)
+        out = verify(block, target, [drafts[k] for k in picks], draft_rows, schedule)
         ref = reference_verify(
             block, target, [want[k] for k in picks], [Marginals(rows=r) for r in draft_rows], schedule
         )
-        levels = {d.tokens: d.level for d in drafts}
+        levels = {w.block.tokens: w.level for w in want}
         assert _outcome(out, levels) == _outcome(ref, levels)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -413,7 +446,7 @@ class TestSpawnProperty:
         stops on a complete block or a state no draft matches, and its
         realized counts sum to the slots it unmasked."""
         graph, marginals, block, top_k = case
-        drafts = [d.tokens for d in spawn_drafts(graph, rank(marginals, block, top_k), block)]
+        drafts = _spawn(graph, marginals, block, top_k)
         picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
         scored = [drafts[k] for k in picks]
         steps = verify(block, target, scored, draft_rows, schedule)

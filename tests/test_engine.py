@@ -194,7 +194,7 @@ class TestGenerateSpeculative:
 
     def test_graph_needs_vocab_rank_within_topk(self, model):
         wide = build_graph([DraftFormula.of([(1, 4)])], 1)
-        with pytest.raises(ValueError, match="graph/schedule mismatch"):
+        with pytest.raises(ValueError, match="^graph needs vocabulary rank 4, top_k_vocab is 3$"):
             generate_speculative(model, (2,), make_config(top_k_vocab=3), wide)
 
     def test_threshold_baseline_is_measured(self, model):
@@ -256,8 +256,9 @@ class TestGenerateSpeculative:
 
 class TestScoredDrafts:
     """``verify`` never looks a complete state up, so a draft that fills
-    every masked slot can never be accepted; the speculative loop scores
-    none.  The README runs keep their pinned counts."""
+    every masked slot can never be accepted; ``spawn_drafts`` spawns
+    none, and the speculative loop scores every draft it spawns.  The
+    README runs keep their pinned counts."""
 
     @pytest.mark.parametrize(
         "schedule, counts",
@@ -268,9 +269,9 @@ class TestScoredDrafts:
         graph, _, _ = calibrate_graph(model, prompts, cfg, lookahead_max=4, budget=8)
         spawned, scored = [], []
 
-        def spawn_counted(graph, ranking, block):
-            drafts = spawn_drafts(graph, ranking, block)
-            spawned.extend(d.tokens for d in drafts)
+        def spawn_counted(graph, positions, vocab, block):
+            drafts = spawn_drafts(graph, positions, vocab, block)
+            spawned.extend(drafts)
             return drafts
 
         def forward_checked(model, state, drafts):
@@ -280,8 +281,8 @@ class TestScoredDrafts:
         monkeypatch.setattr(engine, "spawn_drafts", spawn_counted)
         monkeypatch.setattr(engine, "forward_batched", forward_checked)
         reports = [generate_speculative(model, prompt, cfg, graph).report for prompt in prompts]
+        assert scored == spawned
         assert all(MASK in d for d in scored)
-        assert len(scored) == sum(MASK in d for d in spawned) < len(spawned)
         assert (
             sum(r.baseline_nfe for r in reports),
             sum(r.total_nfe for r in reports),
