@@ -79,12 +79,16 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
     return model, prompts, config
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError("%s must be >= %d, got %d" % (flag, least, value))
+
+
 def _first(prompts: List[Tuple[int, ...]], limit: Optional[int]) -> List[Tuple[int, ...]]:
     """The first ``limit`` prompts, or all of them when no limit is given."""
     if limit is None:
         return prompts
-    if limit < 0:
-        raise InputError("--limit must be >= 0, got %d" % limit)
+    _at_least("--limit", limit, 0)
     return prompts[:limit]
 
 
@@ -100,16 +104,6 @@ def _load_graph(path: str, config: Optional[GenerationConfig] = None) -> draftin
     return graph
 
 
-def _report_dict(report: engine.RunReport, *, profile: bool) -> dict:
-    """The report's fields, with stage timings only under ``--profile``
-    and then as percentages of model time."""
-    doc = dataclasses.asdict(report)
-    stage_seconds = doc.pop("stage_seconds")
-    if profile:
-        doc["stage_percent"] = engine.profile_stages(stage_seconds)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,6 +113,8 @@ def _cmd_calibrate(args) -> int:
     prompts = _first(prompts, args.limit)
     if not prompts:
         raise InputError("no prompts to calibrate from")
+    for flag, value in (("--lookahead", args.lookahead), ("--width", args.width), ("--budget", args.budget)):
+        _at_least(flag, value, 1)
     graph, table, records = calibration.calibrate_graph(
         model,
         prompts,
@@ -153,7 +149,9 @@ def _cmd_generate(args) -> int:
         result = engine.generate_vanilla(model, prompt, config, timer=timer)
     print(" ".join(str(t) for t in result.tokens))
     if args.out is not None:
-        doc = _report_dict(result.report, profile=args.profile)
+        doc = dataclasses.asdict(result.report)
+        if timer is not None:
+            doc["stage_percent"] = engine.profile_stages(timer.seconds)
         _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -166,9 +164,9 @@ def _cmd_bench(args) -> int:
         raise InputError("no prompts to bench")
     runs = []
     reports = []
+    timer = StageTimer() if args.profile else None
     for index, prompt in enumerate(prompts):
         vanilla = engine.generate_vanilla(model, prompt, config)
-        timer = StageTimer() if args.profile else None
         spec = engine.generate_speculative(model, prompt, config, graph, baseline=vanilla.report, timer=timer)
         reports.append(spec.report)
         runs.append(
@@ -197,12 +195,8 @@ def _cmd_bench(args) -> int:
         "per_block": [dataclasses.asdict(s) for s in summary],
         "runs": runs,
     }
-    if args.profile:
-        merged = {}
-        for report in reports:
-            for name, seconds in report.stage_seconds.items():
-                merged[name] = merged.get(name, 0.0) + seconds
-        doc["stage_percent"] = engine.profile_stages(merged)
+    if timer is not None:
+        doc["stage_percent"] = engine.profile_stages(timer.seconds)
     print(
         "%d prompts, schedule %s: mean speedup %.4f (up to EOT %.4f), %d acceptances"
         % (len(runs), config.schedule.format(), mean_speedup, mean_to_eot, doc["acceptances"])
@@ -221,8 +215,7 @@ def _cmd_bench(args) -> int:
 def _cmd_check_lossless(args) -> int:
     model, prompts, config = _load_setup(args)
     graph = _load_graph(args.graph, config)
-    if args.trials < 1:
-        raise InputError("--trials must be >= 1, got %d" % args.trials)
+    _at_least("--trials", args.trials, 1)
     if args.trials > len(prompts):
         raise InputError("--trials %d requested but only %d prompts available" % (args.trials, len(prompts)))
     for index in range(args.trials):

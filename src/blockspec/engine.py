@@ -67,9 +67,8 @@ class RunReport:
     ``speedup_all`` is baseline NFEs over actual NFEs across every
     block; ``speedup_to_eot`` restricts both sums to blocks up to and
     including the one holding the first EOT token (equal to speedup_all
-    when no EOT appeared).  ``stage_seconds`` holds wall-clock stage
-    totals when the run was given a timer (empty otherwise) and is the
-    only non-deterministic field.
+    when no EOT appeared).  Every field is deterministic: stage times
+    stay in the ``StageTimer`` the caller passed to the decoder.
     """
 
     total_nfe: int
@@ -79,13 +78,11 @@ class RunReport:
     eot_block: Optional[int]
     speedup_all: float
     speedup_to_eot: float
-    stage_seconds: Mapping[str, float]
 
 
 @dataclass(frozen=True)
 class GenerationResult:
     tokens: Tuple[int, ...]
-    state: SequenceState
     report: RunReport
     trace: Optional[Tuple[Tuple[int, BlockState], ...]]
 
@@ -104,7 +101,6 @@ def _decode_blocks(
     denoise_block: Callable[[SequenceState], Tuple[SequenceState, List[Tuple[StepRecord, ...]]]],
     record_trace: bool,
     baseline: Optional[RunReport],
-    timer: Optional[StageTimer],
 ) -> GenerationResult:
     """The block loop both decoders share.
 
@@ -146,11 +142,9 @@ def _decode_blocks(
         eot_block=eot_block,
         speedup_all=_speedup(per_block, None),
         speedup_to_eot=_speedup(per_block, eot_block),
-        stage_seconds=timer.snapshot() if timer is not None else {},
     )
     return GenerationResult(
         tokens=state.generated_tokens(),
-        state=state,
         report=report,
         trace=tuple(trace) if record_trace else None,
     )
@@ -187,8 +181,8 @@ def generate_speculative(
     trace, when recorded, holds the state after each call, which is a
     subsequence of the vanilla per-step trajectory.  Each block's
     baseline NFEs are its steps taken, or ``baseline``'s per-block NFEs
-    when a vanilla report is given.  Stage times go to ``timer`` when
-    one is given.
+    when a vanilla report is given.  Stage times accumulate in
+    ``timer``, when one is given, and nowhere else.
     """
     prompt = check_prompt(model, prompt)
     check_graph(graph, config)
@@ -215,7 +209,7 @@ def generate_speculative(
             state = state.with_active_block(block)
         return state, calls
 
-    return _decode_blocks(prompt, config, denoise_block, record_trace, baseline, timer)
+    return _decode_blocks(prompt, config, denoise_block, record_trace, baseline)
 
 
 _NO_DRAFTS = build_graph(())
@@ -231,7 +225,8 @@ def generate_vanilla(
 ) -> GenerationResult:
     """Reference decode: ``generate_speculative`` with an empty graph, so
     each model call takes exactly one step; baseline equals actual,
-    speedup 1.0, M = 0.  Stage times go to ``timer`` when one is given."""
+    speedup 1.0, M = 0.  Stage times accumulate in ``timer``, when one
+    is given."""
     return generate_speculative(model, prompt, config, _NO_DRAFTS, record_trace=record_trace, timer=timer)
 
 
@@ -330,8 +325,8 @@ def per_block_summary(reports: Sequence[RunReport]) -> List[BlockSummary]:
 def profile_stages(stage_seconds: Mapping[str, float]) -> Dict[str, float]:
     """Stage overheads as a percentage of model time.
 
-    ``stage_seconds`` is one report's ``stage_seconds`` or the per-stage
-    sum over several reports.
+    ``stage_seconds`` is a ``StageTimer``'s ``seconds``: the stage totals
+    of every decode that was given that timer.
     """
     model_time = stage_seconds.get("model", 0.0)
     if model_time <= 0.0:

@@ -1,4 +1,9 @@
-"""Wall-clock stage accounting for overhead profiling."""
+"""Wall-clock stage accounting for overhead profiling.
+
+Timing is opt-in and owned by the caller: a decoder given a
+``StageTimer`` adds each stage's wall time to it, and the caller reads
+``seconds`` afterwards.  No report holds a time, so reports stay
+deterministic."""
 
 from __future__ import annotations
 
@@ -20,9 +25,6 @@ class StageTimer:
             yield
         finally:
             self.seconds[name] = self.seconds.get(name, 0.0) + (time.perf_counter() - start)
-
-    def snapshot(self) -> Dict[str, float]:
-        return dict(self.seconds)
 
 
 def timed(timer: Optional[StageTimer], name: str, fn: Callable) -> Callable:

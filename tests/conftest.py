@@ -76,4 +76,4 @@ def scripted_report(nfes, block_length, eot_block):
         calls = [(step,) * (block_length - n + 1)] + [(step,)] * (n - 1)
         return state.with_active_block(block), calls
 
-    return engine._decode_blocks((1,), config, denoise_block, False, None, None).report
+    return engine._decode_blocks((1,), config, denoise_block, False, None).report

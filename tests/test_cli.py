@@ -509,9 +509,9 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "flags, config, message",
         [
-            (["--budget", 0], None, "budget must be >= 1, got 0"),
-            (["--lookahead", 0], None, "lookahead must be >= 1, got 0"),
-            (["--width", 0], None, "width must be >= 1, got 0"),
+            (["--budget", 0], None, "--budget must be >= 1, got 0"),
+            (["--lookahead", 0], None, "--lookahead must be >= 1, got 0"),
+            (["--width", 0], None, "--width must be >= 1, got 0"),
             ([], _CONFIG % (0, 12), "bad.cfg: top_k_vocab must be >= 1, got 0"),
             ([], _CONFIG % (3, 99), "bad.cfg: eot_token 99 outside corpus vocabulary 1..12"),
         ],
