@@ -8,7 +8,6 @@ from .core import (
     SequenceState,
     UnmaskSchedule,
     parse_config,
-    validate_sequence,
 )
 from .model import ToyDenoiser, forward_batched, train_from_corpus
 from .drafting import (
@@ -48,7 +47,6 @@ __all__ = [
     "Marginals",
     "UnmaskSchedule",
     "GenerationConfig",
-    "validate_sequence",
     "parse_config",
     "ToyDenoiser",
     "train_from_corpus",

@@ -51,8 +51,12 @@ def _write(path: str, text: str) -> None:
 
 def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationConfig]:
     corpus = parse_corpus(_read(args.corpus), source=args.corpus)
+    if not corpus:
+        raise InputError("%s: empty corpus" % args.corpus)
     vocab_size = max(t for seq in corpus for t in seq)
     prompts = parse_corpus(_read(args.prompts), source=args.prompts, vocab_size=vocab_size)
+    if not prompts:
+        raise InputError("%s: no prompts" % args.prompts)
     model = train_from_corpus(corpus, vocab_size)
     if args.config is not None:
         config = parse_config(_read(args.config), source=args.config)

@@ -127,21 +127,41 @@ def unmask(tokens: List[int], position: int, token: int) -> None:
 class SequenceState:
     """Prompt plus N blocks; ``active`` is the block currently denoising.
 
-    Blocks left of ``active`` must be complete, blocks right of it fully
-    masked (strict left-to-right order).
+    A state is valid when it is made: ``active`` indexes a block, the
+    prompt holds no MASK, blocks left of ``active`` are complete and
+    blocks right of it fully masked (strict left-to-right order).  The
+    constructor raises ``ValueError("invalid sequence state: ...")``
+    naming every broken rule otherwise.
 
-    ``checked_context`` is set by a model call (``model.forward_batched``
-    or ``model.forward_many``) once it has checked everything outside the
-    active block: the vocabulary size the tokens were checked against and
-    the token just before the active block.  ``with_active_block``
-    changes nothing outside the active block, so it carries the value
-    forward; every other way of making a state starts without it.
+    ``token_bounds`` holds the smallest and largest token of the prompt
+    and the finished blocks, (1, 1) when there is none, so a model call
+    checks them against its vocabulary without a scan.  It is left out
+    of equality, hashing and ``repr``.
     """
 
     prompt: Tuple[int, ...]
     blocks: Tuple[BlockState, ...]
     active: int
-    checked_context: Optional[Tuple[int, int]] = field(default=None, init=False, repr=False, compare=False)
+    token_bounds: Tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.active < len(self.blocks):
+            raise ValueError("invalid sequence state: active block index out of range")
+        problems = []
+        if MASK in self.prompt:
+            problems.append("prompt contains MASK")
+        for i, b in enumerate(self.blocks):
+            if i < self.active:
+                if not b.is_complete:
+                    problems.append("block %d left of active is incomplete" % i)
+            elif i > self.active and b.unmasked_count != 0:
+                problems.append("block %d right of active is partially unmasked" % i)
+        if problems:
+            raise ValueError("invalid sequence state: " + "; ".join(problems))
+        tokens = list(self.prompt)
+        for b in self.blocks[: self.active]:
+            tokens += b.tokens
+        object.__setattr__(self, "token_bounds", (min(tokens), max(tokens)) if tokens else (1, 1))
 
     @staticmethod
     def initial(prompt: Tuple[int, ...], num_blocks: int, block_length: int) -> "SequenceState":
@@ -152,6 +172,14 @@ class SequenceState:
     def active_block(self) -> BlockState:
         return self.blocks[self.active]
 
+    @property
+    def token_before_active(self) -> int:
+        """The token just before the active block: the last of the block
+        before it, else of the prompt, else MASK."""
+        if self.active:
+            return self.blocks[self.active - 1].tokens[-1]
+        return self.prompt[-1] if self.prompt else MASK
+
     def with_active_block(self, block: BlockState) -> "SequenceState":
         active = self.active
         length = len(self.blocks[active].tokens)
@@ -159,8 +187,14 @@ class SequenceState:
             raise ValueError(
                 "block of length %d cannot replace an active block of length %d" % (len(block.tokens), length)
             )
-        out = SequenceState(self.prompt, self.blocks[:active] + (block,) + self.blocks[active + 1 :], active)
-        object.__setattr__(out, "checked_context", self.checked_context)
+        # The order rule puts no constraint on the active block and the
+        # bounds do not cover it, so both hold as they did for this
+        # state: the fields are copied without running the check again.
+        out = object.__new__(SequenceState)
+        object.__setattr__(out, "prompt", self.prompt)
+        object.__setattr__(out, "blocks", self.blocks[:active] + (block,) + self.blocks[active + 1 :])
+        object.__setattr__(out, "active", active)
+        object.__setattr__(out, "token_bounds", self.token_bounds)
         return out
 
     def advance_block(self) -> "SequenceState":
@@ -170,34 +204,11 @@ class SequenceState:
             raise ValueError("no block after block %d" % self.active)
         return SequenceState(self.prompt, self.blocks, self.active + 1)
 
-    def all_tokens(self) -> Tuple[int, ...]:
-        out = list(self.prompt)
-        for b in self.blocks:
-            out.extend(b.tokens)
-        return tuple(out)
-
     def generated_tokens(self) -> Tuple[int, ...]:
         out: List[int] = []
         for b in self.blocks:
             out.extend(b.tokens)
         return tuple(out)
-
-
-def validate_sequence(state: SequenceState) -> List[str]:
-    """Return a list of invariant violations (empty when the state is well formed)."""
-    problems = []
-    if not (0 <= state.active < len(state.blocks)):
-        problems.append("active block index out of range")
-        return problems
-    if MASK in state.prompt:
-        problems.append("prompt contains MASK")
-    for i, b in enumerate(state.blocks):
-        if i < state.active:
-            if not b.is_complete:
-                problems.append("block %d left of active is incomplete" % i)
-        elif i > state.active and b.unmasked_count != 0:
-            problems.append("block %d right of active is partially unmasked" % i)
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +265,6 @@ def split_marginals(rows: np.ndarray) -> List[Marginals]:
         object.__setattr__(m, "top1", tuple(top1))
         out.append(m)
     return out
-
-
-def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
-    """Degenerate marginals for a fully unmasked block: every row one-hot."""
-    if not block.is_complete:
-        raise ValueError("one_hot_marginals needs a complete block")
-    rows = np.zeros((block.length, vocab_size), dtype=np.float64)
-    for n, t in enumerate(block.tokens):
-        rows[n, t - 1] = 1.0
-    return Marginals(rows)
 
 
 # ---------------------------------------------------------------------------

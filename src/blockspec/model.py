@@ -15,6 +15,11 @@ whole group.  Every row is computed on its own, with the same
 arithmetic in the same order, so each equals that sequence's
 draft-free ``forward_batched`` row bit for bit.
 
+A model call reads a ``SequenceState``'s facts and does not keep any:
+the state checked its block order when it was made and holds the
+bounds of its tokens outside the active block, so a call checks only
+those bounds against the vocabulary, the active block and the drafts.
+
 The NFE counter lives in the engine; this module only computes
 distributions.
 """
@@ -28,7 +33,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, ascii_split, is_integer, parse_int, split_marginals, validate_sequence
+from .core import MASK, Marginals, SequenceState, ascii_split, is_integer, parse_int, split_marginals
 
 # The largest vocabulary a model may have.  The two bigram count tables
 # and their smoothed probabilities take about 32 * V**2 bytes, 32 MiB at
@@ -174,12 +179,13 @@ def forward_batched(
     the module docstring; unmasked rows are one-hot on the committed
     token, so a fully unmasked draft scores as all one-hot rows.
 
-    ``validate_sequence`` fixes everything left of the active block as
-    unmasked and everything right of it as masked, so a masked slot's
+    A ``SequenceState`` is made with everything left of the active block
+    unmasked and everything right of it masked, so a masked slot's
     neighbours are the nearest unmasked slots inside its own block, or
     the token just before the block when none is to its left.  The
     target and all drafts therefore go through one (D+1, L) pass.
-    Inputs are checked by ``_checked_left_context``.
+    ``_checked_left_context`` checks the rest: the drafts' lengths, that
+    something is left to denoise, and every token against 1..V.
     """
     left_context = _checked_left_context(model, state, drafts)
     blocks = [state.active_block.tokens, *drafts]
@@ -193,7 +199,8 @@ def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> List[Ma
 
     ``result[i]`` equals ``forward_batched(model, states[i], [])[0]`` bit
     for bit: every state is checked as that call checks it, in order, so
-    the first bad state raises that call's error, and each block is
+    the first state that call rejects (its active block complete, or a
+    token outside 1..V) raises that call's error, and each block is
     mixed against its own sequence's left token.  Equal states still get
     a row each, as they would in a real dLLM's batch.  The active blocks
     must share one length, as the rows of one (B, L, V) pass do.  Every
@@ -215,19 +222,12 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
     """Check one call's ``state`` and ``drafts``; return the token just
     before the active block (MASK when there is none).
 
-    The whole sequence is checked the first time a state's context is
-    met; the result is kept as ``state.checked_context``, which
-    ``with_active_block`` carries forward.  A state that has it for this
-    vocabulary size only needs its active block and the drafts checked:
-    nothing else can have changed, so the errors and their order are
-    those of the full check.
+    The state checked its block order when it was made.  Its
+    ``token_bounds`` stand for the prompt and the finished blocks, so
+    only the active block and the drafts are scanned; the errors and
+    their order are those of one scan of the whole sequence, then the
+    drafts.
     """
-    checked = state.checked_context
-    context_checked = checked is not None and checked[0] == model.vocab_size
-    if not context_checked:
-        problems = validate_sequence(state)
-        if problems:
-            raise ValueError("invalid sequence state: " + "; ".join(problems))
     block = state.active_block
     length = block.length
     if not all(map(length.__eq__, map(len, drafts))):
@@ -235,15 +235,12 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
         raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
-    if context_checked:
-        _check_token_range(model, [block.tokens, *drafts])
-        return checked[1]
-    sequence = state.all_tokens()
-    _check_token_range(model, [sequence, *drafts])
-    offset = len(state.prompt) + state.active * length
-    left_context = sequence[offset - 1] if offset else MASK
-    object.__setattr__(state, "checked_context", (model.vocab_size, left_context))
-    return left_context
+    low, high = state.token_bounds
+    if low < 1 or high > model.vocab_size:
+        # a token outside 1..vocab_size is there: the scan names the first
+        _check_token_range(model, [state.prompt, *[b.tokens for b in state.blocks[: state.active]]])
+    _check_token_range(model, [block.tokens, *drafts])
+    return state.token_before_active
 
 
 def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> None:
@@ -329,9 +326,9 @@ def _mixture_pass(model: ToyDenoiser, blocks: Sequence[Tuple[int, ...]], left_co
 
 def parse_corpus(text: str, *, source: str = "<corpus>", vocab_size: int = MAX_VOCAB_SIZE) -> List[Tuple[int, ...]]:
     """Ids separated by ASCII whitespace, one sequence per line; blank
-    lines skipped.  Ids above ``vocab_size`` are rejected: a prompt file
-    passes its corpus's vocabulary, a corpus keeps the limit a model can
-    hold."""
+    lines skipped, so blank text gives no sequences.  Ids above
+    ``vocab_size`` are rejected: a prompt file passes its corpus's
+    vocabulary, a corpus keeps the limit a model can hold."""
     sequences = []
     for lineno, line in enumerate(ascii_split(text, "\n"), start=1):
         if not line:
@@ -348,8 +345,6 @@ def parse_corpus(text: str, *, source: str = "<corpus>", vocab_size: int = MAX_V
                     "%s:%d: token %d outside corpus vocabulary 1..%d" % (source, lineno, t, vocab_size)
                 )
         sequences.append(seq)
-    if not sequences:
-        raise ValueError("%s: empty corpus" % source)
     return sequences
 
 

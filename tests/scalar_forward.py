@@ -11,7 +11,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from blockspec.core import MASK, BlockState, Marginals, SequenceState, one_hot_marginals, validate_sequence
+from blockspec.core import MASK, BlockState, Marginals, SequenceState
+
+
+def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
+    """Degenerate marginals for a fully unmasked block: every row one-hot."""
+    if not block.is_complete:
+        raise ValueError("one_hot_marginals needs a complete block")
+    rows = np.zeros((block.length, vocab_size), dtype=np.float64)
+    for n, t in enumerate(block.tokens):
+        rows[n, t - 1] = 1.0
+    return Marginals(rows)
 
 
 def _nearest_unmasked(tokens: Sequence[int], start: int, step: int) -> Optional[Tuple[int, int]]:
@@ -27,13 +37,10 @@ def _nearest_unmasked(tokens: Sequence[int], start: int, step: int) -> Optional[
 
 
 def scalar_forward(model, state: SequenceState) -> Marginals:
-    problems = validate_sequence(state)
-    if problems:
-        raise ValueError("invalid sequence state: " + "; ".join(problems))
     block = state.active_block
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
-    sequence = state.all_tokens()
+    sequence = state.prompt + state.generated_tokens()
     offset = len(state.prompt) + state.active * block.length
     for t in sequence:
         if t != MASK and not (1 <= t <= model.vocab_size):

@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 from conftest import make_config, scripted_report
+from scalar_forward import one_hot_marginals
 from test_calibration import _oracle_best, _random_table
 
 from blockspec import synthetic
 from blockspec.batch import build_mask
 from blockspec.calibration import STRATEGIES, calibrate_graph, select_subgraph
-from blockspec.core import BlockState, GenerationConfig, SequenceState, UnmaskSchedule, one_hot_marginals
+from blockspec.core import BlockState, GenerationConfig, SequenceState, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, export_dot
 from blockspec.engine import check_lossless, generate_speculative, generate_vanilla
 from blockspec.model import forward_batched, train_from_corpus

@@ -76,6 +76,9 @@ _BAD_FILES = {
     "bad.graph": b"D 4\ntokens_per_level 1\n1;1\n",
     "bad_prompts.txt": b"2 3\n4 x\n",
     "gap_prompts.txt": b"1 2\n\n13 1\n",
+    # an all-blank prompt file once reported "empty corpus"
+    "blank_prompts.txt": b"\n \t\n\r\n",
+    "blank_corpus.txt": b"\n\n",
     "s0.cfg": (_SCHEDULE_CONFIG % "fixed:0").encode(),
     "p15.cfg": (_SCHEDULE_CONFIG % "threshold:1.5").encode(),
     "pnan.cfg": (_SCHEDULE_CONFIG % "threshold:nan").encode(),
@@ -607,6 +610,8 @@ class TestInputValidation:
             (_CALIBRATE + ["--corpus", "ideographic_corpus.txt"], "ideographic_corpus.txt:2: non-integer token"),
             (["graph", "validate", "--graph", "ideographic.graph"], "ideographic.graph:4: j must be an integer"),
             (_CHECK + ["--prompts", "separator_prompts.txt"], "separator_prompts.txt:1: non-integer token"),
+            (_BENCH + ["--prompts", "blank_prompts.txt"], "blank_prompts.txt: no prompts"),
+            (_GENERATE + ["--corpus", "blank_corpus.txt"], "blank_corpus.txt: empty corpus"),
             (_GENERATE + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
             (_BENCH + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
             (_CHECK + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
@@ -662,6 +667,8 @@ class TestInputValidation:
             "calibrate-corpus-ideographic-space",
             "validate-pair-ideographic-space",
             "check-lossless-prompt-file-separator",
+            "bench-prompts-blank",
+            "generate-corpus-blank",
             "generate-graph-vocabulary-rank",
             "bench-graph-vocabulary-rank",
             "check-lossless-graph-vocabulary-rank",

@@ -14,10 +14,8 @@ from blockspec.core import (
     Marginals,
     SequenceState,
     UnmaskSchedule,
-    one_hot_marginals,
     parse_config,
     split_marginals,
-    validate_sequence,
 )
 from blockspec.drafting import parse_graph
 from blockspec.model import parse_corpus
@@ -72,7 +70,6 @@ class TestSequenceState:
         assert s.prompt == (7, 8)
         assert len(s.blocks) == 3
         assert s.active == 0
-        assert s.all_tokens() == (7, 8) + (0,) * 12
         assert s.generated_tokens() == (0,) * 12
 
     def test_advance_block_requires_completion(self):
@@ -89,12 +86,13 @@ class TestSequenceState:
             s.with_active_block(BlockState(tokens=(1, 2, 3)))
 
 
-class TestValidateSequence:
-    """Spec examples for the sequence invariant checker."""
+class TestSequenceOrder:
+    """Spec examples for the block order a state is checked against when
+    it is made."""
 
     def test_initial_state_valid(self):
         # all blocks masked, active 0: valid by construction
-        assert validate_sequence(SequenceState.initial((1,), 4, 8)) == []
+        assert SequenceState.initial((1,), 4, 8).active == 0
 
     def test_incomplete_block_left_of_active(self):
         blocks = (
@@ -103,26 +101,68 @@ class TestValidateSequence:
             BlockState(tokens=(1, MASK)),  # block 2 not fully unmasked
             BlockState.masked(2),
         )
-        state = SequenceState(prompt=(1,), blocks=blocks, active=3)
-        problems = validate_sequence(state)
-        assert len(problems) == 1
-        assert "block 2" in problems[0]
+        with pytest.raises(ValueError, match="^invalid sequence state: block 2 left of active is incomplete$"):
+            SequenceState(prompt=(1,), blocks=blocks, active=3)
 
     def test_fully_denoised_paper_shape(self):
         # W=256, L=32, N=8, everything committed
         blocks = tuple(BlockState(tokens=(3,) * 32) for _ in range(8))
         state = SequenceState(prompt=(1, 2), blocks=blocks, active=7)
-        assert validate_sequence(state) == []
+        assert state.token_bounds == (1, 3)
 
     def test_unmasked_block_right_of_active(self):
         blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
-        state = SequenceState(prompt=(1,), blocks=blocks, active=0)
-        problems = validate_sequence(state)
-        assert any("block 1" in p for p in problems)
+        with pytest.raises(ValueError, match="^invalid sequence state: block 1 right of active is partially unmasked$"):
+            SequenceState(prompt=(1,), blocks=blocks, active=0)
 
     def test_mask_in_prompt(self):
-        state = SequenceState(prompt=(1, MASK), blocks=(BlockState.masked(2),), active=0)
-        assert any("prompt" in p for p in validate_sequence(state))
+        with pytest.raises(ValueError, match="^invalid sequence state: prompt contains MASK$"):
+            SequenceState(prompt=(1, MASK), blocks=(BlockState.masked(2),), active=0)
+
+    @pytest.mark.parametrize("active, blocks", [(1, 1), (-1, 1), (0, 0)])
+    def test_active_index_out_of_range(self, active, blocks):
+        with pytest.raises(ValueError, match="^invalid sequence state: active block index out of range$"):
+            SequenceState(prompt=(1,), blocks=(BlockState.masked(2),) * blocks, active=active)
+
+    def test_every_problem_named_in_order(self):
+        blocks = (BlockState(tokens=(MASK, 1)), BlockState.masked(2), BlockState(tokens=(2, MASK)))
+        message = (
+            "invalid sequence state: prompt contains MASK; block 0 left of active is incomplete; "
+            "block 2 right of active is partially unmasked"
+        )
+        with pytest.raises(ValueError, match="^%s$" % message):
+            SequenceState(prompt=(MASK,), blocks=blocks, active=1)
+
+
+class TestTokenBounds:
+    """The smallest and largest token of the prompt and the finished
+    blocks; the active block and the blocks right of it are not
+    covered."""
+
+    def test_prompt_and_finished_blocks(self):
+        state = SequenceState(
+            prompt=(-1, 4),
+            blocks=(BlockState(tokens=(9, 2)), BlockState(tokens=(MASK, 30)), BlockState.masked(2)),
+            active=1,
+        )
+        assert state.token_bounds == (-1, 9)
+
+    def test_no_token_gives_bounds_that_always_pass(self):
+        assert SequenceState.initial((), 2, 3).token_bounds == (1, 1)
+
+    def test_carried_by_with_active_block_and_left_out_of_equality(self):
+        state = SequenceState.initial((5, 7), 2, 2).with_active_block(BlockState(tokens=(1, 12)))
+        assert state.token_bounds == (5, 7)
+        assert state.advance_block().token_bounds == (1, 12)
+        assert state == SequenceState(prompt=(5, 7), blocks=state.blocks, active=0)
+        assert "token_bounds" not in repr(state)
+
+    @pytest.mark.parametrize(
+        "prompt, active, want", [((), 0, MASK), ((4, 6), 0, 6), ((4, 6), 1, 2), ((), 1, 2)]
+    )
+    def test_token_before_active(self, prompt, active, want):
+        blocks = (BlockState(tokens=(3, 2)), BlockState.masked(2))
+        assert SequenceState(prompt=prompt, blocks=blocks, active=active).token_before_active == want
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +202,6 @@ class TestMarginals:
     def test_split_rows_must_be_3d(self, shape):
         with pytest.raises(ValueError, match=r"^batched marginals rows must be 3-D, got shape %s$" % re.escape(str(shape))):
             split_marginals(np.ones(shape))
-
-    def test_one_hot_requires_complete_block(self):
-        with pytest.raises(ValueError, match="needs a complete block"):
-            one_hot_marginals(BlockState(tokens=(1, MASK)), 3)
-        m = one_hot_marginals(BlockState(tokens=(2, 1)), 3)
-        assert m.rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------

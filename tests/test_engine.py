@@ -15,9 +15,8 @@ import pytest
 from conftest import make_config, scripted_report
 
 from blockspec import engine
-from blockspec import model as model_module
 from blockspec.calibration import calibrate_graph
-from blockspec.core import MASK, GenerationConfig, UnmaskSchedule, validate_sequence
+from blockspec.core import MASK, GenerationConfig, SequenceState, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, spawn_drafts
 from blockspec.engine import (
     check_lossless,
@@ -295,20 +294,20 @@ class TestScoredDrafts:
 
 
 class TestSequenceChecks:
-    """The prompt and the finished blocks are checked once per block: the
-    first call on a block checks the whole sequence and every later
-    call, on a state made by ``with_active_block``, only the active
-    block and the drafts."""
+    """A decode checks the block order once per block: ``initial`` and
+    each ``advance_block`` run the state's constructor, and the states
+    ``with_active_block`` makes within a block do not."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
+        check = SequenceState.__post_init__
 
-        def validate_sequence_counted(state):
+        def post_init_counted(state):
+            check(state)
             calls.append(state.active)
-            return validate_sequence(state)
 
-        monkeypatch.setattr(model_module, "validate_sequence", validate_sequence_counted)
+        monkeypatch.setattr(SequenceState, "__post_init__", post_init_counted)
         return calls
 
     def test_vanilla_checks_once_per_block(self, model, prompts, counted):

@@ -8,7 +8,9 @@ from any layer; ``synthetic`` imports only ``core``.  The package's
 ``__init__`` gathers the public names and is not part of the order.
 
 No module holds a construct ``python -O`` changes, so the package runs
-the same with and without it.
+the same with and without it.  Only ``core`` calls
+``object.__setattr__``: its frozen value types set their own derived
+fields, and no other module writes a field of one.
 """
 
 import ast
@@ -104,3 +106,35 @@ def test_source_runs_the_same_under_python_O():
 def test_optimize_dependent_finds_each_construct():
     source = "assert x\nif __debug__:\n    pass\nimport sys\ny = sys.flags.optimize\nfrom sys import flags\n"
     assert optimize_dependent(ast.parse(source)) == [1, 2, 5, 6]
+
+
+def frozen_writes(tree):
+    """The lines of ``tree`` that call ``object.__setattr__``, the one way
+    to write a field of a frozen dataclass."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def test_only_core_writes_frozen_fields():
+    """A value type's fields are set when it is made, in ``core``; a
+    module that wrote one into a shared state would give two equal
+    states different behaviour."""
+    found = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "core.py"
+        for line in frozen_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_frozen_writes_finds_each_call():
+    source = "object.__setattr__(a, 'x', 1)\nsetattr(a, 'x', 1)\nobject.__setattr__(b, 'y', 2)\n"
+    assert frozen_writes(ast.parse(source)) == [1, 3]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_forward import scalar_forward, scalar_forward_batched
+from scalar_forward import one_hot_marginals, scalar_forward, scalar_forward_batched
 
 from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
@@ -263,11 +263,10 @@ class TestForward:
         with pytest.raises(ValueError, match="nothing to denoise"):
             forward_batched(model, state, [])
 
-    def test_invalid_state_rejected(self, model):
+    def test_invalid_state_rejected(self):
         blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
-        state = SequenceState(prompt=(1,), blocks=blocks, active=0)
         with pytest.raises(ValueError, match="invalid sequence state"):
-            forward_batched(model, state, [])
+            SequenceState(prompt=(1,), blocks=blocks, active=0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,12 @@ class TestForwardBatched:
         want[0, 3] = want[1, 4] = want[2, 5] = 1.0
         assert np.array_equal(per_draft[0], want)
 
+    def test_one_hot_reference_requires_complete_block(self):
+        with pytest.raises(ValueError, match="needs a complete block"):
+            one_hot_marginals(BlockState(tokens=(1, MASK)), 3)
+        m = one_hot_marginals(BlockState(tokens=(2, 1)), 3)
+        assert m.rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+
     def test_draft_length_mismatch_rejected(self, model):
         state = SequenceState.initial((2,), 1, 3)
         with pytest.raises(ValueError, match="length"):
@@ -321,16 +326,20 @@ class TestForwardBatched:
             with pytest.raises(ValueError, match="token %d outside 1..%d" % (too_big, model.vocab_size)):
                 forward_batched(model, state, [(1, 2, 3), draft])
 
-    def test_context_token_range_checked(self, model):
-        state = SequenceState.initial((2, model.vocab_size + 1), 1, 3)
-        with pytest.raises(ValueError, match="outside"):
-            forward_batched(model, state, [(1, 2, 3)])
+    @pytest.mark.parametrize("prompt, bad", [((2, 13), 13), ((-1, 2), -1)], ids=["above", "below"])
+    @pytest.mark.parametrize(
+        "score",
+        [lambda m, state: forward_batched(m, state, [(1, 2, 3)]), lambda m, state: forward_many(m, [state])],
+        ids=["forward_batched", "forward_many"],
+    )
+    def test_context_token_range_checked(self, model, prompt, bad, score):
+        """Both ends of 1..V, in either call: a check that ignored the
+        lower bound once passed the token-range property below."""
+        assert model.vocab_size == 12
+        with pytest.raises(ValueError, match="^token %d outside 1..12$" % bad):
+            score(model, SequenceState.initial(prompt, 1, 3))
 
     def test_state_checks_hold_with_drafts(self, model):
-        blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
-        state = SequenceState(prompt=(1,), blocks=blocks, active=0)
-        with pytest.raises(ValueError, match="invalid sequence state"):
-            forward_batched(model, state, [(1, MASK)])
         done = SequenceState.initial((1,), 1, 2).with_active_block(BlockState(tokens=(1, 2)))
         with pytest.raises(ValueError, match="nothing to denoise"):
             forward_batched(model, done, [(1, 2)])
@@ -439,7 +448,8 @@ def test_token_range_error_names_the_first_bad_token(case):
     the sequence first, then the drafts in order.  Valid inputs pass."""
     m, state, drafts = case
     v = m.vocab_size
-    bad = [t for tokens in (state.all_tokens(), *drafts) for t in tokens if t != MASK and not 1 <= t <= v]
+    scanned = (state.prompt, state.generated_tokens(), *drafts)
+    bad = [t for tokens in scanned for t in tokens if t != MASK and not 1 <= t <= v]
     if not bad:
         target, rows = forward_batched(m, state, drafts)
         assert rows.shape == (len(drafts), state.active_block.length, v)
@@ -457,60 +467,41 @@ def _outcome(m, state, drafts):
     return target.rows.tobytes(), rows.tobytes()
 
 
+@st.composite
+def reached_cases(draw):
+    """A model over 1..V, a state reached from ``initial`` by any mix of
+    ``with_active_block`` with any same-length block and ``advance_block``
+    when the active block is complete, and same-length drafts.  Half the
+    cases may hold ids outside 1..V: in the prompt, in any block and in
+    the drafts."""
+    vocab = draw(st.integers(1, 5))
+    m = train_from_corpus([tuple(range(1, vocab + 1))], vocab)
+    length = draw(st.integers(1, 4))
+    low, high = draw(id_bounds(vocab))
+    prompt = draw(st.lists(st.integers(low, high).filter(lambda t: t != MASK), max_size=4))
+    state = SequenceState.initial(tuple(prompt), draw(st.integers(1, 4)), length)
+    complete = st.lists(st.integers(1, max(high, 1)), min_size=length, max_size=length)
+    any_block = st.lists(st.integers(MASK, max(high, 1)), min_size=length, max_size=length)
+    for _ in range(draw(st.integers(0, 10))):
+        if state.active_block.is_complete and state.active + 1 < len(state.blocks) and draw(st.booleans()):
+            state = state.advance_block()
+        else:
+            state = state.with_active_block(BlockState(tokens=tuple(draw(st.one_of(complete, any_block)))))
+    drafts = draw(st.lists(st.lists(st.integers(low, high), min_size=length, max_size=length).map(tuple), max_size=4))
+    return m, state, drafts
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(range_cases())
-def test_carried_context_check_matches_the_full_check(case):
-    """A state whose context was checked by an earlier call and carried
-    through ``with_active_block`` checks only its active block and the
-    drafts; it gives the bytes or the error text of a fresh state with
-    the same tokens."""
+@given(reached_cases())
+def test_reached_state_equals_the_constructed_one(case):
+    """``with_active_block`` copies the order check and the bounds rather
+    than redoing them; the state it reaches equals the one the
+    constructor builds from the same fields, bounds included, and a
+    model call gives both the same bytes or the same error text."""
     m, state, drafts = case
-    active = state.active
-    length = state.active_block.length
-    blocks = state.blocks[:active] + (BlockState.masked(length),) + state.blocks[active + 1 :]
-    earlier = SequenceState(prompt=state.prompt, blocks=blocks, active=active)
-    _outcome(m, earlier, [])
-    carried = earlier.with_active_block(state.active_block)
-    fresh = SequenceState(prompt=state.prompt, blocks=state.blocks, active=active)
-    assert carried == fresh and carried.checked_context == earlier.checked_context
-    assert _outcome(m, carried, drafts) == _outcome(m, fresh, drafts)
-
-
-class TestCheckedContext:
-    def test_set_by_a_passing_call_and_carried_by_with_active_block(self, model):
-        state = SequenceState.initial((2, 3), 2, 4)
-        assert state.checked_context is None
-        forward_batched(model, state, [])
-        assert state.checked_context == (model.vocab_size, 3)
-        carried = state.with_active_block(state.active_block.with_token(0, 4))
-        assert carried.checked_context == (model.vocab_size, 3)
-        nxt = carried.with_active_block(BlockState(tokens=(4, 4, 4, 4))).advance_block()
-        assert nxt.checked_context is None
-        forward_batched(model, nxt, [])
-        assert nxt.checked_context == (model.vocab_size, 4)
-
-    def test_not_set_by_a_failing_call(self, model):
-        state = SequenceState.initial((2, model.vocab_size + 1), 1, 3)
-        with pytest.raises(ValueError, match="outside"):
-            forward_batched(model, state, [])
-        assert state.checked_context is None
-
-    def test_ignored_by_equality_and_hash(self, model):
-        state = SequenceState.initial((2,), 1, 3)
-        fresh = SequenceState.initial((2,), 1, 3)
-        forward_batched(model, state, [])
-        assert state == fresh and hash(state) == hash(fresh)
-        assert "checked_context" not in repr(state)
-
-    def test_rechecked_for_another_vocabulary(self, model):
-        """The context was checked against vocabulary 1..12; a model over
-        1..4 checks it again and finds the prompt's 5."""
-        small = train_from_corpus([(1, 2, 3, 4)], 4)
-        state = SequenceState.initial((5, 2), 1, 3)
-        forward_batched(model, state, [])
-        carried = state.with_active_block(state.active_block.with_token(0, 1))
-        with pytest.raises(ValueError, match="^token 5 outside 1..4$"):
-            forward_batched(small, carried, [])
+    built = SequenceState(prompt=state.prompt, blocks=state.blocks, active=state.active)
+    assert state == built and state.token_bounds == built.token_bounds
+    assert _outcome(m, state, drafts) == _outcome(m, built, drafts)
 
 
 # ---------------------------------------------------------------------------
@@ -518,64 +509,32 @@ class TestCheckedContext:
 # ---------------------------------------------------------------------------
 
 
-def _fresh(state):
-    """An equal state that no call has checked yet."""
-    return SequenceState(prompt=state.prompt, blocks=state.blocks, active=state.active)
-
-
-def _context_checked_earlier(m, state):
-    """An equal state whose context an earlier call checked: the same
-    sequence with the active block masked, scored, then carried forward
-    by ``with_active_block``."""
-    length = state.active_block.length
-    blocks = state.blocks[: state.active] + (BlockState.masked(length),) + state.blocks[state.active + 1 :]
-    earlier = SequenceState(prompt=state.prompt, blocks=blocks, active=state.active)
-    forward_batched(m, earlier, [])
-    return earlier.with_active_block(state.active_block)
-
-
 @st.composite
 def many_cases(draw):
     """A model and states of one block length, drawn with repeats from a
-    small pool of states on any block: the same object again, an equal
-    unchecked copy, or an equal state whose context is already checked."""
+    small pool of states on any block."""
     m = draw(models())
     length = draw(st.integers(1, 9))
     pool = draw(st.lists(valid_states(m.vocab_size, length), min_size=1, max_size=4))
-    picks = draw(
-        st.lists(
-            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(("same", "copy", "checked"))),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    return m, pool, picks
+    return m, [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(many_cases())
 def test_forward_many_rows_equal_draft_free_forwards(case):
     """Row i is byte-equal to a draft-free ``forward_batched`` of state i,
-    repeats included, and afterwards every state carries the checked
-    context that call leaves."""
-    m, pool, picks = case
-    build = {"same": lambda s: s, "copy": _fresh, "checked": lambda s: _context_checked_earlier(m, s)}
-    states = [build[kind](pool[i]) for i, kind in picks]
-    refs = [_fresh(s) for s in states]
-    want = [forward_batched(m, r, [])[0].rows.tobytes() for r in refs]
-    got = forward_many(m, states)
-    assert [g.rows.tobytes() for g in got] == want
-    assert [s.checked_context for s in states] == [r.checked_context for r in refs]
+    repeats included."""
+    m, states = case
+    want = [forward_batched(m, s, [])[0].rows.tobytes() for s in states]
+    assert [g.rows.tobytes() for g in forward_many(m, states)] == want
 
 
 @st.composite
 def odd_states(draw, vocab, length):
     """A state ``forward_batched`` rejects for its shape, not its ids: the
-    active block complete, or a block left of the active one incomplete."""
+    active block complete."""
     full = BlockState(tokens=tuple(draw(st.lists(st.integers(1, vocab), min_size=length, max_size=length))))
-    if draw(st.booleans()):
-        return SequenceState(prompt=(1,), blocks=(full,), active=0)
-    return SequenceState(prompt=(1,), blocks=(BlockState.masked(length), BlockState.masked(length)), active=1)
+    return SequenceState(prompt=(1,), blocks=(full,), active=0)
 
 
 @st.composite
@@ -598,7 +557,7 @@ def test_forward_many_raises_the_first_bad_states_error(case):
     """A list holding states ``forward_batched`` rejects raises the error
     text of the first one; a list without any scores every state."""
     m, states = case
-    outcomes = [_outcome(m, _fresh(s), []) for s in states]
+    outcomes = [_outcome(m, s, []) for s in states]
     errors = [o for o in outcomes if isinstance(o, str)]
     if not errors:
         assert [g.rows.tobytes() for g in forward_many(m, states)] == [rows for rows, _ in outcomes]
@@ -618,7 +577,7 @@ class TestForwardMany:
 
     def test_equal_states_each_get_a_row(self, model):
         state = SequenceState.initial((2, 3), 2, 4)
-        got = forward_many(model, [state, state, _fresh(state)])
+        got = forward_many(model, [state, state, SequenceState.initial((2, 3), 2, 4)])
         assert len(got) == 3
         assert all(g.rows.tobytes() == forward_batched(model, state, [])[0].rows.tobytes() for g in got)
 
@@ -683,6 +642,5 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="^c.txt:3: token 1025 outside corpus vocabulary 1..1024$"):
             parse_corpus("1 2\n\n%d 1\n" % (MAX_VOCAB_SIZE + 1), source="c.txt")
 
-    def test_corpus_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            parse_corpus("\n\n")
+    def test_blank_text_gives_no_sequences(self):
+        assert parse_corpus("\n \t\n") == []
