@@ -131,18 +131,13 @@ class SequenceState:
     prompt holds no MASK, blocks left of ``active`` are complete and
     blocks right of it fully masked (strict left-to-right order).  The
     constructor raises ``ValueError("invalid sequence state: ...")``
-    naming every broken rule otherwise.
-
-    ``token_bounds`` holds the smallest and largest token of the prompt
-    and the finished blocks, (1, 1) when there is none, so a model call
-    checks them against its vocabulary without a scan.  It is left out
-    of equality, hashing and ``repr``.
+    naming every broken rule otherwise.  Token ids are not checked here:
+    a model call checks them against its vocabulary.
     """
 
     prompt: Tuple[int, ...]
     blocks: Tuple[BlockState, ...]
     active: int
-    token_bounds: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.active < len(self.blocks):
@@ -158,10 +153,6 @@ class SequenceState:
                 problems.append("block %d right of active is partially unmasked" % i)
         if problems:
             raise ValueError("invalid sequence state: " + "; ".join(problems))
-        tokens = list(self.prompt)
-        for b in self.blocks[: self.active]:
-            tokens += b.tokens
-        object.__setattr__(self, "token_bounds", (min(tokens), max(tokens)) if tokens else (1, 1))
 
     @staticmethod
     def initial(prompt: Tuple[int, ...], num_blocks: int, block_length: int) -> "SequenceState":
@@ -187,14 +178,13 @@ class SequenceState:
             raise ValueError(
                 "block of length %d cannot replace an active block of length %d" % (len(block.tokens), length)
             )
-        # The order rule puts no constraint on the active block and the
-        # bounds do not cover it, so both hold as they did for this
-        # state: the fields are copied without running the check again.
+        # The order rule puts no constraint on the active block, so it
+        # holds as it did for this state: the fields are set without
+        # running the check again.
         out = object.__new__(SequenceState)
         object.__setattr__(out, "prompt", self.prompt)
         object.__setattr__(out, "blocks", self.blocks[:active] + (block,) + self.blocks[active + 1 :])
         object.__setattr__(out, "active", active)
-        object.__setattr__(out, "token_bounds", self.token_bounds)
         return out
 
     def advance_block(self) -> "SequenceState":

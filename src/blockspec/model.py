@@ -15,10 +15,9 @@ whole group.  Every row is computed on its own, with the same
 arithmetic in the same order, so each equals that sequence's
 draft-free ``forward_batched`` row bit for bit.
 
-A model call reads a ``SequenceState``'s facts and does not keep any:
-the state checked its block order when it was made and holds the
-bounds of its tokens outside the active block, so a call checks only
-those bounds against the vocabulary, the active block and the drafts.
+A model call reads a ``SequenceState`` and keeps nothing on it: the
+state checked its block order when it was made, and each call checks
+every token of the sequence and the drafts against the vocabulary.
 
 The NFE counter lives in the engine; this module only computes
 distributions.
@@ -222,11 +221,9 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
     """Check one call's ``state`` and ``drafts``; return the token just
     before the active block (MASK when there is none).
 
-    The state checked its block order when it was made.  Its
-    ``token_bounds`` stand for the prompt and the finished blocks, so
-    only the active block and the drafts are scanned; the errors and
-    their order are those of one scan of the whole sequence, then the
-    drafts.
+    The state checked its block order when it was made.  The prompt,
+    the finished blocks, the active block and the drafts are scanned in
+    that order, so the error names the first bad token of that order.
     """
     block = state.active_block
     length = block.length
@@ -235,11 +232,8 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
         raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
-    low, high = state.token_bounds
-    if low < 1 or high > model.vocab_size:
-        # a token outside 1..vocab_size is there: the scan names the first
-        _check_token_range(model, [state.prompt, *[b.tokens for b in state.blocks[: state.active]]])
-    _check_token_range(model, [block.tokens, *drafts])
+    finished = [b.tokens for b in state.blocks[: state.active]]
+    _check_token_range(model, [state.prompt, *finished, block.tokens, *drafts])
     return state.token_before_active
 
 

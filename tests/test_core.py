@@ -108,7 +108,7 @@ class TestSequenceOrder:
         # W=256, L=32, N=8, everything committed
         blocks = tuple(BlockState(tokens=(3,) * 32) for _ in range(8))
         state = SequenceState(prompt=(1, 2), blocks=blocks, active=7)
-        assert state.token_bounds == (1, 3)
+        assert state.generated_tokens() == (3,) * 256
 
     def test_unmasked_block_right_of_active(self):
         blocks = (BlockState.masked(2), BlockState(tokens=(1, MASK)))
@@ -134,28 +134,11 @@ class TestSequenceOrder:
             SequenceState(prompt=(MASK,), blocks=blocks, active=1)
 
 
-class TestTokenBounds:
-    """The smallest and largest token of the prompt and the finished
-    blocks; the active block and the blocks right of it are not
-    covered."""
-
-    def test_prompt_and_finished_blocks(self):
-        state = SequenceState(
-            prompt=(-1, 4),
-            blocks=(BlockState(tokens=(9, 2)), BlockState(tokens=(MASK, 30)), BlockState.masked(2)),
-            active=1,
-        )
-        assert state.token_bounds == (-1, 9)
-
-    def test_no_token_gives_bounds_that_always_pass(self):
-        assert SequenceState.initial((), 2, 3).token_bounds == (1, 1)
-
-    def test_carried_by_with_active_block_and_left_out_of_equality(self):
+class TestStateFields:
+    def test_with_active_block_equals_the_constructed_state(self):
         state = SequenceState.initial((5, 7), 2, 2).with_active_block(BlockState(tokens=(1, 12)))
-        assert state.token_bounds == (5, 7)
-        assert state.advance_block().token_bounds == (1, 12)
-        assert state == SequenceState(prompt=(5, 7), blocks=state.blocks, active=0)
-        assert "token_bounds" not in repr(state)
+        built = SequenceState(prompt=(5, 7), blocks=state.blocks, active=0)
+        assert state == built and hash(state) == hash(built) and repr(state) == repr(built)
 
     @pytest.mark.parametrize(
         "prompt, active, want", [((), 0, MASK), ((4, 6), 0, 6), ((4, 6), 1, 2), ((), 1, 2)]

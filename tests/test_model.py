@@ -326,18 +326,30 @@ class TestForwardBatched:
             with pytest.raises(ValueError, match="token %d outside 1..%d" % (too_big, model.vocab_size)):
                 forward_batched(model, state, [(1, 2, 3), draft])
 
-    @pytest.mark.parametrize("prompt, bad", [((2, 13), 13), ((-1, 2), -1)], ids=["above", "below"])
+    @pytest.mark.parametrize(
+        "prompt, bad", [((2, 13), 13), ((-1, 2), -1), ((2.5, 3), 2)], ids=["above", "below", "non-integer"]
+    )
     @pytest.mark.parametrize(
         "score",
         [lambda m, state: forward_batched(m, state, [(1, 2, 3)]), lambda m, state: forward_many(m, [state])],
         ids=["forward_batched", "forward_many"],
     )
     def test_context_token_range_checked(self, model, prompt, bad, score):
-        """Both ends of 1..V, in either call: a check that ignored the
-        lower bound once passed the token-range property below."""
+        """Both ends of 1..V and a non-integer inside them, in either
+        call: a check that ignored the lower bound once passed the
+        token-range property below, and one that compared only the
+        context's smallest and largest token let 2.5 through."""
         assert model.vocab_size == 12
         with pytest.raises(ValueError, match="^token %d outside 1..12$" % bad):
             score(model, SequenceState.initial(prompt, 1, 3))
+
+    def test_finished_block_token_range_checked(self, model):
+        """A non-integer in a finished block is named, not taken as the
+        left context."""
+        state = SequenceState(prompt=(1,), blocks=(BlockState(tokens=(3, 1.5)), BlockState.masked(2)), active=1)
+        for score in (lambda s: forward_batched(model, s, []), lambda s: forward_many(model, [s])):
+            with pytest.raises(ValueError, match="^token 1 outside 1..12$"):
+                score(state)
 
     def test_state_checks_hold_with_drafts(self, model):
         done = SequenceState.initial((1,), 1, 2).with_active_block(BlockState(tokens=(1, 2)))
@@ -494,13 +506,13 @@ def reached_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(reached_cases())
 def test_reached_state_equals_the_constructed_one(case):
-    """``with_active_block`` copies the order check and the bounds rather
-    than redoing them; the state it reaches equals the one the
-    constructor builds from the same fields, bounds included, and a
-    model call gives both the same bytes or the same error text."""
+    """``with_active_block`` skips the order check rather than redoing
+    it; the state it reaches equals the one the constructor builds from
+    the same fields, and a model call gives both the same bytes or the
+    same error text."""
     m, state, drafts = case
     built = SequenceState(prompt=state.prompt, blocks=state.blocks, active=state.active)
-    assert state == built and state.token_bounds == built.token_bounds
+    assert state == built and hash(state) == hash(built)
     assert _outcome(m, state, drafts) == _outcome(m, built, drafts)
 
 
