@@ -30,10 +30,10 @@ def main() -> None:
     # One forward call on a fresh two-block state: the active block is
     # all MASK, so every row is a genuine prediction.
     state = SequenceState.initial((2, 2), num_blocks=2, block_length=4)
-    marginals = forward_batched(model, state, [])[0]
+    rows = forward_batched(model, state, [])[0]
     print("\nmarginals for the active block after prompt '2 2':")
     for n in range(4):
-        row = marginals.rows[n]
+        row = rows[n]
         top = np.argsort(-row)[:3]
         shown = ", ".join("%d:%.3f" % (t + 1, row[t]) for t in top)
         print("  position %d: %s" % (n, shown))

@@ -11,7 +11,7 @@ Run: python3 demos/02_draft_graphs.py
 """
 
 from blockspec import synthetic
-from blockspec.core import BlockState, SequenceState
+from blockspec.core import MASK, BlockState, Marginals, SequenceState
 from blockspec.drafting import (
     DraftFormula,
     build_graph,
@@ -49,7 +49,7 @@ def main() -> None:
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     model = train_from_corpus(corpus, max(t for s in corpus for t in s))
     state = SequenceState.initial((2, 2), num_blocks=1, block_length=4)
-    marginals = forward_batched(model, state, [])[0]
+    marginals = Marginals(forward_batched(model, state, [])[0])
     block = state.active_block
     positions = order_positions(marginals, block)
     print("\nranking for prompt '2 2', four masked positions:")
@@ -63,7 +63,7 @@ def main() -> None:
     # With fewer masked positions, formulas that need rank 3 skip, and so
     # does a formula that would fill every masked slot: verification
     # never accepts a complete block, so it is not spawned.
-    shrunken = block.with_token(0, 2).with_token(3, 2)
+    shrunken = BlockState((2, MASK, MASK, 2))
     positions = order_positions(marginals, shrunken)
     survivors = spawn_drafts(graph, positions, order_vocab(marginals, positions, 3), shrunken)
     print("\nwith only 2 masked positions, %d of 6 formulas survive:" % len(survivors))

@@ -48,10 +48,10 @@ def main() -> None:
         BlockState(tokens=(2, 2, 0, 0)),
         BlockState(tokens=(2, 2, 2, 2)),  # complete: scored one-hot
     ]
-    target, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
+    target, *per_draft = forward_batched(model, state, [d.tokens for d in drafts])
     reference = forward_batched(model, state, [])[0]
     print("\nbatched target equals the plain forward:",
-          np.array_equal(target.rows, reference.rows))
+          np.array_equal(target, reference))
     for i, (draft, got) in enumerate(zip(drafts, per_draft)):
         if draft.is_complete:
             print("  draft %d is complete, rows one-hot: %s"
@@ -59,7 +59,7 @@ def main() -> None:
         else:
             want = forward_batched(model, state.with_active_block(draft), [])[0]
             print("  draft %d bit-matches an independent forward: %s"
-                  % (i, np.array_equal(got, want.rows)))
+                  % (i, np.array_equal(got, want)))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ The distinct prompts are replayed together, as a dLLM scores a batch of
 sequences in one forward pass: one model call per denoising step for
 the whole group, each sequence still getting its own rows, and one
 ranking pass per call: ``drafting.vocab_ranking``, which states the
-vocabulary tie rule, ranks every row of the call at once.
+vocabulary tie rule, ranks every row of the call's one array at once.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -33,10 +33,8 @@ from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import verification
-from .core import GenerationConfig, SequenceState
+from .core import GenerationConfig, SequenceState, split_marginals
 from .drafting import (
     DraftFormula,
     DraftGraphSpec,
@@ -114,9 +112,9 @@ def _replay(
     Within a block, each step makes one ``forward_many`` call over the
     states whose active block is not yet complete (under a threshold
     schedule blocks complete after different step counts) and ranks the
-    vocabulary of all its rows with one ``vocab_ranking``; each state
-    then takes one ``verification.advance`` step, as vanilla decoding
-    does.
+    vocabulary of the one array it returns with one ``vocab_ranking``;
+    each state then takes one ``verification.advance`` step on its own
+    rows (``split_marginals``), as vanilla decoding does.
     """
     schedule = config.schedule
     states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
@@ -126,10 +124,10 @@ def _replay(
         vocabs: List[List[List[List[int]]]] = [[] for _ in prompts]
         live = range(len(states))
         while live:
-            targets = forward_many(model, [states[i] for i in live])
-            ranked = vocab_ranking(np.array([target.rows for target in targets]), config.top_k_vocab).tolist()
+            rows = forward_many(model, [states[i] for i in live])
+            ranked = vocab_ranking(rows, config.top_k_vocab).tolist()
             still: List[int] = []
-            for i, target, vocab in zip(live, targets, ranked):
+            for i, target, vocab in zip(live, split_marginals(rows), ranked):
                 step = verification.advance(states[i].active_block, target, schedule)
                 steps[i].append(step)
                 vocabs[i].append(vocab)

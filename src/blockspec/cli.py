@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import calibration, drafting, engine
 from .core import GenerationConfig, UnmaskSchedule, ascii_split, parse_config, parse_int
-from .model import MAX_BLOCK_CELLS, ToyDenoiser, parse_corpus, train_from_corpus
+from .model import ToyDenoiser, check_block_size, parse_corpus, train_from_corpus
 from .timing import StageTimer
 
 _DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3)
@@ -64,12 +64,10 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
             raise InputError(
                 "%s: eot_token %d outside corpus vocabulary 1..%d" % (args.config, config.eot_token, vocab_size)
             )
-        cells = config.block_length * vocab_size
-        if cells > MAX_BLOCK_CELLS:
-            raise InputError(
-                "%s: L %d x vocabulary %d = %d marginals per block, above the limit of %d"
-                % (args.config, config.block_length, vocab_size, cells, MAX_BLOCK_CELLS)
-            )
+        try:
+            check_block_size(model, config.block_length)
+        except ValueError as exc:
+            raise InputError("%s: %s" % (args.config, exc))
     else:
         config = GenerationConfig(
             schedule=UnmaskSchedule.fixed(1), eot_token=vocab_size, **_DEFAULTS

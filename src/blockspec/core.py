@@ -108,11 +108,6 @@ class BlockState:
     def is_complete(self) -> bool:
         return MASK not in self.tokens
 
-    def with_token(self, position: int, token: int) -> "BlockState":
-        toks = list(self.tokens)
-        unmask(toks, position, token)
-        return BlockState(tuple(toks))
-
 
 def unmask(tokens: List[int], position: int, token: int) -> None:
     """Commit ``token`` at a masked ``position`` of a block's token list."""

@@ -62,11 +62,9 @@ def vocab_ranking(rows: np.ndarray, top_k: int) -> np.ndarray:
 
 def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     """Per position: top_k token ids by descending probability, ties toward
-    the lower id (``vocab_ranking`` of the block's rows, read at
-    ``positions``).  Every position gets the same number of them,
-    min(top_k, V)."""
-    ranked = vocab_ranking(marginals.rows, top_k).tolist()
-    return tuple([tuple(ranked[n]) for n in positions])
+    the lower id (``vocab_ranking`` of the rows at ``positions`` only).
+    Every position gets the same number of them, min(top_k, V)."""
+    return tuple(map(tuple, vocab_ranking(marginals.rows.take(positions, axis=0), top_k).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,15 @@ realizes.  Each block opens with a draft-free call since no
 distribution exists for it yet.  Every spawned draft is scored;
 ``spawn_drafts`` spawns none that fills every masked slot.
 
-A call's record is the tuple of steps ``verify`` took: ``(step,)`` when
-no draft was accepted.  Every report field and the trace are read off
-those records.
+A call's record is the tuple of steps ``verify`` took from the rows
+``forward_batched`` returned: ``(step,)`` when no draft was accepted.
+The trace is read off those records, and the report is ``_report``, a
+pure function of each block's records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
 from .core import BlockState, GenerationConfig, SequenceState
@@ -95,32 +96,16 @@ def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> f
     return baseline / actual
 
 
-def _decode_blocks(
-    prompt: Tuple[int, ...],
-    config: GenerationConfig,
-    denoise_block: Callable[[SequenceState], Tuple[SequenceState, List[Tuple[StepRecord, ...]]]],
-    record_trace: bool,
-    baseline: Optional[RunReport],
-) -> GenerationResult:
-    """The block loop both decoders share.
-
-    ``denoise_block`` completes the active block and returns, per model
-    call, the steps that call took; every report field and the trace
-    come from those.
-    """
-    if baseline is not None and len(baseline.per_block) != config.num_blocks:
-        raise ValueError(
-            "baseline report has %d blocks, config has %d" % (len(baseline.per_block), config.num_blocks)
-        )
-    state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
+def _report(
+    blocks: Sequence[Sequence[Tuple[StepRecord, ...]]], eot_token: int, baseline: Optional[RunReport]
+) -> RunReport:
+    """The report of a run whose block k made the calls ``blocks[k]``,
+    each the steps it took.  A block's EOT is looked up in the state
+    after its last step; ``baseline``, when given, supplies each block's
+    baseline NFEs instead of its step count."""
     per_block: List[PerBlockStats] = []
-    trace: List[Tuple[int, BlockState]] = []
-    eot_block: Optional[int] = None
-    for k in range(config.num_blocks):
-        state, calls = denoise_block(state)
+    for k, calls in enumerate(blocks):
         realized = tuple(step.realized for steps in calls for step in steps)
-        if record_trace:
-            trace.extend((k, steps[-1].state_after) for steps in calls)
         per_block.append(
             PerBlockStats(
                 index=k,
@@ -130,11 +115,8 @@ def _decode_blocks(
                 realized_s=realized,
             )
         )
-        if eot_block is None and config.eot_token in state.active_block.tokens:
-            eot_block = k
-        if k + 1 < config.num_blocks:
-            state = state.advance_block()
-    report = RunReport(
+    eot_block = next((k for k, calls in enumerate(blocks) if eot_token in calls[-1][-1].state_after.tokens), None)
+    return RunReport(
         total_nfe=sum(b.nfe for b in per_block),
         baseline_nfe=sum(b.baseline_nfe for b in per_block),
         acceptances=sum(b.acceptances for b in per_block),
@@ -142,11 +124,6 @@ def _decode_blocks(
         eot_block=eot_block,
         speedup_all=_speedup(per_block, None),
         speedup_to_eot=_speedup(per_block, eot_block),
-    )
-    return GenerationResult(
-        tokens=state.generated_tokens(),
-        report=report,
-        trace=tuple(trace) if record_trace else None,
     )
 
 
@@ -186,6 +163,10 @@ def generate_speculative(
     """
     prompt = check_prompt(model, prompt)
     check_graph(graph, config)
+    if baseline is not None and len(baseline.per_block) != config.num_blocks:
+        raise ValueError(
+            "baseline report has %d blocks, config has %d" % (len(baseline.per_block), config.num_blocks)
+        )
 
     rank_vocab = timed(timer, "ranking", order_vocab)
     spawn = timed(timer, "drafting", spawn_drafts)
@@ -193,8 +174,11 @@ def generate_speculative(
     verify = timed(timer, "verify", verification.verify)
 
     has_drafts = graph.num_nodes > 0
-
-    def denoise_block(state: SequenceState) -> Tuple[SequenceState, List[Tuple[StepRecord, ...]]]:
+    state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
+    blocks: List[List[Tuple[StepRecord, ...]]] = []
+    for k in range(config.num_blocks):
+        if k:
+            state = state.advance_block()
         calls: List[Tuple[StepRecord, ...]] = []
         block = state.active_block
         while not block.is_complete:
@@ -203,13 +187,16 @@ def generate_speculative(
                 last = calls[-1][-1]
                 positions = last.ordered[last.realized :]
                 drafts = spawn(graph, positions, rank_vocab(last.marginals, positions, config.top_k_vocab), block)
-            target, draft_rows = forward(model, state, drafts)
-            calls.append(verify(block, target, drafts, draft_rows, config.schedule))
+            calls.append(verify(block, drafts, forward(model, state, drafts), config.schedule))
             block = calls[-1][-1].state_after
             state = state.with_active_block(block)
-        return state, calls
-
-    return _decode_blocks(prompt, config, denoise_block, record_trace, baseline)
+        blocks.append(calls)
+    trace = None
+    if record_trace:
+        trace = tuple((k, steps[-1].state_after) for k, calls in enumerate(blocks) for steps in calls)
+    return GenerationResult(
+        tokens=state.generated_tokens(), report=_report(blocks, config.eot_token, baseline), trace=trace
+    )
 
 
 _NO_DRAFTS = build_graph(())

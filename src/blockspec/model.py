@@ -6,21 +6,22 @@ decays that side's mixture weight by 0.5 per masked position skipped,
 and hands the lost weight to the unigram term, so rows always sum to 1.
 Everything is exact float64 arithmetic with a fixed evaluation order:
 identical inputs give bit-identical outputs, which is what makes the
-lossless checks in the test suite meaningful.  ``forward_batched`` scores
-the true state and all D drafts of one call in a single numpy pass.
-``forward_many`` scores the active blocks of several sequences in one
-pass, as a dLLM scores a batch: calibration replays its distinct
-prompts together with it, one model call per denoising step for the
-whole group.  Every row is computed on its own, with the same
-arithmetic in the same order, so each equals that sequence's
-draft-free ``forward_batched`` row bit for bit.
+lossless checks in the test suite meaningful.  A model call returns one
+read-only float64 array.  ``forward_batched`` scores the true state and
+all D drafts of one call in a single numpy pass: row 0 is the target,
+row 1 + d is draft d.  ``forward_many`` scores the active blocks of
+several sequences in one pass, as a dLLM scores a batch: calibration
+replays its distinct prompts together with it, one model call per
+denoising step for the whole group.  Every row is computed on its own,
+with the same arithmetic in the same order, so each equals that
+sequence's draft-free ``forward_batched`` row bit for bit.
 
 A model call reads a ``SequenceState`` and keeps nothing on it: the
 state checked its block order when it was made, and each call checks
-every token of the sequence and the drafts against the vocabulary.
+the block's size and every token of the sequence and the drafts.
 
-The NFE counter lives in the engine; this module only computes
-distributions.
+The NFE counter lives in the engine and ``Marginals`` in the step
+layer; this module only computes distributions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, Marginals, SequenceState, ascii_split, is_integer, parse_int, split_marginals
+from .core import MASK, SequenceState, ascii_split, is_integer, parse_int
 
 # The largest vocabulary a model may have.  The two bigram count tables
 # and their smoothed probabilities take about 32 * V**2 bytes, 32 MiB at
@@ -164,16 +165,16 @@ def forward_batched(
     model: ToyDenoiser,
     state: SequenceState,
     drafts: Sequence[Sequence[int]],
-) -> Tuple[Marginals, np.ndarray]:
+) -> np.ndarray:
     """Score the true state and every draft in one model call.
 
-    ``drafts`` are candidate blocks as token tuples.  Returns the target's
-    Marginals and the drafts' read-only (D, L, V) rows: ``rows[d]`` is
-    draft d's marginals.  One NFE: each draft is scored as if it replaced
-    the active block, and the result equals an independent forward of
-    that state bit for bit (``batch.build_mask`` is the attention mask
-    that specifies this isolation; the toy model has no attention, so it
-    is not built).
+    ``drafts`` are candidate blocks as token tuples.  Returns the call's
+    read-only (1 + D, L, V) rows: ``rows[0]`` is the target's marginals
+    and ``rows[1 + d]`` is draft d's.  One NFE: each draft is scored as
+    if it replaced the active block, and the result equals an independent
+    forward of that state bit for bit (``batch.build_mask`` is the
+    attention mask that specifies this isolation; the toy model has no
+    attention, so it is not built).
     Masked rows are the decayed left/right/unigram mixture described in
     the module docstring; unmasked rows are one-hot on the committed
     token, so a fully unmasked draft scores as all one-hot rows.
@@ -184,37 +185,40 @@ def forward_batched(
     the token just before the block when none is to its left.  The
     target and all drafts therefore go through one (D+1, L) pass.
     ``_checked_left_context`` checks the rest: the drafts' lengths, that
-    something is left to denoise, and every token against 1..V.
+    something is left to denoise, L * V, and every token against 1..V.
     """
     left_context = _checked_left_context(model, state, drafts)
     blocks = [state.active_block.tokens, *drafts]
     rows = _mixture_pass(model, blocks, (left_context,) * len(blocks))
     rows.setflags(write=False)
-    return Marginals(rows[0]), rows[1:]
+    return rows
 
 
-def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> List[Marginals]:
+def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> np.ndarray:
     """Score the active blocks of several sequences in one model call.
 
-    ``result[i]`` equals ``forward_batched(model, states[i], [])[0]`` bit
-    for bit: every state is checked as that call checks it, in order, so
-    the first state that call rejects (its active block complete, or a
-    token outside 1..V) raises that call's error, and each block is
-    mixed against its own sequence's left token.  Equal states still get
-    a row each, as they would in a real dLLM's batch.  The active blocks
-    must share one length, as the rows of one (B, L, V) pass do.  Every
-    row's ``top1`` comes from one reduction over that whole pass
-    (``core.split_marginals``).
+    Returns the call's read-only (B, L, V) rows; ``rows[i]`` equals
+    ``forward_batched(model, states[i], [])[0]`` bit for bit: every state
+    is checked as that call checks it, in order, so the first state that
+    call rejects (its active block complete or too large, or a token
+    outside 1..V) raises that call's error, and each block is mixed
+    against its own sequence's left token.  Equal states still get a row
+    each, as they would in a real dLLM's batch.  The active blocks must
+    share one length, as the rows of one (B, L, V) pass do; no states
+    give a (0, 0, V) array.
     """
     if not states:
-        return []
-    left_contexts = [_checked_left_context(model, state, ()) for state in states]
-    blocks = [state.active_block.tokens for state in states]
-    length = len(blocks[0])
-    if not all(map(length.__eq__, map(len, blocks))):
-        i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
-        raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
-    return split_marginals(_mixture_pass(model, blocks, left_contexts))
+        rows = np.zeros((0, 0, model.vocab_size))
+    else:
+        left_contexts = [_checked_left_context(model, state, ()) for state in states]
+        blocks = [state.active_block.tokens for state in states]
+        length = len(blocks[0])
+        if not all(map(length.__eq__, map(len, blocks))):
+            i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
+            raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
+        rows = _mixture_pass(model, blocks, left_contexts)
+    rows.setflags(write=False)
+    return rows
 
 
 def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequence[Sequence[int]]) -> int:
@@ -232,9 +236,20 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
         raise ValueError("draft %d has length %d, active block has %d" % (i, len(d), length))
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
+    check_block_size(model, length)
     finished = [b.tokens for b in state.blocks[: state.active]]
     _check_token_range(model, [state.prompt, *finished, block.tokens, *drafts])
     return state.token_before_active
+
+
+def check_block_size(model: ToyDenoiser, block_length: int) -> None:
+    """The one block-size rule: L * V is at most ``MAX_BLOCK_CELLS``."""
+    cells = block_length * model.vocab_size
+    if cells > MAX_BLOCK_CELLS:
+        raise ValueError(
+            "L %d x vocabulary %d = %d marginals per block, above the limit of %d"
+            % (block_length, model.vocab_size, cells, MAX_BLOCK_CELLS)
+        )
 
 
 def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> None:
@@ -243,6 +258,8 @@ def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> N
     ids = model.token_ids
     if not all(map(ids.issuperset, blocks)):
         bad = next(t for tokens in blocks for t in tokens if t not in ids)
+        if not is_integer(bad):
+            raise ValueError("token %r is not an integer" % (bad,))
         raise ValueError("token %d outside 1..%d" % (bad, model.vocab_size))
 
 

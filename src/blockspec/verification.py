@@ -12,7 +12,7 @@ free.  On a miss we simply stop with whatever the target produced:
 output never depends on draft quality, only speed does.
 
 ``verify`` returns the steps it took, one ``StepRecord`` each: the
-first from the target, each later one from an accepted draft's rows.
+first from the target's rows, each later one from an accepted draft's.
 With no drafts it takes the one step of vanilla decoding.  The last
 step holds the block after the call, and its marginals and uncommitted
 order are what the engine ranks the next drafts from.
@@ -78,31 +78,31 @@ def advance(block: BlockState, marginals: Marginals, schedule: UnmaskSchedule) -
 
 def verify(
     block: BlockState,
-    target: Marginals,
     drafts: Sequence[Tuple[int, ...]],
-    draft_rows: np.ndarray,
+    rows: np.ndarray,
     schedule: UnmaskSchedule,
 ) -> Tuple[StepRecord, ...]:
-    """The steps one model call takes: advance once with ``target``, then
-    once more from each accepted draft's rows.
+    """The steps one model call takes: advance once with the target's
+    rows, then once more from each accepted draft's rows.
 
     ``drafts`` are the token tuples ``forward_batched`` scored and
-    ``draft_rows[d]`` is the (L, V) marginals of ``drafts[d]``.  After
-    every advance the new state's tokens are looked up among the drafts;
-    a hit is accepted and its rows drive the next advance.  Equal tokens
-    mean an equal unmasked count, so a threshold step that jumps past a
+    ``rows`` is what it returned: ``rows[0]`` is the target's (L, V)
+    marginals and ``rows[1 + d]`` those of ``drafts[d]``.  After every
+    advance the new state's tokens are looked up among the drafts; a hit
+    is accepted and its rows drive the next advance.  Equal tokens mean
+    an equal unmasked count, so a threshold step that jumps past a
     draft's count simply never finds it.  When two drafts have the same
     tokens the first in scan order wins.  A state never repeats within a
     call (each advance commits at least one slot), so no draft can be
-    accepted twice.  Only an accepted draft's rows become a
-    ``Marginals``.
+    accepted twice.  Only the target's and the accepted drafts' rows
+    become a ``Marginals``.
     """
-    if len(drafts) != len(draft_rows):
-        raise ValueError("drafts and draft_rows length mismatch")
-    steps = [advance(block, target, schedule)]
+    if len(rows) != 1 + len(drafts):
+        raise ValueError("%d rows for the target and %d drafts" % (len(rows), len(drafts)))
+    steps = [advance(block, Marginals(rows[0]), schedule)]
     state = steps[-1].state_after
     # the lookup first: with no drafts (vanilla decoding) it ends the loop at once
     while state.tokens in drafts and not state.is_complete:
-        steps.append(advance(state, Marginals(draft_rows[drafts.index(state.tokens)]), schedule))
+        steps.append(advance(state, Marginals(rows[1 + drafts.index(state.tokens)]), schedule))
         state = steps[-1].state_after
     return tuple(steps)

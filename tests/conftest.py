@@ -8,7 +8,7 @@ import pytest
 
 import blockspec
 from blockspec import engine, synthetic
-from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
+from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule, unmask
 from blockspec.model import train_from_corpus
 from blockspec.verification import StepRecord
 
@@ -57,23 +57,21 @@ def make_config(schedule="fixed:1", total_length=32, block_length=8, vocab_size=
     )
 
 
+def with_token(block, position, token):
+    """``block`` with ``token`` committed at its masked ``position``."""
+    tokens = list(block.tokens)
+    unmask(tokens, position, token)
+    return BlockState(tuple(tokens))
+
+
 def scripted_report(nfes, block_length, eot_block):
-    """The report of the shared block loop run on a script instead of a
-    model: block k takes ``nfes[k]`` calls over ``block_length`` one-token
-    steps, and only block ``eot_block`` holds the EOT token."""
+    """The report of a run given as a script instead of a model: block k
+    takes ``nfes[k]`` calls over ``block_length`` one-token steps, and
+    only block ``eot_block`` holds the EOT token."""
     eot = 2
-    config = GenerationConfig(
-        total_length=len(nfes) * block_length,
-        block_length=block_length,
-        schedule=UnmaskSchedule.fixed(1),
-        eot_token=eot,
-    )
-
-    def denoise_block(state):
-        n = nfes[state.active]
-        block = BlockState((eot if state.active == eot_block else 1,) * block_length)
+    blocks = []
+    for k, n in enumerate(nfes):
+        block = BlockState((eot if k == eot_block else 1,) * block_length)
         step = StepRecord(marginals=None, ordered=(), state_after=block, realized=1)
-        calls = [(step,) * (block_length - n + 1)] + [(step,)] * (n - 1)
-        return state.with_active_block(block), calls
-
-    return engine._decode_blocks((1,), config, denoise_block, False, None).report
+        blocks.append([(step,) * (block_length - n + 1)] + [(step,)] * (n - 1))
+    return engine._report(blocks, eot, None)

@@ -11,7 +11,7 @@ top-k view.  Tests compare the two record for record.
 from typing import List, Optional, Sequence
 
 from blockspec.calibration import CalibrationRecord
-from blockspec.core import MASK, GenerationConfig, SequenceState
+from blockspec.core import MASK, GenerationConfig, Marginals, SequenceState
 from blockspec.drafting import order_vocab
 from blockspec.model import ToyDenoiser, forward_batched
 from blockspec.verification import StepRecord, advance
@@ -56,7 +56,7 @@ def reference_collect_records(
         for k in range(config.num_blocks):
             steps: List[StepRecord] = []
             while not state.active_block.is_complete:
-                target, _ = forward_batched(model, state, [])
+                target = Marginals(forward_batched(model, state, [])[0])
                 steps.append(advance(state.active_block, target, config.schedule))
                 state = state.with_active_block(steps[-1].state_after)
             for origin, step in enumerate(steps):

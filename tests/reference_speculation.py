@@ -86,14 +86,13 @@ def reference_spawn_drafts(graph: DraftGraphSpec, ranking: RankingView, block: B
 
 def reference_verify(
     block: BlockState,
-    target: Marginals,
     drafts: Sequence[ReferenceDraft],
-    draft_marginals: Sequence[Marginals],
+    rows: np.ndarray,
     schedule: UnmaskSchedule,
 ) -> Tuple[StepRecord, ...]:
-    steps = [advance(block, target, schedule)]
+    steps = [advance(block, Marginals(rows[0]), schedule)]
     current = steps[-1].state_after
-    remaining = list(zip(drafts, draft_marginals))
+    remaining = list(zip(drafts, [Marginals(r) for r in rows[1:]]))
     while not current.is_complete:
         hit = None
         for entry in remaining:

@@ -122,16 +122,16 @@ def test_criterion_3_batched_forward_bit_matches(model):
                 if tokens[n] == 0 and rng.random() < 0.5:
                     tokens[n] = int(rng.integers(1, 13))
             drafts.append(BlockState(tokens=tuple(tokens)))
-        target, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
+        target, *per_draft = forward_batched(model, state, [d.tokens for d in drafts])
         want_target = forward_batched(model, state, [])[0]
-        assert np.array_equal(target.rows, want_target.rows)
+        assert np.array_equal(target, want_target)
         checks += 1
         for d, got in zip(drafts, per_draft):
             if d.is_complete:
-                want = one_hot_marginals(d, model.vocab_size)
+                want = one_hot_marginals(d, model.vocab_size).rows
             else:
                 want = forward_batched(model, state.with_active_block(d), [])[0]
-            assert np.array_equal(got, want.rows)
+            assert np.array_equal(got, want)
             checks += 1
         cases += 1
     print("PASS criterion 3: %d batched calls, %d bit-exact comparisons" % (cases, checks))

@@ -411,8 +411,8 @@ class TestCheckLossless:
     def test_content_blind_verify_is_caught(self, files, capsys, monkeypatch):
         """Accepting drafts without comparing tokens must exit 1."""
 
-        def sloppy_verify(block, target, drafts, draft_rows, schedule):
-            steps = [advance(block, target, schedule)]
+        def sloppy_verify(block, drafts, rows, schedule):
+            steps = [advance(block, Marginals(rows[0]), schedule)]
             current = steps[-1].state_after
             remaining = list(range(len(drafts)))
             while not current.is_complete:
@@ -424,7 +424,7 @@ class TestCheckLossless:
                 if hit is None:
                     break
                 remaining.remove(hit)
-                steps.append(advance(BlockState(tokens=drafts[hit]), Marginals(rows=draft_rows[hit]), schedule))
+                steps.append(advance(BlockState(tokens=drafts[hit]), Marginals(rows=rows[1 + hit]), schedule))
                 current = steps[-1].state_after
             return tuple(steps)
 

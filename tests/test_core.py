@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import with_token
 
 from blockspec.core import (
     MASK,
@@ -37,19 +38,19 @@ class TestBlockState:
         assert not b.is_complete
 
     def test_with_token_progression(self):
-        b = BlockState.masked(3).with_token(1, 5)
+        b = with_token(BlockState.masked(3), 1, 5)
         assert b.tokens == (MASK, 5, MASK)
         assert b.unmasked_count == 1
         assert b.masked_positions == (0, 2)
 
     def test_with_token_rejects_double_unmask(self):
-        b = BlockState.masked(3).with_token(1, 5)
+        b = with_token(BlockState.masked(3), 1, 5)
         with pytest.raises(ValueError, match="position 1 already unmasked"):
-            b.with_token(1, 6)
+            with_token(b, 1, 6)
 
     def test_with_token_rejects_mask_value(self):
         with pytest.raises(ValueError, match="cannot unmask position 0 to MASK"):
-            BlockState.masked(3).with_token(0, MASK)
+            with_token(BlockState.masked(3), 0, MASK)
 
     @pytest.mark.parametrize(
         "tokens, message", [((), "empty block"), ((-1, 0), "negative token id -1"), ((2, -3, -7), "negative token id -7")]

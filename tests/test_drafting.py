@@ -429,11 +429,9 @@ class TestSpawnProperty:
         want = reference_spawn_drafts(graph, reference_rank(marginals, block, top_k), block)
         assert drafts == [w.block.tokens for w in want]
 
-        picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
-        out = verify(block, target, [drafts[k] for k in picks], draft_rows, schedule)
-        ref = reference_verify(
-            block, target, [want[k] for k in picks], [Marginals(rows=r) for r in draft_rows], schedule
-        )
+        picks, rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
+        out = verify(block, [drafts[k] for k in picks], rows, schedule)
+        ref = reference_verify(block, [want[k] for k in picks], rows, schedule)
         levels = {w.block.tokens: w.level for w in want}
         assert _outcome(out, levels) == _outcome(ref, levels)
 
@@ -447,20 +445,19 @@ class TestSpawnProperty:
         realized counts sum to the slots it unmasked."""
         graph, marginals, block, top_k = case
         drafts = _spawn(graph, marginals, block, top_k)
-        picks, target, draft_rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
+        picks, rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
         scored = [drafts[k] for k in picks]
-        steps = verify(block, target, scored, draft_rows, schedule)
+        steps = verify(block, scored, rows, schedule)
 
         def taken(step):  # the step's fields but its marginals, which hold an array
             return step.ordered, step.state_after, step.realized
 
-        assert steps[0].marginals is target
-        assert taken(steps[0]) == taken(advance(block, target, schedule))
+        assert steps[0].marginals.rows.tobytes() == rows[0].tobytes()
+        assert taken(steps[0]) == taken(advance(block, Marginals(rows[0]), schedule))
         for before, step in zip(steps, steps[1:]):
             state = before.state_after
             assert drafts.count(state.tokens) == 1
-            rows = draft_rows[scored.index(state.tokens)]
-            assert step.marginals.rows.tobytes() == rows.tobytes()
+            assert step.marginals.rows.tobytes() == rows[1 + scored.index(state.tokens)].tobytes()
             assert taken(step) == taken(advance(state, step.marginals, schedule))
         last = steps[-1].state_after
         assert last.is_complete or last.tokens not in scored
@@ -469,11 +466,11 @@ class TestSpawnProperty:
 
 def _verify_inputs(graph, marginals, num_drafts, data):
     """What one model call hands verify: the indices of the spawned drafts
-    it scored, the target, the drafts' rows and a fixed or threshold
-    schedule.  The target is often the ranking source itself, so level-1
-    drafts match; each draft's rows are the source again or fresh draws,
-    so chains continue or stop; and some drafts are scored again with
-    other rows, so the first of equal drafts must win."""
+    it scored, the call's (1 + D, L, V) rows, the target's first, and a
+    fixed or threshold schedule.  The target is often the ranking source
+    itself, so level-1 drafts match; each draft's rows are the source
+    again or fresh draws, so chains continue or stop; and some drafts are
+    scored again with other rows, so the first of equal drafts must win."""
     length, vocab = marginals.rows.shape
 
     def rows():
@@ -482,11 +479,11 @@ def _verify_inputs(graph, marginals, num_drafts, data):
         seed = data.draw(st.integers(0, 2**16))
         return np.random.default_rng(seed).choice((0.0, 0.25, 0.5), size=(length, vocab))
 
-    target = Marginals(rows=rows())
+    target = rows()
     picks = list(range(num_drafts))
     if num_drafts:
         picks += data.draw(st.lists(st.integers(0, num_drafts - 1), max_size=3))
-    draft_rows = np.array([rows() for _ in picks]).reshape(len(picks), length, vocab)
+    call_rows = np.array([target, *(rows() for _ in picks)])
     schedule = data.draw(
         st.one_of(
             st.just(UnmaskSchedule.fixed(graph.tokens_per_level)),
@@ -494,7 +491,7 @@ def _verify_inputs(graph, marginals, num_drafts, data):
             st.sampled_from((0.25, 0.5, 1.0)).map(UnmaskSchedule.at_threshold),
         )
     )
-    return picks, target, draft_rows, schedule
+    return picks, call_rows, schedule
 
 
 def _outcome(steps, levels):

@@ -13,12 +13,16 @@ import re
 import numpy as np
 import pytest
 from conftest import make_config, scripted_report
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspec import engine
 from blockspec.calibration import calibrate_graph
-from blockspec.core import MASK, GenerationConfig, SequenceState, UnmaskSchedule
+from blockspec.core import MASK, BlockState, GenerationConfig, SequenceState, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, spawn_drafts
 from blockspec.engine import (
+    PerBlockStats,
+    RunReport,
     check_lossless,
     generate_speculative,
     generate_vanilla,
@@ -27,6 +31,7 @@ from blockspec.engine import (
 )
 from blockspec.model import forward_batched, train_from_corpus
 from blockspec.timing import StageTimer
+from blockspec.verification import StepRecord
 
 
 def _chain_graph(depth=3):
@@ -348,6 +353,65 @@ class TestEotAccounting:
         assert (report.total_nfe, report.baseline_nfe, report.eot_block) == (22, 32, 1)
         assert report.speedup_to_eot == pytest.approx(16 / 12)
         assert report.speedup_all == pytest.approx(32 / 22)
+
+
+EOT = 2
+
+
+@st.composite
+def call_scripts(draw):
+    """A run as ``engine._report`` reads it: one to five blocks, each a
+    list of one to four calls, each call one to four steps of one to
+    three tokens; any state may hold the EOT token.  Half the time a
+    vanilla report with as many blocks comes along as the baseline."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        calls = []
+        for _ in range(draw(st.integers(1, 4))):
+            calls.append(
+                tuple(
+                    StepRecord(None, (), BlockState((draw(st.sampled_from((1, EOT))), 1)), draw(st.integers(1, 3)))
+                    for _ in range(draw(st.integers(1, 4)))
+                )
+            )
+        blocks.append(calls)
+    baseline = None
+    if draw(st.booleans()):
+        nfes = draw(st.lists(st.integers(1, 12), min_size=len(blocks), max_size=len(blocks)))
+        per_block = tuple(PerBlockStats(k, n, n, 0, (1,) * n) for k, n in enumerate(nfes))
+        baseline = RunReport(sum(nfes), sum(nfes), 0, per_block, None, 1.0, 1.0)
+    return blocks, baseline
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(call_scripts())
+def test_report_sums_the_scripted_calls(script):
+    """Every report field follows from the calls alone: a block's NFEs
+    are its calls and its acceptances its steps beyond them, totals are
+    the per-block sums, a run without a baseline counts its steps as its
+    vanilla NFEs, and the EOT block is the first whose last state holds
+    EOT, with both speedups equal when there is none."""
+    blocks, baseline = script
+    report = engine._report(blocks, EOT, baseline)
+    assert len(report.per_block) == len(blocks)
+    for k, (calls, stats) in enumerate(zip(blocks, report.per_block)):
+        steps = [step for call in calls for step in call]
+        assert (stats.index, stats.nfe, stats.acceptances) == (k, len(calls), len(steps) - len(calls))
+        assert stats.realized_s == tuple(step.realized for step in steps)
+        assert stats.baseline_nfe == (len(steps) if baseline is None else baseline.per_block[k].nfe)
+    assert report.total_nfe == sum(b.nfe for b in report.per_block)
+    assert report.baseline_nfe == sum(b.baseline_nfe for b in report.per_block)
+    assert report.acceptances == sum(b.acceptances for b in report.per_block)
+    if baseline is None:
+        assert report.total_nfe + report.acceptances == report.baseline_nfe
+    finals = [calls[-1][-1].state_after.tokens for calls in blocks]
+    assert report.eot_block == next((k for k, tokens in enumerate(finals) if EOT in tokens), None)
+    assert report.speedup_all == report.baseline_nfe / report.total_nfe
+    if report.eot_block is None:
+        assert report.speedup_to_eot == report.speedup_all
+    else:
+        prefix = report.per_block[: report.eot_block + 1]
+        assert report.speedup_to_eot == sum(b.baseline_nfe for b in prefix) / sum(b.nfe for b in prefix)
 
 
 # ---------------------------------------------------------------------------

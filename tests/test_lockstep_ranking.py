@@ -1,9 +1,10 @@
 """Calibration's lockstep call, reduced and ranked as a whole.
 
-``forward_many`` takes every row's ``top1`` from one reduction over its
-(B, L, V) result, and calibration ranks the vocabulary of all those rows
-with one ``vocab_ranking``.  Both must give exactly what the per-block
-forms give: ``Marginals(rows)`` and ``order_vocab``.
+Calibration reads the (B, L, V) array ``forward_many`` returns twice:
+``split_marginals`` takes every row's ``top1`` from one reduction over
+it, and one ``vocab_ranking`` ranks the vocabulary of all its rows.
+Both must give exactly what the per-block forms give: ``Marginals(rows)``
+and ``order_vocab``.
 """
 
 import numpy as np
@@ -14,9 +15,8 @@ from hypothesis import strategies as st
 
 from blockspec import calibration
 from blockspec.calibration import collect_records
-from blockspec.core import Marginals
+from blockspec.core import Marginals, split_marginals
 from blockspec.drafting import order_vocab, vocab_ranking
-from blockspec.model import forward_many
 
 # few probability levels, so most rows hold equal entries and the tie
 # rule decides the order
@@ -61,8 +61,8 @@ def test_lockstep_top1_bytes_equal_a_fresh_marginals(model, prompts, monkeypatch
     bytes of ``Marginals`` built on a copy of the same rows."""
     checked = []
 
-    def compared(model, states):
-        got = forward_many(model, states)
+    def compared(rows):
+        got = split_marginals(rows)
         for m in got:
             fresh = Marginals(m.rows.copy())
             assert np.array(m.top1).tobytes() == np.array(fresh.top1).tobytes()
@@ -70,6 +70,6 @@ def test_lockstep_top1_bytes_equal_a_fresh_marginals(model, prompts, monkeypatch
         checked.append(len(got))
         return got
 
-    monkeypatch.setattr(calibration, "forward_many", compared)
+    monkeypatch.setattr(calibration, "split_marginals", compared)
     collect_records(model, prompts, make_config(schedule), 4)
     assert sum(checked) > len(checked) > 0

@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import with_token
 from scalar_forward import one_hot_marginals, scalar_forward, scalar_forward_batched
 
 from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
 from blockspec.model import (
+    MAX_BLOCK_CELLS,
     MAX_VOCAB_SIZE,
     ToyDenoiser,
     forward_batched,
@@ -189,21 +191,21 @@ class TestForward:
         """
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
-        state = state.with_active_block(state.active_block.with_token(1, 1))
+        state = state.with_active_block(with_token(state.active_block, 1, 1))
         got = forward_batched(m, state, [])[0]
         want0 = (
             0.6 * _smooth([0, 3]) + 0.3 * _smooth([0, 2]) + 0.1 * _smooth([3, 3])
         )
-        assert np.allclose(got.rows[0], want0, atol=1e-12)
-        assert got.argmax_token(0) == 2
+        assert np.allclose(got[0], want0, atol=1e-12)
+        assert got[0].argmax() + 1 == 2
         # position 1 is committed: one-hot on token 1
-        assert got.rows[1].tolist() == [1.0, 0.0]
+        assert got[1].tolist() == [1.0, 0.0]
 
     def test_gap_decay_shifts_weight_to_unigram(self):
         """Right neighbor at gap 1 contributes lambda_right * 0.5."""
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
-        state = state.with_active_block(state.active_block.with_token(2, 2))
+        state = state.with_active_block(with_token(state.active_block, 2, 2))
         got = forward_batched(m, state, [])[0]
         w_left, w_right = 0.6, 0.3 * 0.5
         w_uni = 1.0 - w_left - w_right
@@ -212,29 +214,29 @@ class TestForward:
             + w_right * _smooth([3, 0])
             + w_uni * _smooth([3, 3])
         )
-        assert np.allclose(got.rows[0], want0, atol=1e-12)
+        assert np.allclose(got[0], want0, atol=1e-12)
 
     def test_no_right_neighbor_at_sequence_end(self):
         m = _abab_model()
         state = SequenceState.initial((1,), 1, 3)
-        state = state.with_active_block(state.active_block.with_token(1, 1))
+        state = state.with_active_block(with_token(state.active_block, 1, 1))
         got = forward_batched(m, state, [])[0]
         # position 2: left neighbor token 1 at gap 0, nothing to the right
         want2 = 0.6 * _smooth([0, 3]) + 0.4 * _smooth([3, 3])
-        assert np.allclose(got.rows[2], want2, atol=1e-12)
+        assert np.allclose(got[2], want2, atol=1e-12)
 
     def test_unigram_only_mixture_collapse(self):
         m = _abab_model(lambdas=(0.0, 0.0, 1.0))
         state = SequenceState.initial((1, 2), 1, 4)
         got = forward_batched(m, state, [])[0]
         for n in range(4):
-            assert np.allclose(got.rows[n], _smooth([3, 3]), atol=1e-12)
+            assert np.allclose(got[n], _smooth([3, 3]), atol=1e-12)
 
     def test_deterministic(self, model):
         state = SequenceState.initial((2, 2), 2, 8)
         a = forward_batched(model, state, [])[0]
         b = forward_batched(model, state, [])[0]
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a, b)
 
     def test_locality_beyond_nearest_neighbor(self, model):
         """Tokens shadowed by a nearer unmasked token cannot matter."""
@@ -247,15 +249,15 @@ class TestForward:
         # block 0; the prompt's first token is unreachable
         a = forward_batched(model, base, [])[0]
         b = forward_batched(model, changed, [])[0]
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a, b)
 
     def test_rows_normalized(self, model):
         state = SequenceState.initial((2, 3, 4), 2, 8)
-        state = state.with_active_block(state.active_block.with_token(3, 5))
+        state = state.with_active_block(with_token(state.active_block, 3, 5))
         got = forward_batched(model, state, [])[0]
-        sums = got.rows.sum(axis=1)
+        sums = got.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 1e-9)
-        assert np.all(got.rows >= 0.0) and np.all(got.rows <= 1.0)
+        assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
     def test_complete_block_rejected(self, model):
         state = SequenceState.initial((1,), 1, 2)
@@ -277,35 +279,35 @@ class TestForward:
 class TestForwardBatched:
     def test_empty_draft_list(self, model):
         state = SequenceState.initial((2,), 1, 4)
-        target, per_draft = forward_batched(model, state, [])
-        assert per_draft.shape == (0, 4, model.vocab_size)
-        assert np.array_equal(target.rows, scalar_forward(model, state).rows)
+        rows = forward_batched(model, state, [])
+        assert rows.shape == (1, 4, model.vocab_size)
+        assert np.array_equal(rows[0], scalar_forward(model, state).rows)
 
     def test_identity_draft_equals_target(self, model):
         state = SequenceState.initial((2,), 1, 4)
-        state = state.with_active_block(state.active_block.with_token(0, 2))
-        target, per_draft = forward_batched(model, state, [state.active_block.tokens])
-        assert np.array_equal(per_draft[0], target.rows)
+        state = state.with_active_block(with_token(state.active_block, 0, 2))
+        target, draft = forward_batched(model, state, [state.active_block.tokens])
+        assert np.array_equal(draft, target)
 
     def test_distinct_drafts_match_independent_forwards(self, model):
         state = SequenceState.initial((5, 6), 2, 4)
         block = state.active_block
         drafts = [
-            block.with_token(0, 7),
-            block.with_token(1, 8),
-            block.with_token(0, 7).with_token(3, 2),
+            with_token(block, 0, 7),
+            with_token(block, 1, 8),
+            with_token(with_token(block, 0, 7), 3, 2),
         ]
-        _, per_draft = forward_batched(model, state, [d.tokens for d in drafts])
+        _, *per_draft = forward_batched(model, state, [d.tokens for d in drafts])
         for d, got in zip(drafts, per_draft):
             want = forward_batched(model, state.with_active_block(d), [])[0]
-            assert np.array_equal(got, want.rows)
+            assert np.array_equal(got, want)
 
     def test_complete_draft_scores_one_hot(self, model):
         state = SequenceState.initial((2,), 1, 3)
-        _, per_draft = forward_batched(model, state, [(4, 5, 6)])
+        _, draft = forward_batched(model, state, [(4, 5, 6)])
         want = np.zeros((3, model.vocab_size))
         want[0, 3] = want[1, 4] = want[2, 5] = 1.0
-        assert np.array_equal(per_draft[0], want)
+        assert np.array_equal(draft, want)
 
     def test_one_hot_reference_requires_complete_block(self):
         with pytest.raises(ValueError, match="needs a complete block"):
@@ -327,20 +329,28 @@ class TestForwardBatched:
                 forward_batched(model, state, [(1, 2, 3), draft])
 
     @pytest.mark.parametrize(
-        "prompt, bad", [((2, 13), 13), ((-1, 2), -1), ((2.5, 3), 2)], ids=["above", "below", "non-integer"]
+        "prompt, message",
+        [
+            ((2, 13), "token 13 outside 1..12"),
+            ((-1, 2), "token -1 outside 1..12"),
+            ((2.5, 3), "token 2.5 is not an integer"),
+            ((float("nan"), 3), "token nan is not an integer"),
+        ],
+        ids=["above", "below", "non-integer", "nan"],
     )
     @pytest.mark.parametrize(
         "score",
         [lambda m, state: forward_batched(m, state, [(1, 2, 3)]), lambda m, state: forward_many(m, [state])],
         ids=["forward_batched", "forward_many"],
     )
-    def test_context_token_range_checked(self, model, prompt, bad, score):
-        """Both ends of 1..V and a non-integer inside them, in either
-        call: a check that ignored the lower bound once passed the
-        token-range property below, and one that compared only the
-        context's smallest and largest token let 2.5 through."""
+    def test_context_token_range_checked(self, model, prompt, message, score):
+        """Both ends of 1..V and non-integers, in either call: a check
+        that ignored the lower bound once passed the token-range property
+        below, one that compared only the context's smallest and largest
+        token let 2.5 through, and the error once printed 2.5 as 2 and
+        failed to print NaN at all."""
         assert model.vocab_size == 12
-        with pytest.raises(ValueError, match="^token %d outside 1..12$" % bad):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             score(model, SequenceState.initial(prompt, 1, 3))
 
     def test_finished_block_token_range_checked(self, model):
@@ -348,8 +358,36 @@ class TestForwardBatched:
         left context."""
         state = SequenceState(prompt=(1,), blocks=(BlockState(tokens=(3, 1.5)), BlockState.masked(2)), active=1)
         for score in (lambda s: forward_batched(model, s, []), lambda s: forward_many(model, [s])):
-            with pytest.raises(ValueError, match="^token 1 outside 1..12$"):
+            with pytest.raises(ValueError, match="^token 1.5 is not an integer$"):
                 score(state)
+
+    @pytest.mark.parametrize(
+        "score",
+        [lambda m, state: forward_batched(m, state, []), lambda m, state: forward_many(m, [state])],
+        ids=["forward_batched", "forward_many"],
+    )
+    def test_block_size_limit_checked(self, score):
+        """L x V one past ``MAX_BLOCK_CELLS`` is rejected by either call,
+        not only by the CLI's config check."""
+        m = train_from_corpus([(1, MAX_VOCAB_SIZE)], MAX_VOCAB_SIZE)
+        assert MAX_BLOCK_CELLS == 1024 * MAX_VOCAB_SIZE
+        message = "L 1025 x vocabulary 1024 = 1049600 marginals per block, above the limit of 1048576"
+        with pytest.raises(ValueError, match="^%s$" % message):
+            score(m, SequenceState.initial((1,), 1, 1025))
+
+    @pytest.mark.parametrize(
+        "score, shape",
+        [
+            (lambda m, state: forward_batched(m, state, [(1, MASK, MASK), (1, 2, 3)]), (3, 3, 12)),
+            (lambda m, state: forward_many(m, [state, state]), (2, 3, 12)),
+            (lambda m, state: forward_many(m, []), (0, 0, 12)),
+        ],
+        ids=["forward_batched", "forward_many", "forward_many-empty"],
+    )
+    def test_rows_are_one_read_only_array(self, model, score, shape):
+        rows = score(model, SequenceState.initial((2,), 1, 3))
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape == shape
+        assert not rows.flags.writeable
 
     def test_state_checks_hold_with_drafts(self, model):
         done = SequenceState.initial((1,), 1, 2).with_active_block(BlockState(tokens=(1, 2)))
@@ -406,9 +444,9 @@ def batched_cases(draw):
 @given(batched_cases())
 def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
     m, state, drafts = case
-    target, per_draft = forward_batched(m, state, [d.tokens for d in drafts])
+    target, *per_draft = forward_batched(m, state, [d.tokens for d in drafts])
     want_target, want_drafts = scalar_forward_batched(m, state, drafts)
-    assert target.rows.tobytes() == want_target.rows.tobytes()
+    assert target.tobytes() == want_target.rows.tobytes()
     assert len(per_draft) == len(want_drafts)
     for got, want in zip(per_draft, want_drafts):
         assert got.tobytes() == want.rows.tobytes()
@@ -463,8 +501,8 @@ def test_token_range_error_names_the_first_bad_token(case):
     scanned = (state.prompt, state.generated_tokens(), *drafts)
     bad = [t for tokens in scanned for t in tokens if t != MASK and not 1 <= t <= v]
     if not bad:
-        target, rows = forward_batched(m, state, drafts)
-        assert rows.shape == (len(drafts), state.active_block.length, v)
+        rows = forward_batched(m, state, drafts)
+        assert rows.shape == (1 + len(drafts), state.active_block.length, v)
         return
     with pytest.raises(ValueError, match="^token %d outside 1..%d$" % (bad[0], v)):
         forward_batched(m, state, drafts)
@@ -473,10 +511,10 @@ def test_token_range_error_names_the_first_bad_token(case):
 def _outcome(m, state, drafts):
     """forward_batched's result bytes, or its error text."""
     try:
-        target, rows = forward_batched(m, state, drafts)
+        rows = forward_batched(m, state, drafts)
     except ValueError as exc:
         return str(exc)
-    return target.rows.tobytes(), rows.tobytes()
+    return rows.tobytes()
 
 
 @st.composite
@@ -537,8 +575,8 @@ def test_forward_many_rows_equal_draft_free_forwards(case):
     """Row i is byte-equal to a draft-free ``forward_batched`` of state i,
     repeats included."""
     m, states = case
-    want = [forward_batched(m, s, [])[0].rows.tobytes() for s in states]
-    assert [g.rows.tobytes() for g in forward_many(m, states)] == want
+    want = [forward_batched(m, s, [])[0].tobytes() for s in states]
+    assert [g.tobytes() for g in forward_many(m, states)] == want
 
 
 @st.composite
@@ -572,7 +610,7 @@ def test_forward_many_raises_the_first_bad_states_error(case):
     outcomes = [_outcome(m, s, []) for s in states]
     errors = [o for o in outcomes if isinstance(o, str)]
     if not errors:
-        assert [g.rows.tobytes() for g in forward_many(m, states)] == [rows for rows, _ in outcomes]
+        assert [g.tobytes() for g in forward_many(m, states)] == outcomes
         return
     with pytest.raises(ValueError, match="^%s$" % re.escape(errors[0])):
         forward_many(m, states)
@@ -580,7 +618,7 @@ def test_forward_many_raises_the_first_bad_states_error(case):
 
 class TestForwardMany:
     def test_no_states_no_rows(self, model):
-        assert forward_many(model, []) == []
+        assert forward_many(model, []).shape == (0, 0, model.vocab_size)
 
     def test_block_lengths_must_agree(self, model):
         states = [SequenceState.initial((2,), 1, 4), SequenceState.initial((3,), 2, 3)]
@@ -591,7 +629,7 @@ class TestForwardMany:
         state = SequenceState.initial((2, 3), 2, 4)
         got = forward_many(model, [state, state, SequenceState.initial((2, 3), 2, 4)])
         assert len(got) == 3
-        assert all(g.rows.tobytes() == forward_batched(model, state, [])[0].rows.tobytes() for g in got)
+        assert all(g.tobytes() == forward_batched(model, state, [])[0].tobytes() for g in got)
 
 
 class TestPinnedMarginals:
@@ -626,8 +664,7 @@ class TestPinnedMarginals:
         blocks = [BlockState(tokens=b) for b in committed] + [BlockState(tokens=current)]
         blocks += [BlockState.masked(8)] * (4 - len(blocks))
         state = SequenceState(prompt=self.PROMPT, blocks=tuple(blocks), active=active)
-        target, per_draft = forward_batched(model, state, drafts)
-        hashed = hashlib.sha256(target.rows.tobytes() + b"".join(rows.tobytes() for rows in per_draft))
+        hashed = hashlib.sha256(forward_batched(model, state, drafts).tobytes())
         assert hashed.hexdigest() == digest
 
 

@@ -87,7 +87,7 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
     schedule = data.draw(schedules)
     block = data.draw(partial_blocks(length, vocab))
     target = data.draw(marginals(length, vocab))
-    drafts, draft_rows = [], []
+    drafts, rows = [], [target.rows]
     state, m = block, target
     while True:
         state = advance(state, m, schedule).state_after
@@ -96,9 +96,9 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
         m = data.draw(marginals(length, vocab))
         if data.draw(st.booleans()):
             drafts.append(state.tokens)
-            draft_rows.append(m.rows)
+            rows.append(m.rows)
 
-    steps = verify(block, target, drafts, np.array(draft_rows).reshape(len(drafts), length, vocab), schedule)
+    steps = verify(block, drafts, np.array(rows), schedule)
 
     last = steps[-1]
     if last.state_after.is_complete:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import with_token
 
 from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
 from blockspec.drafting import order_positions
@@ -22,9 +23,10 @@ def _marginals(rows, vocab=4):
     return Marginals(rows=out)
 
 
-def _rows(*marginals, length=3, vocab=4):
-    """The drafts' (D, L, V) rows, as forward_batched returns them."""
-    return np.array([m.rows for m in marginals]).reshape(len(marginals), length, vocab)
+def _rows(target, *drafts):
+    """The target's and the drafts' (1 + D, L, V) rows, as forward_batched
+    returns them."""
+    return np.array([m.rows for m in (target, *drafts)])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def test_advance_equals_committing_the_prefix_one_token_at_a_time(case):
             count += 1
     want = block
     for n in ordered[:count]:
-        want = want.with_token(n, m.argmax_token(n))
+        want = with_token(want, n, m.argmax_token(n))
     step = advance(block, m, schedule)
     assert step.marginals is m
     assert (step.ordered, step.state_after, step.realized) == (ordered, want, count)
@@ -139,10 +141,10 @@ def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypat
 class TestVerify:
     def test_no_drafts_single_step(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        steps = verify(BlockState.masked(3), target, [], _rows(), UnmaskSchedule.fixed(1))
+        steps = verify(BlockState.masked(3), [], _rows(target), UnmaskSchedule.fixed(1))
         assert isinstance(steps, tuple) and all(isinstance(s, StepRecord) for s in steps)
         (step,) = steps
-        assert step.marginals is target
+        assert step.marginals.rows.tobytes() == target.rows.tobytes()
         assert step.realized == 1
         assert step.state_after.tokens == (0, 1, 0)
         # the target's order minus the committed position: 0.5 before 0.2
@@ -155,9 +157,9 @@ class TestVerify:
         m1 = _marginals([[0.3], [0.0], [0.0, 0.7]])          # step 2: pos 2 -> 2
         m2 = _marginals([[0.0, 0.0, 0.6], [0.0], [0.0]])     # step 3: pos 0 -> 3
         drafts = [(0, 1, 0), (0, 1, 2)]
-        steps = verify(BlockState.masked(3), target, drafts, _rows(m1, m2), UnmaskSchedule.fixed(1))
+        steps = verify(BlockState.masked(3), drafts, _rows(target, m1, m2), UnmaskSchedule.fixed(1))
         assert [s.state_after.tokens for s in steps] == [(0, 1, 0), (0, 1, 2), (3, 1, 2)]
-        assert steps[0].marginals is target
+        assert steps[0].marginals.rows.tobytes() == target.rows.tobytes()
         assert [s.marginals.rows.tobytes() for s in steps[1:]] == [m1.rows.tobytes(), m2.rows.tobytes()]
         assert tuple(s.realized for s in steps) == (1, 1, 1)
         assert steps[-1].ordered[steps[-1].realized :] == ()
@@ -166,9 +168,9 @@ class TestVerify:
         target = _marginals([[0.2], [0.9], [0.5]])
         bad = (0, 2, 0)  # wrong token at position 1
         m1 = _marginals([[0.3], [0.0], [0.7]])
-        steps = verify(BlockState.masked(3), target, [bad], _rows(m1), UnmaskSchedule.fixed(1))
+        steps = verify(BlockState.masked(3), [bad], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
-        assert steps[0].marginals is target
+        assert steps[0].marginals.rows.tobytes() == target.rows.tobytes()
 
     def test_first_of_equal_drafts_wins(self):
         """Equal tokens, different rows: the draft first in scan order is
@@ -177,7 +179,7 @@ class TestVerify:
         first = _marginals([[0.3], [0.0], [0.0, 0.7]])  # commits pos 2 -> 2
         second = _marginals([[0.0, 0.0, 0.8], [0.0], [0.1]])  # would commit pos 0 -> 3
         drafts = [(0, 1, 0), (0, 1, 0)]
-        steps = verify(BlockState.masked(3), target, drafts, _rows(first, second), UnmaskSchedule.fixed(1))
+        steps = verify(BlockState.masked(3), drafts, _rows(target, first, second), UnmaskSchedule.fixed(1))
         assert len(steps) == 2
         assert steps[1].marginals.rows.tobytes() == first.rows.tobytes()
         assert steps[1].state_after.tokens == (0, 1, 2)
@@ -187,7 +189,7 @@ class TestVerify:
         start = BlockState(tokens=(0, 0, 9))
         wrong = (0, 1, 4)  # disagrees on the old slot
         m1 = _marginals([[0.3], [0.0], [0.0]])
-        steps = verify(start, target, [wrong], _rows(m1), UnmaskSchedule.fixed(1))
+        steps = verify(start, [wrong], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
 
     def test_complete_state_stops_before_scanning(self):
@@ -196,7 +198,7 @@ class TestVerify:
         start = BlockState(tokens=(5, 0))
         finished = (5, 1)
         m1 = _marginals([[0.0], [0.0]])
-        steps = verify(start, target, [finished], _rows(m1, length=2), UnmaskSchedule.fixed(1))
+        steps = verify(start, [finished], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
         assert steps[0].state_after.is_complete
 
@@ -204,10 +206,10 @@ class TestVerify:
         target = _marginals([[0.95], [0.91], [0.5]])
         d = (1, 0, 0)
         m1 = _marginals([[0.0], [0.9], [0.0]])
-        steps = verify(BlockState.masked(3), target, [d], _rows(m1), UnmaskSchedule.at_threshold(0.9))
+        steps = verify(BlockState.masked(3), [d], _rows(target, m1), UnmaskSchedule.at_threshold(0.9))
         assert tuple(s.realized for s in steps) == (2,)
 
     def test_misaligned_lists_error(self):
         target = _marginals([[0.5]])
-        with pytest.raises(ValueError, match="length mismatch"):
-            verify(BlockState.masked(1), target, [(1,)], _rows(length=1), UnmaskSchedule.fixed(1))
+        with pytest.raises(ValueError, match="^1 rows for the target and 1 drafts$"):
+            verify(BlockState.masked(1), [(1,)], _rows(target), UnmaskSchedule.fixed(1))
