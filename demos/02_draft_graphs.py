@@ -11,7 +11,7 @@ Run: python3 demos/02_draft_graphs.py
 """
 
 from blockspec import synthetic
-from blockspec.core import MASK, BlockState, Marginals, SequenceState
+from blockspec.core import MASK, BlockState, SequenceState
 from blockspec.drafting import (
     DraftFormula,
     build_graph,
@@ -49,12 +49,13 @@ def main() -> None:
     corpus = synthetic.make_corpus(synthetic.DEFAULT_SEED)
     model = train_from_corpus(corpus, max(t for s in corpus for t in s))
     state = SequenceState.initial((2, 2), num_blocks=1, block_length=4)
-    marginals = Marginals(forward_batched(model, state, [])[0])
+    rows = forward_batched(model, state, [])[0]
+    top1 = rows.max(axis=1).tolist()
     block = state.active_block
-    positions = order_positions(marginals, block)
+    positions = order_positions(top1, block)
     print("\nranking for prompt '2 2', four masked positions:")
     print("  position order:", positions)
-    drafts = spawn_drafts(graph, positions, order_vocab(marginals, positions, 3), block)
+    drafts = spawn_drafts(graph, positions, order_vocab(rows, positions, 3), block)
     print("spawned %d drafts (level order):" % len(drafts))
     for d in drafts:
         # the block starts fully masked, so a draft's unmasked count is its level
@@ -64,8 +65,8 @@ def main() -> None:
     # does a formula that would fill every masked slot: verification
     # never accepts a complete block, so it is not spawned.
     shrunken = BlockState((2, MASK, MASK, 2))
-    positions = order_positions(marginals, shrunken)
-    survivors = spawn_drafts(graph, positions, order_vocab(marginals, positions, 3), shrunken)
+    positions = order_positions(top1, shrunken)
+    survivors = spawn_drafts(graph, positions, order_vocab(rows, positions, 3), shrunken)
     print("\nwith only 2 masked positions, %d of 6 formulas survive:" % len(survivors))
     print("  (rank 3 is out of range, and 1:1 2:1 would fill both slots)")
     for d in survivors:

@@ -4,7 +4,6 @@ from .core import (
     MASK,
     BlockState,
     GenerationConfig,
-    Marginals,
     SequenceState,
     UnmaskSchedule,
     parse_config,
@@ -44,7 +43,6 @@ __all__ = [
     "MASK",
     "BlockState",
     "SequenceState",
-    "Marginals",
     "UnmaskSchedule",
     "GenerationConfig",
     "parse_config",

@@ -11,9 +11,11 @@ gets the same windows under its own sample id, and an origin's windows
 grow by one step's commits at a time rather than re-scanning the block.
 The distinct prompts are replayed together, as a dLLM scores a batch of
 sequences in one forward pass: one model call per denoising step for
-the whole group, each sequence still getting its own rows, and one
-ranking pass per call: ``drafting.vocab_ranking``, which states the
-vocabulary tie rule, ranks every row of the call's one array at once.
+the whole group, each sequence stepping from its own (L, V) slice of
+the call's one array, and one ranking pass per call:
+``drafting.vocab_ranking``, which states the vocabulary tie rule, ranks
+every row of that array at once.  The steps kept for a block's windows
+hold no rows.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -34,7 +36,7 @@ from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import verification
-from .core import GenerationConfig, SequenceState, split_marginals
+from .core import GenerationConfig, SequenceState
 from .drafting import (
     DraftFormula,
     DraftGraphSpec,
@@ -76,7 +78,7 @@ def _block_windows(
     """Every in-view window of one block's steps, by origin, then lookahead.
 
     ``vocabs[t][n]`` is position n's top-k token ids under step t's
-    marginals, in ``vocab_ranking`` order.  A window's pairs rank the
+    rows, in ``vocab_ranking`` order.  A window's pairs rank the
     tokens committed during its steps against the origin step's ranking.
     Step t commits ``ordered[:realized]`` of its own ranking, all of them
     masked at every earlier step, so the lookahead-ell pairs are the
@@ -114,7 +116,7 @@ def _replay(
     schedule blocks complete after different step counts) and ranks the
     vocabulary of the one array it returns with one ``vocab_ranking``;
     each state then takes one ``verification.advance`` step on its own
-    rows (``split_marginals``), as vanilla decoding does.
+    (L, V) slice of that array, as vanilla decoding does.
     """
     schedule = config.schedule
     states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
@@ -127,8 +129,8 @@ def _replay(
             rows = forward_many(model, [states[i] for i in live])
             ranked = vocab_ranking(rows, config.top_k_vocab).tolist()
             still: List[int] = []
-            for i, target, vocab in zip(live, split_marginals(rows), ranked):
-                step = verification.advance(states[i].active_block, target, schedule)
+            for i, block_rows, vocab in zip(live, rows, ranked):
+                step = verification.advance(states[i].active_block, block_rows, schedule)
                 steps[i].append(step)
                 vocabs[i].append(vocab)
                 states[i] = states[i].with_active_block(step.state_after)

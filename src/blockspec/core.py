@@ -3,13 +3,15 @@
 Token ids are plain ints: MASK is 0, real tokens are 1..V.  A generation
 run owns a prompt plus N blocks of L positions each, denoised strictly
 left to right.  All types here are immutable values; nothing mutates in
-place, so they are safe to share.
+place, so they are safe to share.  A model call's marginals are one
+read-only float64 array, and each denoising step reads its block's
+(L, V) slice of it, where column c holds the probability of token c + 1.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -194,62 +196,6 @@ class SequenceState:
         for b in self.blocks:
             out.extend(b.tokens)
         return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# marginals
-
-
-@dataclass(frozen=True)
-class Marginals:
-    """Per-position next-step distributions for one block.
-
-    ``rows`` has shape (L, V); column c holds the probability of token
-    c + 1.  Rows for unmasked positions are one-hot on the committed
-    token.  The array is frozen after construction.  ``top1`` holds,
-    per position, the largest probability in its row; it is set at
-    construction, since every step that builds a Marginals ranks its
-    positions by it.
-    """
-
-    rows: np.ndarray
-    top1: Tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.rows.ndim != 2:
-            raise ValueError("marginals rows must be 2-D, got shape %s" % (self.rows.shape,))
-        self.rows.setflags(write=False)
-        object.__setattr__(self, "top1", tuple(np.maximum.reduce(self.rows, axis=1).tolist()))
-
-    @property
-    def block_length(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.rows.shape[1]
-
-    def argmax_token(self, position: int) -> int:
-        # ties broken toward the smaller token id (argmax returns first max)
-        return int(self.rows[position].argmax()) + 1
-
-
-def split_marginals(rows: np.ndarray) -> List[Marginals]:
-    """``Marginals(rows[b])`` for each (L, V) slice of a (B, L, V) array,
-    which is frozen as a whole, with every ``top1`` taken from one
-    reduction over it.  A maximum is exact, so each ``top1`` equals the
-    one its own construction would compute, bit for bit."""
-    if rows.ndim != 3:
-        raise ValueError("batched marginals rows must be 3-D, got shape %s" % (rows.shape,))
-    rows.setflags(write=False)
-    out: List[Marginals] = []
-    for block_rows, top1 in zip(rows, np.maximum.reduce(rows, axis=2).tolist()):
-        m = object.__new__(Marginals)
-        # the fields __post_init__ would set, without a reduction per block
-        object.__setattr__(m, "rows", block_rows)
-        object.__setattr__(m, "top1", tuple(top1))
-        out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A draft formula is a set of (i, j) pairs: "unmask the i-th ranked masked
 position with its j-th ranked token".  Ranks are 1-based and computed
-against a concrete Marginals: positions ordered by descending top-1
+against one block's (L, V) rows: positions ordered by descending top-1
 probability (ties toward the lower position index), vocabulary ordered
 by descending probability (ties toward the lower token id).
 ``order_positions`` and ``vocab_ranking`` are the only statement of these
@@ -31,22 +31,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import MASK, BlockState, Marginals, ascii_split, parse_int
+from .core import MASK, BlockState, ascii_split, parse_int
 
 
 # ---------------------------------------------------------------------------
 # ranking
 
 
-def order_positions(marginals: Marginals, block: BlockState) -> Tuple[int, ...]:
-    """Masked positions sorted by descending top-1 probability, ties toward
-    the lower position index."""
+def order_positions(top1: Sequence[float], block: BlockState) -> Tuple[int, ...]:
+    """Masked positions of ``block`` sorted by descending top-1
+    probability (``top1[n]`` is position n's largest probability), ties
+    toward the lower position index."""
     masked = block.masked_positions
     if not masked:
         raise ValueError("no masked positions to rank")
     # masked is ascending and the sort is stable (reverse keeps it so), so
     # equal top-1 probabilities stay in position order
-    return tuple(sorted(masked, key=marginals.top1.__getitem__, reverse=True))
+    return tuple(sorted(masked, key=top1.__getitem__, reverse=True))
 
 
 def vocab_ranking(rows: np.ndarray, top_k: int) -> np.ndarray:
@@ -60,11 +61,11 @@ def vocab_ranking(rows: np.ndarray, top_k: int) -> np.ndarray:
     return (-rows).argsort(axis=-1, kind="stable")[..., :top_k] + 1
 
 
-def order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
+def order_vocab(rows: np.ndarray, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     """Per position: top_k token ids by descending probability, ties toward
-    the lower id (``vocab_ranking`` of the rows at ``positions`` only).
-    Every position gets the same number of them, min(top_k, V)."""
-    return tuple(map(tuple, vocab_ranking(marginals.rows.take(positions, axis=0), top_k).tolist()))
+    the lower id (``vocab_ranking`` of one block's (L, V) ``rows`` at
+    ``positions`` only).  Every position gets the same number of them, min(top_k, V)."""
+    return tuple(map(tuple, vocab_ranking(rows.take(positions, axis=0), top_k).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ function evaluations (NFEs) differs, and since both take the same steps,
 the steps a run took count its vanilla NFEs.
 
 Drafts for a call are ranked from the last step of the previous call:
-its marginals (the fresh target's, or the last accepted draft's) over
+the rows it read (the fresh target's, or the last accepted draft's) over
 its remaining order, the masked positions that step ranked but left
 uncommitted.  So only the vocabulary is ranked here.  That distribution
 is one step behind the committed state; a draft is accepted exactly
@@ -22,8 +22,9 @@ distribution exists for it yet.  Every spawned draft is scored;
 
 A call's record is the tuple of steps ``verify`` took from the rows
 ``forward_batched`` returned: ``(step,)`` when no draft was accepted.
-The trace is read off those records, and the report is ``_report``, a
-pure function of each block's records.
+A record keeps no rows: only the last call's array stays alive, for the
+next call's drafts.  The trace is read off those records, and the
+report is ``_report``, a pure function of each block's records.
 """
 from __future__ import annotations
 
@@ -186,9 +187,10 @@ def generate_speculative(
             if calls and has_drafts:
                 last = calls[-1][-1]
                 positions = last.ordered[last.realized :]
-                drafts = spawn(graph, positions, rank_vocab(last.marginals, positions, config.top_k_vocab), block)
-            calls.append(verify(block, drafts, forward(model, state, drafts), config.schedule))
-            block = calls[-1][-1].state_after
+                drafts = spawn(graph, positions, rank_vocab(last_rows, positions, config.top_k_vocab), block)
+            steps, last_rows = verify(block, drafts, forward(model, state, drafts), config.schedule)
+            calls.append(steps)
+            block = steps[-1].state_after
             state = state.with_active_block(block)
         blocks.append(calls)
     trace = None

@@ -20,8 +20,8 @@ A model call reads a ``SequenceState`` and keeps nothing on it: the
 state checked its block order when it was made, and each call checks
 the block's size and every token of the sequence and the drafts.
 
-The NFE counter lives in the engine and ``Marginals`` in the step
-layer; this module only computes distributions.
+The NFE counter lives in the engine, and the step layer reads the
+returned rows as they are; this module only computes distributions.
 """
 
 from __future__ import annotations

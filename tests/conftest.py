@@ -72,6 +72,6 @@ def scripted_report(nfes, block_length, eot_block):
     blocks = []
     for k, n in enumerate(nfes):
         block = BlockState((eot if k == eot_block else 1,) * block_length)
-        step = StepRecord(marginals=None, ordered=(), state_after=block, realized=1)
+        step = StepRecord(ordered=(), state_after=block, realized=1)
         blocks.append([(step,) * (block_length - n + 1)] + [(step,)] * (n - 1))
     return engine._report(blocks, eot, None)

@@ -11,7 +11,7 @@ top-k view.  Tests compare the two record for record.
 from typing import List, Optional, Sequence
 
 from blockspec.calibration import CalibrationRecord
-from blockspec.core import MASK, GenerationConfig, Marginals, SequenceState
+from blockspec.core import MASK, GenerationConfig, SequenceState
 from blockspec.drafting import order_vocab
 from blockspec.model import ToyDenoiser, forward_batched
 from blockspec.verification import StepRecord, advance
@@ -55,14 +55,15 @@ def reference_collect_records(
         state = SequenceState.initial(tuple(prompt), config.num_blocks, config.block_length)
         for k in range(config.num_blocks):
             steps: List[StepRecord] = []
+            step_rows = []
             while not state.active_block.is_complete:
-                target = Marginals(forward_batched(model, state, [])[0])
-                steps.append(advance(state.active_block, target, config.schedule))
+                step_rows.append(forward_batched(model, state, [])[0])
+                steps.append(advance(state.active_block, step_rows[-1], config.schedule))
                 state = state.with_active_block(steps[-1].state_after)
-            for origin, step in enumerate(steps):
+            for origin, (step, rows) in enumerate(zip(steps, step_rows)):
                 ranking = RankingView(
                     ordered_positions=step.ordered,
-                    vocab_by_position=order_vocab(step.marginals, step.ordered, config.top_k_vocab),
+                    vocab_by_position=order_vocab(rows, step.ordered, config.top_k_vocab),
                 )
                 for ell in range(1, lookahead_max + 1):
                     if origin + ell > len(steps):

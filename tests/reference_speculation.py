@@ -7,7 +7,7 @@ argsorts one position at a time, each graph node is materialized into a
 a materialized draft with no masked slot left is dropped, every draft
 carries a step tag (its cumulative unmasked count), and verify scans
 the remaining drafts in order for one whose step tag and tokens both
-match, with one ``Marginals`` per draft.  Tests compare the new
+match, with each draft paired with its own rows.  Tests compare the new
 functions against it draft for draft and step for step.
 """
 
@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from blockspec.core import BlockState, Marginals, UnmaskSchedule, unmask
+from blockspec.core import BlockState, UnmaskSchedule, unmask
 from blockspec.drafting import DraftFormula, DraftGraphSpec, order_positions
 from blockspec.verification import StepRecord, advance
 
@@ -29,17 +29,17 @@ class RankingView(NamedTuple):
     vocab_by_position: Tuple[Tuple[int, ...], ...]
 
 
-def reference_order_vocab(marginals: Marginals, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
+def reference_order_vocab(rows: np.ndarray, positions: Sequence[int], top_k: int) -> Tuple[Tuple[int, ...], ...]:
     out = []
     for n in positions:
-        order = np.argsort(-marginals.rows[n], kind="stable")[:top_k]
+        order = np.argsort(-rows[n], kind="stable")[:top_k]
         out.append(tuple(int(v) + 1 for v in order))
     return tuple(out)
 
 
-def reference_rank(marginals: Marginals, block: BlockState, top_k: int) -> RankingView:
-    positions = order_positions(marginals, block)
-    return RankingView(ordered_positions=positions, vocab_by_position=reference_order_vocab(marginals, positions, top_k))
+def reference_rank(rows: np.ndarray, block: BlockState, top_k: int) -> RankingView:
+    positions = order_positions([float(row.max()) for row in rows], block)
+    return RankingView(ordered_positions=positions, vocab_by_position=reference_order_vocab(rows, positions, top_k))
 
 
 def token_at(ranking: RankingView, i: int, j: int) -> Optional[int]:
@@ -89,10 +89,11 @@ def reference_verify(
     drafts: Sequence[ReferenceDraft],
     rows: np.ndarray,
     schedule: UnmaskSchedule,
-) -> Tuple[StepRecord, ...]:
-    steps = [advance(block, Marginals(rows[0]), schedule)]
+) -> Tuple[Tuple[StepRecord, ...], np.ndarray]:
+    last_rows = rows[0]
+    steps = [advance(block, last_rows, schedule)]
     current = steps[-1].state_after
-    remaining = list(zip(drafts, [Marginals(r) for r in rows[1:]]))
+    remaining = list(zip(drafts, rows[1:]))
     while not current.is_complete:
         hit = None
         for entry in remaining:
@@ -103,6 +104,7 @@ def reference_verify(
         if hit is None:
             break
         remaining.remove(hit)
-        steps.append(advance(current, hit[1], schedule))
+        last_rows = hit[1]
+        steps.append(advance(current, last_rows, schedule))
         current = steps[-1].state_after
-    return tuple(steps)
+    return tuple(steps), last_rows

@@ -11,17 +11,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from blockspec.core import MASK, BlockState, Marginals, SequenceState
+from blockspec.core import MASK, BlockState, SequenceState
 
 
-def one_hot_marginals(block: BlockState, vocab_size: int) -> Marginals:
-    """Degenerate marginals for a fully unmasked block: every row one-hot."""
+def one_hot_rows(block: BlockState, vocab_size: int) -> np.ndarray:
+    """Degenerate (L, V) rows for a fully unmasked block: every row one-hot."""
     if not block.is_complete:
-        raise ValueError("one_hot_marginals needs a complete block")
+        raise ValueError("one_hot_rows needs a complete block")
     rows = np.zeros((block.length, vocab_size), dtype=np.float64)
     for n, t in enumerate(block.tokens):
         rows[n, t - 1] = 1.0
-    return Marginals(rows)
+    return rows
 
 
 def _nearest_unmasked(tokens: Sequence[int], start: int, step: int) -> Optional[Tuple[int, int]]:
@@ -36,7 +36,7 @@ def _nearest_unmasked(tokens: Sequence[int], start: int, step: int) -> Optional[
     return None
 
 
-def scalar_forward(model, state: SequenceState) -> Marginals:
+def scalar_forward(model, state: SequenceState) -> np.ndarray:
     block = state.active_block
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
@@ -63,17 +63,17 @@ def scalar_forward(model, state: SequenceState) -> Marginals:
         if right is not None:
             row = row + w_right * model._prob_right[right[0]]
         rows[n] = row
-    return Marginals(rows=rows)
+    return rows
 
 
 def scalar_forward_batched(
     model, state: SequenceState, drafts: Sequence[BlockState]
-) -> Tuple[Marginals, List[Marginals]]:
+) -> Tuple[np.ndarray, List[np.ndarray]]:
     target = scalar_forward(model, state)
     per_draft = []
     for d in drafts:
         if d.is_complete:
-            per_draft.append(one_hot_marginals(d, model.vocab_size))
+            per_draft.append(one_hot_rows(d, model.vocab_size))
         else:
             per_draft.append(scalar_forward(model, state.with_active_block(d)))
     return target, per_draft

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import make_config, scripted_report
-from scalar_forward import one_hot_marginals
+from scalar_forward import one_hot_rows
 from test_calibration import _oracle_best, _random_table
 
 from blockspec import synthetic
@@ -128,7 +128,7 @@ def test_criterion_3_batched_forward_bit_matches(model):
         checks += 1
         for d, got in zip(drafts, per_draft):
             if d.is_complete:
-                want = one_hot_marginals(d, model.vocab_size).rows
+                want = one_hot_rows(d, model.vocab_size)
             else:
                 want = forward_batched(model, state.with_active_block(d), [])[0]
             assert np.array_equal(got, want)

@@ -13,7 +13,7 @@ import pytest
 
 from blockspec import cli, synthetic, verification
 from blockspec.calibration import calibrate_graph, format_records, format_table
-from blockspec.core import BlockState, GenerationConfig, Marginals, UnmaskSchedule
+from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
 from blockspec.engine import generate_vanilla
 from blockspec.model import MAX_BLOCK_CELLS, format_corpus, train_from_corpus
@@ -412,7 +412,8 @@ class TestCheckLossless:
         """Accepting drafts without comparing tokens must exit 1."""
 
         def sloppy_verify(block, drafts, rows, schedule):
-            steps = [advance(block, Marginals(rows[0]), schedule)]
+            last_rows = rows[0]
+            steps = [advance(block, last_rows, schedule)]
             current = steps[-1].state_after
             remaining = list(range(len(drafts)))
             while not current.is_complete:
@@ -424,9 +425,10 @@ class TestCheckLossless:
                 if hit is None:
                     break
                 remaining.remove(hit)
-                steps.append(advance(BlockState(tokens=drafts[hit]), Marginals(rows=rows[1 + hit]), schedule))
+                last_rows = rows[1 + hit]
+                steps.append(advance(BlockState(tokens=drafts[hit]), last_rows, schedule))
                 current = steps[-1].state_after
-            return tuple(steps)
+            return tuple(steps), last_rows
 
         monkeypatch.setattr(verification, "verify", sloppy_verify)
         code, stdout, _ = run(

@@ -1,7 +1,5 @@
 """Tests for core value types, schedules, and the config file format."""
 
-import re
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,16 +10,12 @@ from blockspec.core import (
     MAX_TOTAL_LENGTH,
     BlockState,
     GenerationConfig,
-    Marginals,
     SequenceState,
     UnmaskSchedule,
     parse_config,
-    split_marginals,
 )
 from blockspec.drafting import parse_graph
 from blockspec.model import parse_corpus
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -147,45 +141,6 @@ class TestStateFields:
     def test_token_before_active(self, prompt, active, want):
         blocks = (BlockState(tokens=(3, 2)), BlockState.masked(2))
         assert SequenceState(prompt=prompt, blocks=blocks, active=active).token_before_active == want
-
-
-# ---------------------------------------------------------------------------
-# marginals
-# ---------------------------------------------------------------------------
-
-
-class TestMarginals:
-    def test_prob_indexing_is_one_based(self):
-        rows = np.array([[0.2, 0.3, 0.5]])
-        m = Marginals(rows=rows)
-        assert m.top1 == (0.5,)
-        assert m.argmax_token(0) == 3
-
-    def test_argmax_tie_breaks_to_lower_id(self):
-        m = Marginals(rows=np.array([[0.4, 0.4, 0.2]]))
-        assert m.argmax_token(0) == 1
-
-    def test_rows_frozen(self):
-        m = Marginals(rows=np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            m.rows[0, 0] = 1.0
-
-    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
-    def test_rows_must_be_2d(self, shape):
-        with pytest.raises(ValueError, match=r"^marginals rows must be 2-D, got shape %s$" % re.escape(str(shape))):
-            Marginals(rows=np.ones(shape))
-
-    def test_split_gives_each_slice_its_marginals_and_freezes_them(self):
-        rows = np.array([[[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]])
-        got = split_marginals(rows)
-        assert [m.top1 for m in got] == [(0.5, 0.6), (0.5, 1.0)]
-        assert [m.rows.tobytes() for m in got] == [rows[0].tobytes(), rows[1].tobytes()]
-        assert not rows.flags.writeable and not got[1].rows.flags.writeable
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 2, 3)])
-    def test_split_rows_must_be_3d(self, shape):
-        with pytest.raises(ValueError, match=r"^batched marginals rows must be 3-D, got shape %s$" % re.escape(str(shape))):
-            split_marginals(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

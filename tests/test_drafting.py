@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
+from blockspec.core import MASK, BlockState, UnmaskSchedule
 from blockspec.drafting import (
     DraftFormula,
     build_graph,
@@ -32,13 +32,18 @@ def _marginals(rows, vocab=4):
     out = np.zeros((len(rows), vocab), dtype=np.float64)
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
-    return Marginals(rows=out)
+    return out
 
 
-def _spawn(graph, marginals, block, top_k):
-    """``spawn_drafts`` against ``block`` ranked under ``marginals``."""
-    positions = order_positions(marginals, block)
-    return spawn_drafts(graph, positions, order_vocab(marginals, positions, top_k), block)
+def _top1(rows):
+    """Each position's largest probability, as ``order_positions`` reads it."""
+    return rows.max(axis=1).tolist()
+
+
+def _spawn(graph, rows, block, top_k):
+    """``spawn_drafts`` against ``block`` ranked under ``rows``."""
+    positions = order_positions(_top1(rows), block)
+    return spawn_drafts(graph, positions, order_vocab(rows, positions, top_k), block)
 
 
 def _six_node_formulas():
@@ -59,24 +64,20 @@ def _six_node_formulas():
 
 class TestRanking:
     def test_positions_sorted_by_top1_descending(self):
-        m = _marginals([[0.2], [0.9], [0.5]])
         block = BlockState.masked(3)
-        assert order_positions(m, block) == (1, 2, 0)
+        assert order_positions((0.2, 0.9, 0.5), block) == (1, 2, 0)
 
     def test_position_tie_breaks_to_lower_index(self):
-        m = _marginals([[0.9], [0.0, 0.5], [0.9], [0.0, 0.5], [0.9]])
         block = BlockState(tokens=(1, 0, 1, 0, 1))
-        assert order_positions(m, block) == (1, 3)
+        assert order_positions((0.9, 0.5, 0.9, 0.5, 0.9), block) == (1, 3)
 
     def test_only_masked_positions_ranked(self):
-        m = _marginals([[0.9], [0.1]])
         block = BlockState(tokens=(3, 0))
-        assert order_positions(m, block) == (1,)
+        assert order_positions((0.9, 0.1), block) == (1,)
 
     def test_no_masked_positions_is_error(self):
-        m = _marginals([[1.0]])
         with pytest.raises(ValueError, match="no masked positions"):
-            order_positions(m, BlockState(tokens=(2,)))
+            order_positions((1.0,), BlockState(tokens=(2,)))
 
     def test_vocab_sorted_descending_truncated(self):
         m = _marginals([[0.1, 0.6, 0.3]], vocab=3)
@@ -94,7 +95,7 @@ class TestRanking:
 
     def test_order_positions_then_order_vocab(self):
         m = _marginals([[0.2], [0.9]])
-        positions = order_positions(m, BlockState.masked(2))
+        positions = order_positions(_top1(m), BlockState.masked(2))
         assert positions == (1, 0)
         assert order_vocab(m, positions, 2) == ((1, 2), (1, 2))
 
@@ -221,10 +222,9 @@ class TestMaterialize:
                 block = BlockState.masked(length)
             rows = rng.random((length, 4))
             rows /= rows.sum(axis=1, keepdims=True)
-            m = Marginals(rows=rows)
-            drafts = _spawn_one(DraftFormula.of([(1, 1)]), m, block, 4)
-            step = advance(block, m, UnmaskSchedule.fixed(1))
-            assert step.ordered == order_positions(m, block)
+            drafts = _spawn_one(DraftFormula.of([(1, 1)]), rows, block, 4)
+            step = advance(block, rows, UnmaskSchedule.fixed(1))
+            assert step.ordered == order_positions(_top1(rows), block)
             assert step.realized == 1
             if step.state_after.is_complete:
                 # one masked slot: the draft would fill it, so none is spawned
@@ -256,9 +256,8 @@ class TestMaterialize:
         for _ in range(30):
             rows = rng.random((5, 4))
             rows /= rows.sum(axis=1, keepdims=True)
-            m = Marginals(rows=rows)
             block = BlockState.masked(5)
-            _, made_a, made_b = _spawn(graph, m, block, 3)
+            _, made_a, made_b = _spawn(graph, rows, block, 3)
             set_a = {n for n, t in enumerate(made_a) if t != 0}
             set_b = {n for n, t in enumerate(made_b) if t != 0}
             assert (len(set_a), len(set_b)) == (a.size, b.size)
@@ -329,7 +328,7 @@ class TestSpawnDrafts:
     def test_ranked_position_already_unmasked_is_error(self):
         graph = build_graph([DraftFormula.of([(1, 1)])], 1)
         m = _marginals([[0.2], [0.9]])
-        positions = order_positions(m, BlockState.masked(2))
+        positions = order_positions(_top1(m), BlockState.masked(2))
         with pytest.raises(ValueError, match="position 1 already unmasked"):
             spawn_drafts(graph, positions, order_vocab(m, positions, 2), BlockState(tokens=(0, 3)))
 
@@ -354,7 +353,7 @@ def spawn_cases(draw):
             max_size=length,
         )
     )
-    marginals = Marginals(rows=np.array(rows, dtype=np.float64))
+    marginals = np.array(rows, dtype=np.float64)
     masked = len(block.masked_positions)
     tokens_per_level = draw(st.integers(1, min(3, masked + 1)))
     # mostly top ranks, so that deep nodes often fit
@@ -422,8 +421,8 @@ class TestSpawnProperty:
     def test_spawn_and_verify_match_the_reference(self, case, data):
         """Same drafts in the same order, and the same verify outcome, as
         the materialize-based reference: the final block, the accepted
-        levels, the adopted rows, the realized counts and the remaining
-        order all agree, read off the two step chains alike."""
+        levels, the rows the last step read, the realized counts and the
+        remaining order all agree, read off the two calls alike."""
         graph, marginals, block, top_k = case
         drafts = _spawn(graph, marginals, block, top_k)
         want = reference_spawn_drafts(graph, reference_rank(marginals, block, top_k), block)
@@ -442,23 +441,22 @@ class TestSpawnProperty:
         from the state before it, which is exactly one spawned draft, and
         runs on the rows of the first scored copy of that draft; the chain
         stops on a complete block or a state no draft matches, and its
-        realized counts sum to the slots it unmasked."""
+        realized counts sum to the slots it unmasked.  The rows handed back
+        are the last step's."""
         graph, marginals, block, top_k = case
         drafts = _spawn(graph, marginals, block, top_k)
         picks, rows, schedule = _verify_inputs(graph, marginals, len(drafts), data)
         scored = [drafts[k] for k in picks]
-        steps = verify(block, scored, rows, schedule)
+        steps, last_rows = verify(block, scored, rows, schedule)
 
-        def taken(step):  # the step's fields but its marginals, which hold an array
-            return step.ordered, step.state_after, step.realized
-
-        assert steps[0].marginals.rows.tobytes() == rows[0].tobytes()
-        assert taken(steps[0]) == taken(advance(block, Marginals(rows[0]), schedule))
+        step_rows = rows[0]
+        assert steps[0] == advance(block, step_rows, schedule)
         for before, step in zip(steps, steps[1:]):
             state = before.state_after
             assert drafts.count(state.tokens) == 1
-            assert step.marginals.rows.tobytes() == rows[1 + scored.index(state.tokens)].tobytes()
-            assert taken(step) == taken(advance(state, step.marginals, schedule))
+            step_rows = rows[1 + scored.index(state.tokens)]
+            assert step == advance(state, step_rows, schedule)
+        assert last_rows.tobytes() == step_rows.tobytes()
         last = steps[-1].state_after
         assert last.is_complete or last.tokens not in scored
         assert sum(step.realized for step in steps) == last.unmasked_count - block.unmasked_count
@@ -471,11 +469,11 @@ def _verify_inputs(graph, marginals, num_drafts, data):
     itself, so level-1 drafts match; each draft's rows are the source
     again or fresh draws, so chains continue or stop; and some drafts are
     scored again with other rows, so the first of equal drafts must win."""
-    length, vocab = marginals.rows.shape
+    length, vocab = marginals.shape
 
     def rows():
         if data.draw(st.integers(0, 2)) < 2:
-            return marginals.rows
+            return marginals
         seed = data.draw(st.integers(0, 2**16))
         return np.random.default_rng(seed).choice((0.0, 0.25, 0.5), size=(length, vocab))
 
@@ -494,16 +492,17 @@ def _verify_inputs(graph, marginals, num_drafts, data):
     return picks, call_rows, schedule
 
 
-def _outcome(steps, levels):
-    """One verify call's outcome, read off its steps: the final block, the
-    levels of the accepted drafts (looked up by their tokens), the
-    adopted draft's rows (None when no draft was accepted), the realized
-    counts and the order the last step left uncommitted."""
+def _outcome(call, levels):
+    """One verify call's outcome, read off its steps and returned rows: the
+    final block, the levels of the accepted drafts (looked up by their
+    tokens), the rows the last step read, the realized counts and the
+    order the last step left uncommitted."""
+    steps, last_rows = call
     last = steps[-1]
     return (
         last.state_after,
         tuple(levels[step.state_after.tokens] for step in steps[:-1]),
-        last.marginals.rows.tobytes() if len(steps) > 1 else None,
+        last_rows.tobytes(),
         tuple(step.realized for step in steps),
         last.ordered[last.realized :],
     )

@@ -9,6 +9,7 @@ position for the early-stop accounting.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,46 @@ class TestScoredDrafts:
 # ---------------------------------------------------------------------------
 
 
+class TestDecodeMemory:
+    """A decode keeps no call's rows once the next call's drafts are
+    ranked: its step records hold tokens and orders only, so its memory
+    grows by far less than one call's (L, V) float64 rows per call."""
+
+    VOCAB = 128
+    BLOCK = 8
+
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        """Runs of each of 128 tokens, so a token mostly follows itself
+        and drafts along the chain are often accepted."""
+        return train_from_corpus([(t,) * 6 for t in range(1, self.VOCAB + 1)], self.VOCAB)
+
+    @staticmethod
+    def _peak(decode):
+        tracemalloc.start()
+        try:
+            report = decode().report
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("speculative", [False, True], ids=["vanilla", "speculative"])
+    def test_memory_grows_by_less_than_a_call_of_rows(self, wide_model, speculative):
+        graph = _chain_graph() if speculative else build_graph([], 1)
+
+        def run(total_length):
+            config = GenerationConfig(total_length, self.BLOCK, UnmaskSchedule.fixed(1), 3, self.VOCAB)
+            return lambda: generate_speculative(wide_model, (5, 6, 7), config, graph)
+
+        run(self.BLOCK)()  # warm the model's and the graph's cached tables
+        short_peak, short = self._peak(run(64))
+        long_peak, long = self._peak(run(256))
+        if speculative:
+            assert long.acceptances > 0
+        per_call = (long_peak - short_peak) / (long.total_nfe - short.total_nfe)
+        assert per_call < self.BLOCK * self.VOCAB * 8 / 4
+
+
 class TestSequenceChecks:
     """A decode checks the block order once per block: ``initial`` and
     each ``advance_block`` run the state's constructor, and the states
@@ -370,7 +411,7 @@ def call_scripts(draw):
         for _ in range(draw(st.integers(1, 4))):
             calls.append(
                 tuple(
-                    StepRecord(None, (), BlockState((draw(st.sampled_from((1, EOT))), 1)), draw(st.integers(1, 3)))
+                    StepRecord((), BlockState((draw(st.sampled_from((1, EOT))), 1)), draw(st.integers(1, 3)))
                     for _ in range(draw(st.integers(1, 4)))
                 )
             )

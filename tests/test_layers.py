@@ -138,33 +138,3 @@ def test_only_core_writes_frozen_fields():
 def test_frozen_writes_finds_each_call():
     source = "object.__setattr__(a, 'x', 1)\nsetattr(a, 'x', 1)\nobject.__setattr__(b, 'y', 2)\n"
     assert frozen_writes(ast.parse(source)) == [1, 3]
-
-
-STEP_TYPES = ("Marginals", "split_marginals")
-
-
-def step_type_uses(tree):
-    """The lines of ``tree`` that import, name or look up one of
-    ``STEP_TYPES``."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and any(a.name in STEP_TYPES for a in node.names)
-        or isinstance(node, ast.Name)
-        and node.id in STEP_TYPES
-        or isinstance(node, ast.Attribute)
-        and node.attr in STEP_TYPES
-    )
-
-
-def test_model_returns_rows_and_the_step_layer_reads_them():
-    """Both model entry points return one array of rows; ``verification``
-    and ``calibration`` make the ``Marginals`` they step from, so the
-    model layer never builds one."""
-    assert step_type_uses(ast.parse((PACKAGE / "model.py").read_text())) == []
-
-
-def test_step_type_uses_finds_each_form():
-    source = "from .core import MASK, Marginals\nx = split_marginals(r)\ny = core.Marginals(r)\nz = rows\n"
-    assert step_type_uses(ast.parse(source)) == [1, 2, 3]

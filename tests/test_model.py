@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import with_token
-from scalar_forward import one_hot_marginals, scalar_forward, scalar_forward_batched
+from scalar_forward import one_hot_rows, scalar_forward, scalar_forward_batched
 
 from blockspec import synthetic
 from blockspec.core import MASK, BlockState, SequenceState
@@ -281,7 +281,7 @@ class TestForwardBatched:
         state = SequenceState.initial((2,), 1, 4)
         rows = forward_batched(model, state, [])
         assert rows.shape == (1, 4, model.vocab_size)
-        assert np.array_equal(rows[0], scalar_forward(model, state).rows)
+        assert np.array_equal(rows[0], scalar_forward(model, state))
 
     def test_identity_draft_equals_target(self, model):
         state = SequenceState.initial((2,), 1, 4)
@@ -311,9 +311,9 @@ class TestForwardBatched:
 
     def test_one_hot_reference_requires_complete_block(self):
         with pytest.raises(ValueError, match="needs a complete block"):
-            one_hot_marginals(BlockState(tokens=(1, MASK)), 3)
-        m = one_hot_marginals(BlockState(tokens=(2, 1)), 3)
-        assert m.rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+            one_hot_rows(BlockState(tokens=(1, MASK)), 3)
+        rows = one_hot_rows(BlockState(tokens=(2, 1)), 3)
+        assert rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_draft_length_mismatch_rejected(self, model):
         state = SequenceState.initial((2,), 1, 3)
@@ -446,10 +446,10 @@ def test_batched_pass_matches_the_scalar_reference_byte_for_byte(case):
     m, state, drafts = case
     target, *per_draft = forward_batched(m, state, [d.tokens for d in drafts])
     want_target, want_drafts = scalar_forward_batched(m, state, drafts)
-    assert target.tobytes() == want_target.rows.tobytes()
+    assert target.tobytes() == want_target.tobytes()
     assert len(per_draft) == len(want_drafts)
     for got, want in zip(per_draft, want_drafts):
-        assert got.tobytes() == want.rows.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def id_bounds(vocab):
@@ -632,7 +632,7 @@ class TestForwardMany:
         assert all(g.tobytes() == forward_batched(model, state, [])[0].tobytes() for g in got)
 
 
-class TestPinnedMarginals:
+class TestPinnedRows:
     """sha256 of the target's and every draft's marginals bytes for fixed
     states at the README settings (corpus seed 7, W=32, L=8): the first
     prompt of seed 11 with block 0 active, then with block 2 active."""

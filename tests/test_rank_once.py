@@ -2,8 +2,9 @@
 
 ``verification.advance`` ranks the block it commits to and hands the
 order on in the step it returns, and vanilla decoding, verification and
-calibration all step through it.  So ``order_positions`` runs exactly
-once per step taken, whoever takes the step.  Calibration ranks the
+calibration all step through it, each on the (L, V) rows of its call.
+So ``order_positions`` runs exactly once per step taken, whoever takes
+the step.  Calibration ranks the
 vocabulary once per lockstep model call, over every row of that call.
 """
 
@@ -24,9 +25,9 @@ def rankings(monkeypatch):
     """The blocks ranked through ``verification.order_positions``."""
     ranked = []
 
-    def counted(marginals, block):
+    def counted(top1, block):
         ranked.append(block)
-        return order_positions(marginals, block)
+        return order_positions(top1, block)
 
     monkeypatch.setattr(verification, "order_positions", counted)
     return ranked

@@ -1,19 +1,19 @@
 """Property tests for the one ranking rule.
 
-Marginals are drawn from a handful of probability levels, so equal top-1
+Rows are drawn from a handful of probability levels, so equal top-1
 values across positions and equal entries inside a row are common: the
 tie-break rules, not the values, decide most of the orders checked here.
 The last property is the suffix identity the decoders rely on: the order
 the last step of ``verify`` leaves uncommitted, which the engine drafts
-over, is exactly a fresh ranking of the block it produced, under that
-step's marginals.
+over, is exactly a fresh ranking of the block it produced, under the
+rows that step read, which ``verify`` hands back.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
+from blockspec.core import MASK, BlockState, UnmaskSchedule
 from blockspec.drafting import order_positions, order_vocab
 from blockspec.verification import advance, verify
 
@@ -37,7 +37,7 @@ def marginals(draw, length, vocab):
             max_size=length,
         )
     )
-    return Marginals(rows=np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 @st.composite
@@ -60,9 +60,9 @@ def test_positions_sort_by_descending_top1_then_index(data):
     length, vocab = data.draw(sizes())
     m = data.draw(marginals(length, vocab))
     block = data.draw(partial_blocks(length, vocab))
-    row_max = m.rows.max(axis=1)
+    row_max = m.max(axis=1).tolist()
     want = sorted(block.masked_positions, key=lambda n: (-row_max[n], n))
-    assert order_positions(m, block) == tuple(want)
+    assert order_positions(row_max, block) == tuple(want)
 
 
 @PROPERTY
@@ -73,7 +73,7 @@ def test_vocab_sorts_by_descending_probability_then_id(data):
     positions = data.draw(st.lists(st.integers(0, length - 1), max_size=length))
     k = data.draw(st.integers(1, vocab + 1))
     want = tuple(
-        tuple(sorted(range(1, vocab + 1), key=lambda t: (-m.rows[n, t - 1], t))[:k]) for n in positions
+        tuple(sorted(range(1, vocab + 1), key=lambda t: (-m[n, t - 1], t))[:k]) for n in positions
     )
     assert order_vocab(m, positions, k) == want
 
@@ -87,7 +87,7 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
     schedule = data.draw(schedules)
     block = data.draw(partial_blocks(length, vocab))
     target = data.draw(marginals(length, vocab))
-    drafts, rows = [], [target.rows]
+    drafts, rows = [], [target]
     state, m = block, target
     while True:
         state = advance(state, m, schedule).state_after
@@ -96,12 +96,12 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
         m = data.draw(marginals(length, vocab))
         if data.draw(st.booleans()):
             drafts.append(state.tokens)
-            rows.append(m.rows)
+            rows.append(m)
 
-    steps = verify(block, drafts, np.array(rows), schedule)
+    steps, last_rows = verify(block, drafts, np.array(rows), schedule)
 
     last = steps[-1]
     if last.state_after.is_complete:
         assert last.ordered[last.realized :] == ()
     else:
-        assert last.ordered[last.realized :] == order_positions(last.marginals, last.state_after)
+        assert last.ordered[last.realized :] == order_positions(last_rows.max(axis=1).tolist(), last.state_after)

@@ -5,28 +5,31 @@ exactly which chain verify can walk; losslessness against real spawned
 drafts is exercised end to end in the engine and acceptance suites.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import with_token
 
-from blockspec.core import MASK, BlockState, Marginals, UnmaskSchedule
+from blockspec.core import MASK, BlockState, UnmaskSchedule
 from blockspec.drafting import order_positions
 from blockspec.verification import StepRecord, advance, verify
 
 
 def _marginals(rows, vocab=4):
+    """One block's (L, V) rows, each zero-padded to ``vocab``."""
     out = np.zeros((len(rows), vocab), dtype=np.float64)
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
-    return Marginals(rows=out)
+    return out
 
 
 def _rows(target, *drafts):
     """The target's and the drafts' (1 + D, L, V) rows, as forward_batched
     returns them."""
-    return np.array([m.rows for m in (target, *drafts)])
+    return np.array([target, *drafts])
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +46,6 @@ class TestAdvance:
         assert step.state_after.tokens == (0, 2, 0)
         # the step carries the ranking it committed a prefix of
         assert step.ordered == (1, 2, 0)
-        assert step.marginals is m
 
     def test_fixed_clamps_to_masked_count(self):
         m = _marginals([[0.9], [0.0], [0.8]])
@@ -76,11 +78,21 @@ class TestAdvance:
         with pytest.raises(ValueError, match="fully unmasked"):
             advance(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
 
-    def test_marginals_must_cover_the_block(self):
-        """Three rows for a two-slot block are refused, not read in part."""
-        m = _marginals([[0.9], [0.5], [0.1]])
-        with pytest.raises(ValueError, match="^marginals cover 3 positions, block has 2$"):
-            advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.full(2, 0.5),  # one row's worth, with the block's length
+        np.full((2, 2, 4), 0.25),  # a whole call's array, with the block's length
+        np.full((3, 4), 0.25),  # three rows for two slots, not read in part
+        np.full((1, 4), 0.25),
+    ],
+    ids=["1-D", "3-D", "too-long", "too-short"],
+)
+def test_advance_rejects_rows_that_do_not_fit_the_block(rows):
+    want = "^rows of shape %s for a block of length 2$" % re.escape(str(rows.shape))
+    with pytest.raises(ValueError, match=want):
+        advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(1))
 
 
 @st.composite
@@ -99,25 +111,25 @@ def advance_cases(draw):
             st.sampled_from((0.1, 0.25, 0.5, 0.9, 1.0)).map(UnmaskSchedule.at_threshold),
         )
     )
-    return BlockState(tokens=tuple(tokens)), Marginals(rows=rows), schedule
+    return BlockState(tokens=tuple(tokens)), rows, schedule
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(advance_cases())
 def test_advance_equals_committing_the_prefix_one_token_at_a_time(case):
-    block, m, schedule = case
-    ordered = order_positions(m, block)
+    block, rows, schedule = case
+    top1 = [max(row) for row in rows.tolist()]
+    ordered = order_positions(top1, block)
     if schedule.kind == "fixed":
         count = min(schedule.tokens_per_step, len(ordered))
     else:
         count = 1
-        while count < len(ordered) and m.top1[ordered[count]] >= schedule.threshold:
+        while count < len(ordered) and top1[ordered[count]] >= schedule.threshold:
             count += 1
     want = block
     for n in ordered[:count]:
-        want = with_token(want, n, m.argmax_token(n))
-    step = advance(block, m, schedule)
-    assert step.marginals is m
+        want = with_token(want, n, int(rows[n].argmax()) + 1)
+    step = advance(block, rows, schedule)
     assert (step.ordered, step.state_after, step.realized) == (ordered, want, count)
 
 
@@ -141,10 +153,10 @@ def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypat
 class TestVerify:
     def test_no_drafts_single_step(self):
         target = _marginals([[0.2], [0.9], [0.5]])
-        steps = verify(BlockState.masked(3), [], _rows(target), UnmaskSchedule.fixed(1))
+        steps, last_rows = verify(BlockState.masked(3), [], _rows(target), UnmaskSchedule.fixed(1))
         assert isinstance(steps, tuple) and all(isinstance(s, StepRecord) for s in steps)
         (step,) = steps
-        assert step.marginals.rows.tobytes() == target.rows.tobytes()
+        assert last_rows.tobytes() == target.tobytes()
         assert step.realized == 1
         assert step.state_after.tokens == (0, 1, 0)
         # the target's order minus the committed position: 0.5 before 0.2
@@ -157,10 +169,9 @@ class TestVerify:
         m1 = _marginals([[0.3], [0.0], [0.0, 0.7]])          # step 2: pos 2 -> 2
         m2 = _marginals([[0.0, 0.0, 0.6], [0.0], [0.0]])     # step 3: pos 0 -> 3
         drafts = [(0, 1, 0), (0, 1, 2)]
-        steps = verify(BlockState.masked(3), drafts, _rows(target, m1, m2), UnmaskSchedule.fixed(1))
+        steps, last_rows = verify(BlockState.masked(3), drafts, _rows(target, m1, m2), UnmaskSchedule.fixed(1))
         assert [s.state_after.tokens for s in steps] == [(0, 1, 0), (0, 1, 2), (3, 1, 2)]
-        assert steps[0].marginals.rows.tobytes() == target.rows.tobytes()
-        assert [s.marginals.rows.tobytes() for s in steps[1:]] == [m1.rows.tobytes(), m2.rows.tobytes()]
+        assert last_rows.tobytes() == m2.tobytes()
         assert tuple(s.realized for s in steps) == (1, 1, 1)
         assert steps[-1].ordered[steps[-1].realized :] == ()
 
@@ -168,9 +179,9 @@ class TestVerify:
         target = _marginals([[0.2], [0.9], [0.5]])
         bad = (0, 2, 0)  # wrong token at position 1
         m1 = _marginals([[0.3], [0.0], [0.7]])
-        steps = verify(BlockState.masked(3), [bad], _rows(target, m1), UnmaskSchedule.fixed(1))
+        steps, last_rows = verify(BlockState.masked(3), [bad], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
-        assert steps[0].marginals.rows.tobytes() == target.rows.tobytes()
+        assert last_rows.tobytes() == target.tobytes()
 
     def test_first_of_equal_drafts_wins(self):
         """Equal tokens, different rows: the draft first in scan order is
@@ -179,9 +190,9 @@ class TestVerify:
         first = _marginals([[0.3], [0.0], [0.0, 0.7]])  # commits pos 2 -> 2
         second = _marginals([[0.0, 0.0, 0.8], [0.0], [0.1]])  # would commit pos 0 -> 3
         drafts = [(0, 1, 0), (0, 1, 0)]
-        steps = verify(BlockState.masked(3), drafts, _rows(target, first, second), UnmaskSchedule.fixed(1))
+        steps, last_rows = verify(BlockState.masked(3), drafts, _rows(target, first, second), UnmaskSchedule.fixed(1))
         assert len(steps) == 2
-        assert steps[1].marginals.rows.tobytes() == first.rows.tobytes()
+        assert last_rows.tobytes() == first.tobytes()
         assert steps[1].state_after.tokens == (0, 1, 2)
 
     def test_committed_slot_must_match_too(self):
@@ -189,7 +200,7 @@ class TestVerify:
         start = BlockState(tokens=(0, 0, 9))
         wrong = (0, 1, 4)  # disagrees on the old slot
         m1 = _marginals([[0.3], [0.0], [0.0]])
-        steps = verify(start, [wrong], _rows(target, m1), UnmaskSchedule.fixed(1))
+        steps, _ = verify(start, [wrong], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
 
     def test_complete_state_stops_before_scanning(self):
@@ -198,7 +209,7 @@ class TestVerify:
         start = BlockState(tokens=(5, 0))
         finished = (5, 1)
         m1 = _marginals([[0.0], [0.0]])
-        steps = verify(start, [finished], _rows(target, m1), UnmaskSchedule.fixed(1))
+        steps, _ = verify(start, [finished], _rows(target, m1), UnmaskSchedule.fixed(1))
         assert len(steps) == 1
         assert steps[0].state_after.is_complete
 
@@ -206,7 +217,7 @@ class TestVerify:
         target = _marginals([[0.95], [0.91], [0.5]])
         d = (1, 0, 0)
         m1 = _marginals([[0.0], [0.9], [0.0]])
-        steps = verify(BlockState.masked(3), [d], _rows(target, m1), UnmaskSchedule.at_threshold(0.9))
+        steps, _ = verify(BlockState.masked(3), [d], _rows(target, m1), UnmaskSchedule.at_threshold(0.9))
         assert tuple(s.realized for s in steps) == (2,)
 
     def test_misaligned_lists_error(self):
