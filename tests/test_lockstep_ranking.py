@@ -9,8 +9,11 @@ per-block form, ``order_vocab``, gives.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import make_config
 from hypothesis import strategies as st
 
+from blockspec import calibration, verification
+from blockspec.calibration import collect_records
 from blockspec.drafting import order_vocab, vocab_ranking
 
 # few probability levels, so most rows hold equal entries and the tie
@@ -48,3 +51,32 @@ def test_batched_ranking_equals_order_vocab_row_by_row(rows, top_k):
 def test_ranking_needs_a_positive_width():
     with pytest.raises(ValueError, match="^top_k must be >= 1, got 0$"):
         vocab_ranking(np.ones((2, 3, 4)), 0)
+
+
+@pytest.mark.parametrize("schedule", ["fixed:1", "fixed:2", "threshold:0.4"])
+def test_each_state_steps_from_its_own_slice_of_the_lockstep_call(model, prompts, monkeypatch, schedule):
+    """Every step of a README calibration reads, without a copy, one
+    read-only (L, V) slice of the array the step's ``forward_many`` call
+    returned, and the call's slices are read once each."""
+    calls = []
+
+    def recorded_forward_many(*args):
+        rows = forward_many(*args)
+        calls.append((rows, []))
+        return rows
+
+    def checked_advance(block, rows, schedule):
+        call, read = calls[-1]
+        (slot,) = [j for j in range(len(call)) if np.shares_memory(rows, call[j])]
+        assert rows.shape == call[slot].shape and rows.tobytes() == call[slot].tobytes()
+        assert not rows.flags.writeable
+        read.append(slot)
+        return advance(block, rows, schedule)
+
+    forward_many, advance = calibration.forward_many, verification.advance
+    monkeypatch.setattr(calibration, "forward_many", recorded_forward_many)
+    monkeypatch.setattr(verification, "advance", checked_advance)
+    collect_records(model, prompts, make_config(schedule), 4)
+    assert len(calls) > 0
+    assert all(read == list(range(len(call))) for call, read in calls)
+    assert sum(len(call) for call, _ in calls) > len(calls)

@@ -78,6 +78,25 @@ class TestAdvance:
         with pytest.raises(ValueError, match="fully unmasked"):
             advance(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
 
+    def test_commits_the_one_based_argmax(self):
+        """Row column ``t`` is token ``t + 1``: token 0 is the mask."""
+        step = advance(BlockState.masked(1), np.array([[0.2, 0.3, 0.5]]), UnmaskSchedule.fixed(1))
+        assert step.state_after.tokens == (3,)
+
+    def test_argmax_tie_breaks_to_lower_id(self):
+        step = advance(BlockState.masked(1), np.array([[0.4, 0.4, 0.2]]), UnmaskSchedule.fixed(1))
+        assert step.state_after.tokens == (1,)
+
+    def test_reads_the_rows_without_writing_or_freezing_them(self):
+        """``advance`` neither writes the caller's rows nor changes their
+        flags: model rows come read-only, and other rows stay as given."""
+        rows = _marginals([[0.2, 0.0, 0.0], [0.1, 0.8, 0.1]])
+        before = rows.tobytes()
+        advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(2))
+        assert rows.tobytes() == before and rows.flags.writeable
+        rows.flags.writeable = False
+        assert advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(2)).state_after.tokens == (1, 2)
+
 
 @pytest.mark.parametrize(
     "rows",
@@ -219,6 +238,22 @@ class TestVerify:
         m1 = _marginals([[0.0], [0.9], [0.0]])
         steps, _ = verify(BlockState.masked(3), [d], _rows(target, m1), UnmaskSchedule.at_threshold(0.9))
         assert tuple(s.realized for s in steps) == (2,)
+
+    @pytest.mark.parametrize("accepted", [0, 1, 2])
+    def test_last_rows_are_a_view_of_the_call(self, accepted):
+        """The returned rows are the slice of the call's array that the
+        last step read, not a copy: the engine ranks from them and no
+        other rows outlive the call."""
+        target = _marginals([[0.2], [0.9], [0.5]])
+        m1 = _marginals([[0.3], [0.0], [0.0, 0.7]])
+        m2 = _marginals([[0.0, 0.0, 0.6], [0.0], [0.0]])
+        drafts = [(0, 1, 0), (0, 1, 2)][:accepted]
+        rows = _rows(target, m1, m2)[: 1 + accepted]
+        rows.flags.writeable = False
+        steps, last_rows = verify(BlockState.masked(3), drafts, rows, UnmaskSchedule.fixed(1))
+        assert len(steps) == 1 + accepted
+        assert last_rows.shape == (3, 4) and np.shares_memory(last_rows, rows[accepted])
+        assert last_rows.tobytes() == rows[accepted].tobytes() and not last_rows.flags.writeable
 
     def test_misaligned_lists_error(self):
         target = _marginals([[0.5]])
