@@ -44,7 +44,7 @@ def main() -> None:
         total_length=16, block_length=4, schedule=UnmaskSchedule.fixed(1),
         top_k_vocab=3, eot_token=synthetic.eot_id(),
     )
-    result = generate_vanilla(model, (5, 6), config, record_trace=True)
+    result = generate_vanilla(model, (5, 6), config)
     print("\nvanilla decode of prompt '5 6' (fixed:1):")
     print("  output:", " ".join(str(t) for t in result.tokens))
     print("  NFEs: %d (one per token; four blocks of four)" % result.report.total_nfe)

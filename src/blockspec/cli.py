@@ -72,7 +72,7 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
         config = GenerationConfig(
             schedule=UnmaskSchedule.fixed(1), eot_token=vocab_size, **_DEFAULTS
         )
-    if getattr(args, "schedule", None) is not None:
+    if args.schedule is not None:
         try:
             schedule = UnmaskSchedule.parse(args.schedule)
         except ValueError as exc:
@@ -168,18 +168,17 @@ def _cmd_bench(args) -> int:
     reports = []
     timer = StageTimer() if args.profile else None
     for index, prompt in enumerate(prompts):
-        vanilla = engine.generate_vanilla(model, prompt, config)
-        spec = engine.generate_speculative(model, prompt, config, graph, baseline=vanilla.report, timer=timer)
-        reports.append(spec.report)
+        report = engine.generate_speculative(model, prompt, config, graph, timer=timer).report
+        reports.append(report)
         runs.append(
             {
                 "prompt_index": index,
-                "nfe": spec.report.total_nfe,
-                "baseline_nfe": spec.report.baseline_nfe,
-                "acceptances": spec.report.acceptances,
-                "speedup": spec.report.speedup_all,
-                "speedup_to_eot": spec.report.speedup_to_eot,
-                "eot_block": spec.report.eot_block,
+                "nfe": report.total_nfe,
+                "baseline_nfe": report.baseline_nfe,
+                "acceptances": report.acceptances,
+                "speedup": report.speedup_all,
+                "speedup_to_eot": report.speedup_to_eot,
+                "eot_block": report.eot_block,
             }
         )
     mean_speedup = sum(r["speedup"] for r in runs) / len(runs)
@@ -223,14 +222,11 @@ def _cmd_check_lossless(args) -> int:
     for index in range(args.trials):
         check = engine.check_lossless(model, prompts[index], config, graph)
         if not check.ok:
+            spec = check.speculative.report
             print("prompt %d DIVERGED: %s" % (index, check.message))
             print(
                 "vanilla nfe %d, speculative nfe %d, acceptances %d"
-                % (
-                    check.vanilla.report.total_nfe,
-                    check.speculative.report.total_nfe,
-                    check.speculative.report.acceptances,
-                )
+                % (check.vanilla.report.total_nfe, spec.total_nfe, spec.acceptances)
             )
             return 1
     print("%d trials, all lossless (schedule %s)" % (args.trials, config.schedule.format()))
@@ -280,12 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_setup(p, *, schedule=True):
+    def add_setup(p):
         p.add_argument("--corpus", required=True, help="training corpus (ids, one sequence per line)")
         p.add_argument("--prompts", required=True, help="prompt file (same format)")
         p.add_argument("--config", default=None, help="generation config file")
-        if schedule:
-            p.add_argument("--schedule", default=None, help="override schedule, e.g. fixed:2 or threshold:0.9")
+        p.add_argument("--schedule", default=None, help="override schedule, e.g. fixed:2 or threshold:0.9")
 
     p = sub.add_parser("calibrate", help="calibrate a draft graph from prompts")
     add_setup(p)

@@ -23,8 +23,9 @@ distribution exists for it yet.  Every spawned draft is scored;
 A call's record is the tuple of steps ``verify`` took from the rows
 ``forward_batched`` returned: ``(step,)`` when no draft was accepted.
 A record keeps no rows: only the last call's array stays alive, for the
-next call's drafts.  The trace is read off those records, and the
-report is ``_report``, a pure function of each block's records.
+next call's drafts.  A decode returns every block's calls, and its
+report is ``_report``, a pure function of them.  ``check_lossless``
+compares the steps of two decodes block by block.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import verification
-from .core import BlockState, GenerationConfig, SequenceState
+from .core import GenerationConfig, SequenceState
 from .drafting import DraftGraphSpec, build_graph, order_vocab, spawn_drafts
 from .model import ToyDenoiser, check_prompt, forward_batched
 from .timing import StageTimer, timed
@@ -84,9 +85,11 @@ class RunReport:
 
 @dataclass(frozen=True)
 class GenerationResult:
+    """``calls[k]`` is block k's calls in order, each the steps it took."""
+
     tokens: Tuple[int, ...]
     report: RunReport
-    trace: Optional[Tuple[Tuple[int, BlockState], ...]]
+    calls: Tuple[Tuple[Tuple[StepRecord, ...], ...], ...]
 
 
 def _speedup(per_block: Sequence[PerBlockStats], last_block: Optional[int]) -> float:
@@ -148,7 +151,6 @@ def generate_speculative(
     config: GenerationConfig,
     graph: DraftGraphSpec,
     *,
-    record_trace: bool = False,
     baseline: Optional[RunReport] = None,
     timer: Optional[StageTimer] = None,
 ) -> GenerationResult:
@@ -156,11 +158,10 @@ def generate_speculative(
 
     Every loop iteration makes exactly one batched model call (one NFE)
     and commits at least one step; accepted drafts commit more.  The
-    trace, when recorded, holds the state after each call, which is a
-    subsequence of the vanilla per-step trajectory.  Each block's
-    baseline NFEs are its steps taken, or ``baseline``'s per-block NFEs
-    when a vanilla report is given.  Stage times accumulate in
-    ``timer``, when one is given, and nowhere else.
+    result's ``calls`` keeps each call's steps: a lossless run's are
+    vanilla's, in fewer calls.  Each block's baseline NFEs are its steps
+    taken, or ``baseline``'s per-block NFEs when a vanilla report is
+    given.  Stage times accumulate in ``timer``, when one is given.
     """
     prompt = check_prompt(model, prompt)
     check_graph(graph, config)
@@ -176,7 +177,7 @@ def generate_speculative(
 
     has_drafts = graph.num_nodes > 0
     state = SequenceState.initial(prompt, config.num_blocks, config.block_length)
-    blocks: List[List[Tuple[StepRecord, ...]]] = []
+    blocks: List[Tuple[Tuple[StepRecord, ...], ...]] = []
     for k in range(config.num_blocks):
         if k:
             state = state.advance_block()
@@ -192,12 +193,9 @@ def generate_speculative(
             calls.append(steps)
             block = steps[-1].state_after
             state = state.with_active_block(block)
-        blocks.append(calls)
-    trace = None
-    if record_trace:
-        trace = tuple((k, steps[-1].state_after) for k, calls in enumerate(blocks) for steps in calls)
+        blocks.append(tuple(calls))
     return GenerationResult(
-        tokens=state.generated_tokens(), report=_report(blocks, config.eot_token, baseline), trace=trace
+        tokens=state.generated_tokens(), report=_report(blocks, config.eot_token, baseline), calls=tuple(blocks)
     )
 
 
@@ -209,14 +207,13 @@ def generate_vanilla(
     prompt: Sequence[int],
     config: GenerationConfig,
     *,
-    record_trace: bool = False,
     timer: Optional[StageTimer] = None,
 ) -> GenerationResult:
     """Reference decode: ``generate_speculative`` with an empty graph, so
     each model call takes exactly one step; baseline equals actual,
     speedup 1.0, M = 0.  Stage times accumulate in ``timer``, when one
     is given."""
-    return generate_speculative(model, prompt, config, _NO_DRAFTS, record_trace=record_trace, timer=timer)
+    return generate_speculative(model, prompt, config, _NO_DRAFTS, timer=timer)
 
 
 # ---------------------------------------------------------------------------
@@ -231,43 +228,29 @@ class LosslessCheck:
     speculative: GenerationResult
 
 
-def _is_subsequence(short: Sequence, long: Sequence) -> bool:
-    it = iter(long)
-    return all(any(x == y for y in it) for x in short)
-
-
 def check_lossless(
     model: ToyDenoiser,
     prompt: Sequence[int],
     config: GenerationConfig,
     graph: DraftGraphSpec,
 ) -> LosslessCheck:
-    """Run both decoders and compare outputs and trajectories.
-
-    Passes when the final tokens are exactly equal and, per block, the
-    speculative checkpoint states form a subsequence of the vanilla
-    per-step states.
+    """Run both decoders; pass when, block by block, the speculative run
+    took exactly vanilla's steps, only grouped into fewer calls.  That
+    implies equal tokens, call-end states that are a subsequence of
+    vanilla's, and ``total_nfe + acceptances`` equal to vanilla's NFEs.
+    A failure names the block and the first step that differs.
     """
-    vanilla = generate_vanilla(model, prompt, config, record_trace=True)
-    spec = generate_speculative(model, prompt, config, graph, record_trace=True, baseline=vanilla.report)
-    if vanilla.tokens != spec.tokens:
-        first = next(i for i, (a, b) in enumerate(zip(vanilla.tokens, spec.tokens)) if a != b)
-        message = "output mismatch at generated position %d: vanilla %d, speculative %d" % (
-            first,
-            vanilla.tokens[first],
-            spec.tokens[first],
-        )
-        return LosslessCheck(ok=False, message=message, vanilla=vanilla, speculative=spec)
-    for k in range(config.num_blocks):
-        v_states = [s.tokens for i, s in vanilla.trace if i == k]
-        s_states = [s.tokens for i, s in spec.trace if i == k]
-        if not _is_subsequence(s_states, v_states):
-            return LosslessCheck(
-                ok=False,
-                message="block %d: speculative trace is not a subsequence of the vanilla trace" % k,
-                vanilla=vanilla,
-                speculative=spec,
-            )
+    vanilla = generate_vanilla(model, prompt, config)
+    spec = generate_speculative(model, prompt, config, graph)
+    for k, (v_calls, s_calls) in enumerate(zip(vanilla.calls, spec.calls)):
+        v_steps = [step for call in v_calls for step in call]
+        s_steps = [step for call in s_calls for step in call]
+        if s_steps != v_steps:
+            shorter = min(len(v_steps), len(s_steps))
+            first = next((i for i in range(shorter) if v_steps[i] != s_steps[i]), shorter)
+            message = "block %d: speculative step %d differs from vanilla's (%d steps against %d)"
+            message %= (k, first, len(s_steps), len(v_steps))
+            return LosslessCheck(ok=False, message=message, vanilla=vanilla, speculative=spec)
     return LosslessCheck(ok=True, message="outputs identical, traces consistent", vanilla=vanilla, speculative=spec)
 
 

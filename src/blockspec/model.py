@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -186,10 +186,15 @@ def forward_batched(
     target and all drafts therefore go through one (D+1, L) pass.
     ``_checked_left_context`` checks the rest: the drafts' lengths, that
     something is left to denoise, L * V, and every token against 1..V.
+    A float or bool equal to an id fails the pass, which then names it.
     """
     left_context = _checked_left_context(model, state, drafts)
     blocks = [state.active_block.tokens, *drafts]
-    rows = _mixture_pass(model, blocks, (left_context,) * len(blocks))
+    try:
+        rows = _mixture_pass(model, blocks, (left_context,) * len(blocks))
+    except IndexError:
+        _name_non_integer(_scanned(state, drafts))
+        raise
     rows.setflags(write=False)
     return rows
 
@@ -216,19 +221,20 @@ def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> np.ndar
         if not all(map(length.__eq__, map(len, blocks))):
             i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
             raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
-        rows = _mixture_pass(model, blocks, left_contexts)
+        try:
+            rows = _mixture_pass(model, blocks, left_contexts)
+        except IndexError:
+            _name_non_integer(chain.from_iterable(_scanned(state, ()) for state in states))
+            raise
     rows.setflags(write=False)
     return rows
 
 
 def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequence[Sequence[int]]) -> int:
     """Check one call's ``state`` and ``drafts``; return the token just
-    before the active block (MASK when there is none).
-
-    The state checked its block order when it was made.  The prompt,
-    the finished blocks, the active block and the drafts are scanned in
-    that order, so the error names the first bad token of that order.
-    """
+    before the active block (MASK when there is none).  The state checked
+    its block order when it was made; tokens are scanned in ``_scanned``'s
+    order, so an error names the first bad one."""
     block = state.active_block
     length = block.length
     if not all(map(length.__eq__, map(len, drafts))):
@@ -237,9 +243,13 @@ def _checked_left_context(model: ToyDenoiser, state: SequenceState, drafts: Sequ
     if block.is_complete:
         raise ValueError("nothing to denoise: active block fully unmasked")
     check_block_size(model, length)
-    finished = [b.tokens for b in state.blocks[: state.active]]
-    _check_token_range(model, [state.prompt, *finished, block.tokens, *drafts])
+    _check_token_range(model, _scanned(state, drafts))
     return state.token_before_active
+
+
+def _scanned(state: SequenceState, drafts: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+    """A call's prompt, finished blocks, active block and drafts, in order."""
+    return [state.prompt, *[b.tokens for b in state.blocks[: state.active]], state.active_block.tokens, *drafts]
 
 
 def check_block_size(model: ToyDenoiser, block_length: int) -> None:
@@ -261,6 +271,15 @@ def _check_token_range(model: ToyDenoiser, blocks: Sequence[Sequence[int]]) -> N
         if not is_integer(bad):
             raise ValueError("token %r is not an integer" % (bad,))
         raise ValueError("token %d outside 1..%d" % (bad, model.vocab_size))
+
+
+def _name_non_integer(sequences: Iterable[Sequence[int]]) -> None:
+    """On a pass's IndexError, raise the ValueError naming the first token
+    of ``sequences`` that is not an integer: a float or bool equal to an
+    id hashes like it, so ``_check_token_range`` lets it through."""
+    bad = next((t for tokens in sequences for t in tokens if not is_integer(t)), None)
+    if bad is not None:
+        raise ValueError("token %r is not an integer" % (bad,)) from None
 
 
 def check_prompt(model: ToyDenoiser, prompt: Sequence[int]) -> Tuple[int, ...]:

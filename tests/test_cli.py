@@ -1,23 +1,25 @@
 """CLI tests: each subcommand end to end against files in tmp_path.
 
-The divergence test swaps in a verify that accepts drafts on step count
-alone, skipping the content comparison.  That is precisely the bug the
-check-lossless command exists to catch, so it must exit 1 on it.
+The divergence tests swap in a verify that accepts drafts on step count
+alone, skipping the content comparison, and one that reports a call's
+accepted steps as one step.  Those are the bugs the check-lossless
+command exists to catch, so it must exit 1 on each.
 """
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from blockspec import cli, synthetic, verification
+from blockspec import cli, engine, synthetic, verification
 from blockspec.calibration import calibrate_graph, format_records, format_table
 from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
-from blockspec.engine import generate_vanilla
+from blockspec.engine import check_lossless, generate_vanilla
 from blockspec.model import MAX_BLOCK_CELLS, format_corpus, train_from_corpus
-from blockspec.verification import advance
+from blockspec.verification import StepRecord, advance
 
 
 @pytest.fixture()
@@ -348,6 +350,25 @@ class TestBench:
         doc = json.loads(report_path.read_text())
         assert ("mean speedup %.4f" % doc["mean_speedup"]) in stdout
 
+    def test_bench_makes_no_vanilla_decode(self, files, capsys, monkeypatch, model):
+        """Each prompt is decoded once: its baseline is the vanilla NFEs,
+        counted from the speculative run's steps."""
+        setup = [*setup_args(files), "--schedule", "threshold:0.4", "--graph", files["six"]]
+        paths = [files["tmp"] / "b1.json", files["tmp"] / "b2.json"]
+        config = GenerationConfig(
+            total_length=32, block_length=8, schedule=UnmaskSchedule.at_threshold(0.4), top_k_vocab=3, eot_token=12
+        )
+        vanilla_nfe = [generate_vanilla(model, p, config).report.total_nfe for p in synthetic.make_prompts(11, 8)]
+        assert run(capsys, "bench", *setup, "--report", paths[0])[0] == 0
+
+        def no_vanilla(*args, **kwargs):
+            raise AssertionError("bench ran a vanilla decode")
+
+        monkeypatch.setattr(engine, "generate_vanilla", no_vanilla)
+        assert run(capsys, "bench", *setup, "--report", paths[1])[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert [r["baseline_nfe"] for r in json.loads(paths[1].read_text())["runs"]] == vanilla_nfe
+
     def test_report_bytes_deterministic(self, files, capsys):
         paths = [files["tmp"] / "b1.json", files["tmp"] / "b2.json"]
         for p in paths:
@@ -431,6 +452,41 @@ class TestCheckLossless:
             return tuple(steps), last_rows
 
         monkeypatch.setattr(verification, "verify", sloppy_verify)
+        code, stdout, _ = run(
+            capsys,
+            "check-lossless", *setup_args(files), "--graph", files["six"], "--trials", 8,
+        )
+        assert code == 1
+        assert "DIVERGED" in stdout
+
+    def test_step_merging_verify_is_caught(self, files, capsys, monkeypatch, model, prompts):
+        """A verify that reports a call's accepted steps as one step keeps
+        every token and call-end state, and the next call's drafts, but
+        not the step accounting: check_lossless compares steps, so it
+        fails, and check-lossless exits 1."""
+        verify = verification.verify
+
+        def merging_verify(block, drafts, rows, schedule):
+            steps, last_rows = verify(block, drafts, rows, schedule)
+            last = steps[-1]
+            committed = tuple(n for step in steps for n in step.ordered[: step.realized])
+            merged = StepRecord(committed + last.ordered[last.realized :], last.state_after, len(committed))
+            return (merged,), last_rows
+
+        config = GenerationConfig(
+            total_length=32, block_length=8, schedule=UnmaskSchedule.fixed(1), top_k_vocab=3, eot_token=12
+        )
+        graph, _, _ = calibrate_graph(model, prompts, config, lookahead_max=4, budget=8)
+        monkeypatch.setattr(verification, "verify", merging_verify)
+        for prompt in prompts:
+            check = check_lossless(model, prompt, config, graph)
+            assert check.speculative.tokens == check.vanilla.tokens
+            assert not check.ok
+            block, step, taken, vanilla_steps = map(int, re.findall(r"\d+", check.message))
+            assert check.message == "block %d: speculative step %d differs from vanilla's (%d steps against %d)" % (
+                block, step, taken, vanilla_steps
+            )
+            assert taken < vanilla_steps == 8
         code, stdout, _ = run(
             capsys,
             "check-lossless", *setup_args(files), "--graph", files["six"], "--trials", 8,

@@ -98,17 +98,15 @@ class TestGenerateVanilla:
         assert len(res.tokens) == 32
         assert all(1 <= t <= 12 for t in res.tokens)
 
-    def test_trace_walks_one_step_at_a_time(self, model):
-        res = generate_vanilla(model, (5, 6), make_config("fixed:1"), record_trace=True)
-        for k, stats in enumerate(res.report.per_block):
-            states = [s for i, s in res.trace if i == k]
-            assert len(states) == stats.nfe
-            counts = [s.unmasked_count for s in states]
+    def test_calls_walk_one_step_at_a_time(self, model):
+        res = generate_vanilla(model, (5, 6), make_config("fixed:1"))
+        assert len(res.calls) == len(res.report.per_block)
+        for calls, stats in zip(res.calls, res.report.per_block):
+            assert len(calls) == stats.nfe
+            assert all(len(call) == 1 for call in calls)
+            counts = [call[-1].state_after.unmasked_count for call in calls]
             assert counts == list(range(1, 9))
-        assert res.trace is not None and len(res.trace) == res.report.total_nfe
-
-    def test_trace_absent_by_default(self, model):
-        assert generate_vanilla(model, (2,), make_config()).trace is None
+        assert sum(map(len, res.calls)) == res.report.total_nfe
 
     def test_prompt_tokens_validated(self, model):
         with pytest.raises(ValueError, match="outside 1..12"):
@@ -157,11 +155,11 @@ class TestGenerateSpeculative:
     @pytest.mark.parametrize("schedule", ["fixed:1", "fixed:2", "threshold:0.4"])
     def test_empty_graph_is_vanilla(self, model, schedule):
         cfg = make_config(schedule)
-        vanilla = generate_vanilla(model, (3, 4, 5), cfg, record_trace=True)
-        spec = generate_speculative(model, (3, 4, 5), cfg, build_graph([], 1), record_trace=True)
+        vanilla = generate_vanilla(model, (3, 4, 5), cfg)
+        spec = generate_speculative(model, (3, 4, 5), cfg, build_graph([], 1))
         assert spec.tokens == vanilla.tokens
         assert spec.report == vanilla.report
-        assert spec.trace == vanilla.trace
+        assert spec.calls == vanilla.calls
         assert spec.report.acceptances == 0
 
     def test_fixed1_nfe_identity(self, model, prompts):
@@ -235,20 +233,25 @@ class TestGenerateSpeculative:
             b.nfe for b in vanilla.report.per_block
         ]
 
-    def test_trace_is_subsequence_of_vanilla(self, model):
+    def test_calls_take_the_vanilla_steps(self, model):
+        """Per block, the states after the speculative calls are a
+        subsequence of vanilla's, and the steps are vanilla's steps."""
         cfg = make_config("fixed:1")
-        vanilla = generate_vanilla(model, (6, 7, 8), cfg, record_trace=True)
-        spec = generate_speculative(model, (6, 7, 8), cfg, _six_node_graph(), record_trace=True)
+        vanilla = generate_vanilla(model, (6, 7, 8), cfg)
+        spec = generate_speculative(model, (6, 7, 8), cfg, _six_node_graph())
+        assert spec.report.acceptances > 0
 
         def is_subseq(short, long):
             it = iter(long)
             return all(any(x == y for y in it) for x in short)
 
-        for k in range(4):
-            v = [s.tokens for i, s in vanilla.trace if i == k]
-            s = [s.tokens for i, s in spec.trace if i == k]
+        assert len(spec.calls) == len(vanilla.calls) == 4
+        for v_calls, s_calls in zip(vanilla.calls, spec.calls):
+            v = [call[-1].state_after.tokens for call in v_calls]
+            s = [call[-1].state_after.tokens for call in s_calls]
             assert is_subseq(s, v)
             assert s[-1] == v[-1]
+            assert [step for call in s_calls for step in call] == [step for call in v_calls for step in call]
 
     def test_determinism(self, model):
         cfg = make_config("fixed:2")

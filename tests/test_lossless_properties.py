@@ -4,13 +4,12 @@ Corpora, W/L splits, schedules, prompts (empty included), ``top_k_vocab``
 and draft graphs are all generated.  Graphs are valid but otherwise
 arbitrary: ranks may point past the block or the vocabulary view (those
 drafts are skipped), and ``tokens_per_level`` need not match the
-schedule.  For every case the speculative decoder must produce the
-vanilla tokens, its trace must be a subsequence of the vanilla trace,
-and every step it takes is either its own call or an accepted draft, so
-``total_nfe + acceptances == baseline_nfe``.  Without a vanilla report
-the baseline is counted from the run's own steps, so it is checked
-against the vanilla run and, under fixed:s, against ceil(L / s) calls
-per block.
+schedule.  For every case the speculative decoder must take the vanilla
+steps block by block, so it produces the vanilla tokens, and every step
+it takes is either its own call or an accepted draft, so
+``total_nfe + acceptances == baseline_nfe``.  The baseline is counted
+from the run's own steps, so it is checked against the vanilla run and,
+under fixed:s, against ceil(L / s) calls per block.
 """
 
 from math import ceil
@@ -93,9 +92,7 @@ def test_speculative_decoding_is_lossless(case):
     assert result.ok, result.message
     report = result.speculative.report
     assert report.total_nfe + report.acceptances == report.baseline_nfe
-    counted = generate_speculative(model, prompt, config, graph).report
-    assert counted.per_block == report.per_block
-    assert [b.baseline_nfe for b in counted.per_block] == [b.nfe for b in result.vanilla.report.per_block]
+    assert [b.baseline_nfe for b in report.per_block] == [b.nfe for b in result.vanilla.report.per_block]
 
 
 @PROPERTY

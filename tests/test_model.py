@@ -335,8 +335,10 @@ class TestForwardBatched:
             ((-1, 2), "token -1 outside 1..12"),
             ((2.5, 3), "token 2.5 is not an integer"),
             ((float("nan"), 3), "token nan is not an integer"),
+            ((2, 3.0), "token 3.0 is not an integer"),
+            ((2, True), "token True is not an integer"),
         ],
-        ids=["above", "below", "non-integer", "nan"],
+        ids=["above", "below", "non-integer", "nan", "float-id", "bool-id"],
     )
     @pytest.mark.parametrize(
         "score",
@@ -352,6 +354,23 @@ class TestForwardBatched:
         assert model.vocab_size == 12
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             score(model, SequenceState.initial(prompt, 1, 3))
+
+    def test_draft_float_id_named(self, model):
+        """A float equal to an id passes the range check, since it hashes
+        like the id; the pass that indexes with it names it."""
+        state = SequenceState.initial((2,), 1, 3)
+        with pytest.raises(ValueError, match="^token 3.0 is not an integer$"):
+            forward_batched(model, state, [(3.0, MASK, MASK)])
+
+    def test_unindexed_float_and_bool_ids_score_as_the_ids(self, model):
+        """The non-integer check runs on the error path only: a float in
+        the prompt left of the context token, and a bool in a draft that
+        indexes like its id, score as ids 3 and 1."""
+        odd = SequenceState.initial((3.0, 2), 1, 3)
+        want = SequenceState.initial((3, 2), 1, 3)
+        got = forward_batched(model, odd, [(True, MASK, MASK)])
+        assert np.array_equal(got, forward_batched(model, want, [(1, MASK, MASK)]))
+        assert np.array_equal(forward_many(model, [odd]), forward_many(model, [want]))
 
     def test_finished_block_token_range_checked(self, model):
         """A non-integer in a finished block is named, not taken as the
