@@ -11,11 +11,13 @@ gets the same windows under its own sample id, and an origin's windows
 grow by one step's commits at a time rather than re-scanning the block.
 The distinct prompts are replayed together, as a dLLM scores a batch of
 sequences in one forward pass: one model call per denoising step for
-the whole group, each sequence stepping from its own (L, V) slice of
-the call's one array, and one ranking pass per call:
-``drafting.vocab_ranking``, which states the vocabulary tie rule, ranks
-every row of that array at once.  The steps kept for a block's windows
-hold no rows.
+the whole group, which checks the group's tokens in one scan, and one
+ranking pass per call: ``drafting.vocab_ranking``, which states the
+vocabulary tie rule, ranks every row of that array at once.  The step
+inputs, each row's top-1 probability and the column that holds it, are
+read off that ranking for the whole array at once too, and each
+sequence steps from its own slice of them.  The steps kept for a
+block's windows hold no rows.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import verification
 from .core import GenerationConfig, SequenceState
@@ -90,17 +94,31 @@ def _block_windows(
     commits = [[(n, step.state_after.tokens[n]) for n in step.ordered[: step.realized]] for step in steps]
     windows: List[Window] = []
     for origin, (step, vocab) in enumerate(zip(steps, vocabs)):
-        rank_of = step.ordered.index
+        # 1-based rank of each origin-masked position: every window commit is one
+        rank_of = dict(zip(step.ordered, range(1, len(step.ordered) + 1)))
         pairs: List[Tuple[int, int]] = []
         for ell, committed in enumerate(commits[origin : origin + lookahead_max], start=1):
             try:
                 for n, token in committed:
-                    pairs.append((rank_of(n) + 1, vocab[n].index(token) + 1))
+                    pairs.append((rank_of[n], vocab[n].index(token) + 1))
             except ValueError:  # token is outside the top-k view
                 break
             pairs.sort()
             windows.append((origin, ell, tuple(pairs)))
     return windows
+
+
+def _step_inputs(rows: np.ndarray, ranked: np.ndarray) -> Tuple[list, list]:
+    """``verification.advance``'s inputs for every row of one
+    lockstep call, as nested (B, L) lists: each row's top-1 probability
+    and the first column that holds it.  ``ranked`` is the call's
+    ``vocab_ranking``, whose rank 1 is the argmax under the same tie
+    rule, so the columns are read off it and each probability is read
+    at its column: the row's maximum bit for bit."""
+    columns = ranked[..., 0] - 1
+    flat = columns.ravel()
+    top1 = rows.reshape(-1, rows.shape[-1])[np.arange(flat.size), flat]
+    return top1.reshape(columns.shape).tolist(), columns.tolist()
 
 
 def _replay(
@@ -114,9 +132,12 @@ def _replay(
     Within a block, each step makes one ``forward_many`` call over the
     states whose active block is not yet complete (under a threshold
     schedule blocks complete after different step counts) and ranks the
-    vocabulary of the one array it returns with one ``vocab_ranking``;
-    each state then takes one ``verification.advance`` step on its own
-    (L, V) slice of that array, as vanilla decoding does.
+    vocabulary of the one array it returns with one ``vocab_ranking``.
+    The step inputs are read once per call too: ``_step_inputs`` reads
+    every row's top-1 probability and the column that holds it off that
+    ranking.  Each state then takes one ``verification.advance`` step
+    on its own slice of both lists: the step ``verify`` takes on the
+    state's (L, V) rows, as vanilla decoding does.
     """
     schedule = config.schedule
     states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
@@ -127,10 +148,10 @@ def _replay(
         live = range(len(states))
         while live:
             rows = forward_many(model, [states[i] for i in live])
-            ranked = vocab_ranking(rows, config.top_k_vocab).tolist()
+            ranked = vocab_ranking(rows, config.top_k_vocab)
             still: List[int] = []
-            for i, block_rows, vocab in zip(live, rows, ranked):
-                step = verification.advance(states[i].active_block, block_rows, schedule)
+            for i, top1, columns, vocab in zip(live, *_step_inputs(rows, ranked), ranked.tolist()):
+                step = verification.advance(states[i].active_block, top1, columns, schedule)
                 steps[i].append(step)
                 vocabs[i].append(vocab)
                 states[i] = states[i].with_active_block(step.state_after)

@@ -125,11 +125,13 @@ class SequenceState:
     """Prompt plus N blocks; ``active`` is the block currently denoising.
 
     A state is valid when it is made: ``active`` indexes a block, the
-    prompt holds no MASK, blocks left of ``active`` are complete and
-    blocks right of it fully masked (strict left-to-right order).  The
-    constructor raises ``ValueError("invalid sequence state: ...")``
-    naming every broken rule otherwise.  Token ids are not checked here:
-    a model call checks them against its vocabulary.
+    prompt holds no MASK and only integers (``is_integer``), blocks left
+    of ``active`` are complete and blocks right of it fully masked
+    (strict left-to-right order).  The constructor raises
+    ``ValueError("invalid sequence state: ...")`` naming every broken
+    rule otherwise, and the first prompt token that is not an integer.
+    Token ranges are not checked here: a model call checks them against
+    its vocabulary.
     """
 
     prompt: Tuple[int, ...]
@@ -142,6 +144,9 @@ class SequenceState:
         problems = []
         if MASK in self.prompt:
             problems.append("prompt contains MASK")
+        if not all(map(is_integer, self.prompt)):
+            bad = next(t for t in self.prompt if not is_integer(t))
+            problems.append("prompt token %r is not an integer" % (bad,))
         for i, b in enumerate(self.blocks):
             if i < self.active:
                 if not b.is_complete:

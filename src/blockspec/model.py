@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import contains
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -203,24 +204,37 @@ def forward_many(model: ToyDenoiser, states: Sequence[SequenceState]) -> np.ndar
     """Score the active blocks of several sequences in one model call.
 
     Returns the call's read-only (B, L, V) rows; ``rows[i]`` equals
-    ``forward_batched(model, states[i], [])[0]`` bit for bit: every state
-    is checked as that call checks it, in order, so the first state that
-    call rejects (its active block complete or too large, or a token
-    outside 1..V) raises that call's error, and each block is mixed
-    against its own sequence's left token.  Equal states still get a row
-    each, as they would in a real dLLM's batch.  The active blocks must
-    share one length, as the rows of one (B, L, V) pass do; no states
-    give a (0, 0, V) array.
+    ``forward_batched(model, states[i], [])[0]`` bit for bit, and each
+    block is mixed against its own sequence's left token.  The batch is
+    checked once per call, not once per state: one length, one L * V
+    limit, a masked slot in every active block, and one scan of every
+    token against 1..V.  Only a batch that fails it is checked state by
+    state, as ``forward_batched`` checks a state, in order, so the first
+    state that call rejects (its active block complete or too large, or
+    a token outside 1..V) raises that call's error.  Equal states still
+    get a row each, as they would in a real dLLM's batch.  The active
+    blocks must share one length, as the rows of one (B, L, V) pass do;
+    no states give a (0, 0, V) array.
     """
     if not states:
         rows = np.zeros((0, 0, model.vocab_size))
     else:
-        left_contexts = [_checked_left_context(model, state, ()) for state in states]
         blocks = [state.active_block.tokens for state in states]
         length = len(blocks[0])
-        if not all(map(length.__eq__, map(len, blocks))):
+        # one check for the batch; a batch that fails it is checked again
+        # state by state, for the first bad state's error text
+        sequences = chain.from_iterable(map(_scanned, states, repeat(())))
+        if not (
+            all(map(length.__eq__, map(len, blocks)))
+            and all(map(contains, blocks, repeat(MASK)))
+            and length * model.vocab_size <= MAX_BLOCK_CELLS
+            and model.token_ids.issuperset(chain.from_iterable(sequences))
+        ):
+            for state in states:
+                _checked_left_context(model, state, ())
             i, b = next((i, b) for i, b in enumerate(blocks) if len(b) != length)
             raise ValueError("state %d has active block length %d, state 0 has %d" % (i, len(b), length))
+        left_contexts = [state.token_before_active for state in states]
         try:
             rows = _mixture_pass(model, blocks, left_contexts)
         except IndexError:

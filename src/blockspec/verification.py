@@ -20,8 +20,12 @@ the engine ranks the next drafts from.  No record keeps rows, so a
 decode holds one call's array at a time.
 
 ``advance`` is the one denoising step, shared by verification and
-calibration: it ranks the block's masked positions once and commits
-the scheduled prefix of that order.
+calibration: it ranks the block's masked positions once by their top-1
+probabilities and commits the scheduled prefix of that order, each
+position its top-1 token.  ``verify`` reads those two lists off one
+(L, V) slice of its call's rows per step, as decoding steps;
+calibration reads them off a whole lockstep call at once and steps
+each state from its own pair of lists.
 """
 
 from __future__ import annotations
@@ -48,22 +52,24 @@ class StepRecord(NamedTuple):
     realized: int
 
 
-def advance(block: BlockState, rows: np.ndarray, schedule: UnmaskSchedule) -> StepRecord:
-    """One denoising step: rank ``block``'s masked positions under
-    ``rows``, the (L, V) marginals of one model call for it, then commit
-    the scheduled prefix of that order.
+def advance(
+    block: BlockState, top1: Sequence[float], columns: Sequence[int], schedule: UnmaskSchedule
+) -> StepRecord:
+    """One denoising step: rank ``block``'s masked positions by ``top1``,
+    then commit the scheduled prefix of that order.  ``top1[n]`` is
+    position n's largest probability under one model call's rows and
+    ``columns[n]`` the first column of its row that holds it, so its
+    top-1 token is ``columns[n] + 1``: ties go to the lower id.
 
     Fixed{s} takes the first min(s, masked) positions; Threshold{p} takes
     the prefix whose top-1 probability clears p, and at least one
-    position.  Each chosen position commits its argmax token (ties toward
-    the lower id) into one token list, so a step builds one
-    ``BlockState`` however many it commits.
+    position.  Each chosen position commits its top-1 token into one
+    token list, so a step builds one ``BlockState`` however many it
+    commits.  The columns are 0-based, as a row's argmax gives them, so
+    the + 1 is paid per commit, not per position.
     """
     if block.is_complete:
         raise ValueError("advance on a fully unmasked block")
-    if rows.ndim != 2 or len(rows) != block.length:
-        raise ValueError("rows of shape %s for a block of length %d" % (rows.shape, block.length))
-    top1 = np.maximum.reduce(rows, axis=1).tolist()
     ordered = order_positions(top1, block)
     if schedule.kind == "fixed":
         count = min(schedule.tokens_per_step, len(ordered))
@@ -74,8 +80,7 @@ def advance(block: BlockState, rows: np.ndarray, schedule: UnmaskSchedule) -> St
             count += 1
     tokens = list(block.tokens)
     for n in ordered[:count]:
-        # argmax returns the first maximum: ties go to the lower token id
-        unmask(tokens, n, int(rows[n].argmax()) + 1)
+        unmask(tokens, n, columns[n] + 1)
     return StepRecord(ordered, BlockState(tuple(tokens)), count)
 
 
@@ -98,16 +103,19 @@ def verify(
     draft's count simply never finds it.  When two drafts have the same
     tokens the first in scan order wins.  A state never repeats within a
     call (each advance commits at least one slot), so no draft can be
-    accepted twice.
+    accepted twice.  Each advance reads its inputs off the (L, V) rows
+    that drive it: one reduction and one argmax.
     """
     if len(rows) != 1 + len(drafts):
         raise ValueError("%d rows for the target and %d drafts" % (len(rows), len(drafts)))
-    step_rows = rows[0]
-    steps = [advance(block, step_rows, schedule)]
-    state = steps[-1].state_after
-    # the lookup first: with no drafts (vanilla decoding) it ends the loop at once
-    while state.tokens in drafts and not state.is_complete:
-        step_rows = rows[1 + drafts.index(state.tokens)]
-        steps.append(advance(state, step_rows, schedule))
+    if rows.ndim != 3 or rows.shape[1] != block.length:
+        raise ValueError("rows of shape %s for a block of length %d" % (rows.shape, block.length))
+    state, step_rows, steps = block, rows[0], []
+    while True:
+        top1, columns = np.maximum.reduce(step_rows, 1).tolist(), step_rows.argmax(1).tolist()
+        steps.append(advance(state, top1, columns, schedule))
         state = steps[-1].state_after
-    return tuple(steps), step_rows
+        # with no drafts (vanilla decoding) the lookup ends the call at once
+        if state.tokens not in drafts or state.is_complete:
+            return tuple(steps), step_rows
+        step_rows = rows[1 + drafts.index(state.tokens)]

@@ -4,13 +4,14 @@ and the environment for Python child processes."""
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockspec
 from blockspec import engine, synthetic
 from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule, unmask
 from blockspec.model import train_from_corpus
-from blockspec.verification import StepRecord
+from blockspec.verification import StepRecord, advance
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +63,13 @@ def with_token(block, position, token):
     tokens = list(block.tokens)
     unmask(tokens, position, token)
     return BlockState(tuple(tokens))
+
+
+def advance_on_rows(block, rows, schedule):
+    """``advance`` on one block's (L, V) ``rows``, each row read as
+    ``verify`` reads it: its largest probability and the first column
+    that holds it."""
+    return advance(block, np.maximum.reduce(rows, 1).tolist(), rows.argmax(1).tolist(), schedule)
 
 
 def scripted_report(nfes, block_length, eot_block):

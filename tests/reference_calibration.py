@@ -14,7 +14,8 @@ from blockspec.calibration import CalibrationRecord
 from blockspec.core import MASK, GenerationConfig, SequenceState
 from blockspec.drafting import order_vocab
 from blockspec.model import ToyDenoiser, forward_batched
-from blockspec.verification import StepRecord, advance
+from blockspec.verification import StepRecord
+from conftest import advance_on_rows
 
 from reference_speculation import RankingView
 
@@ -58,7 +59,7 @@ def reference_collect_records(
             step_rows = []
             while not state.active_block.is_complete:
                 step_rows.append(forward_batched(model, state, [])[0])
-                steps.append(advance(state.active_block, step_rows[-1], config.schedule))
+                steps.append(advance_on_rows(state.active_block, step_rows[-1], config.schedule))
                 state = state.with_active_block(steps[-1].state_after)
             for origin, (step, rows) in enumerate(zip(steps, step_rows)):
                 ranking = RankingView(

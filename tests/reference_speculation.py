@@ -18,7 +18,8 @@ import numpy as np
 
 from blockspec.core import BlockState, UnmaskSchedule, unmask
 from blockspec.drafting import DraftFormula, DraftGraphSpec, order_positions
-from blockspec.verification import StepRecord, advance
+from blockspec.verification import StepRecord
+from conftest import advance_on_rows
 
 
 class RankingView(NamedTuple):
@@ -91,7 +92,7 @@ def reference_verify(
     schedule: UnmaskSchedule,
 ) -> Tuple[Tuple[StepRecord, ...], np.ndarray]:
     last_rows = rows[0]
-    steps = [advance(block, last_rows, schedule)]
+    steps = [advance_on_rows(block, last_rows, schedule)]
     current = steps[-1].state_after
     remaining = list(zip(drafts, rows[1:]))
     while not current.is_complete:
@@ -105,6 +106,6 @@ def reference_verify(
             break
         remaining.remove(hit)
         last_rows = hit[1]
-        steps.append(advance(current, last_rows, schedule))
+        steps.append(advance_on_rows(current, last_rows, schedule))
         current = steps[-1].state_after
     return tuple(steps), last_rows

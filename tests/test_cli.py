@@ -19,7 +19,8 @@ from blockspec.core import BlockState, GenerationConfig, UnmaskSchedule
 from blockspec.drafting import DraftFormula, build_graph, format_graph, parse_graph
 from blockspec.engine import check_lossless, generate_vanilla
 from blockspec.model import MAX_BLOCK_CELLS, format_corpus, train_from_corpus
-from blockspec.verification import StepRecord, advance
+from blockspec.verification import StepRecord
+from conftest import advance_on_rows
 
 
 @pytest.fixture()
@@ -434,7 +435,7 @@ class TestCheckLossless:
 
         def sloppy_verify(block, drafts, rows, schedule):
             last_rows = rows[0]
-            steps = [advance(block, last_rows, schedule)]
+            steps = [advance_on_rows(block, last_rows, schedule)]
             current = steps[-1].state_after
             remaining = list(range(len(drafts)))
             while not current.is_complete:
@@ -447,7 +448,7 @@ class TestCheckLossless:
                     break
                 remaining.remove(hit)
                 last_rows = rows[1 + hit]
-                steps.append(advance(BlockState(tokens=drafts[hit]), last_rows, schedule))
+                steps.append(advance_on_rows(BlockState(tokens=drafts[hit]), last_rows, schedule))
                 current = steps[-1].state_after
             return tuple(steps), last_rows
 

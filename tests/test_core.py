@@ -1,5 +1,8 @@
 """Tests for core value types, schedules, and the config file format."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -113,6 +116,16 @@ class TestSequenceOrder:
     def test_mask_in_prompt(self):
         with pytest.raises(ValueError, match="^invalid sequence state: prompt contains MASK$"):
             SequenceState(prompt=(1, MASK), blocks=(BlockState.masked(2),), active=0)
+
+    @pytest.mark.parametrize("prompt, bad", [((1, "2", 2.5), "'2'"), ((np.bool_(True),), repr(np.bool_(True)))])
+    def test_prompt_tokens_must_be_integers(self, prompt, bad):
+        """The first non-integer is named; Python and numpy integers pass.
+        ``tests/test_model.py`` holds the bool and float prompts a model
+        call once scored."""
+        message = "^invalid sequence state: prompt token %s is not an integer$" % re.escape(bad)
+        with pytest.raises(ValueError, match=message):
+            SequenceState.initial(prompt, 1, 2)
+        assert SequenceState.initial((np.int64(3), 2), 1, 2).prompt == (3, 2)
 
     @pytest.mark.parametrize("active, blocks", [(1, 1), (-1, 1), (0, 0)])
     def test_active_index_out_of_range(self, active, blocks):

@@ -22,7 +22,8 @@ from blockspec.drafting import (
     parse_graph,
     spawn_drafts,
 )
-from blockspec.verification import advance, verify
+from blockspec.verification import verify
+from conftest import advance_on_rows
 
 from reference_speculation import materialize, reference_rank, reference_spawn_drafts, reference_verify
 
@@ -223,7 +224,7 @@ class TestMaterialize:
             rows = rng.random((length, 4))
             rows /= rows.sum(axis=1, keepdims=True)
             drafts = _spawn_one(DraftFormula.of([(1, 1)]), rows, block, 4)
-            step = advance(block, rows, UnmaskSchedule.fixed(1))
+            step = advance_on_rows(block, rows, UnmaskSchedule.fixed(1))
             assert step.ordered == order_positions(_top1(rows), block)
             assert step.realized == 1
             if step.state_after.is_complete:
@@ -450,12 +451,12 @@ class TestSpawnProperty:
         steps, last_rows = verify(block, scored, rows, schedule)
 
         step_rows = rows[0]
-        assert steps[0] == advance(block, step_rows, schedule)
+        assert steps[0] == advance_on_rows(block, step_rows, schedule)
         for before, step in zip(steps, steps[1:]):
             state = before.state_after
             assert drafts.count(state.tokens) == 1
             step_rows = rows[1 + scored.index(state.tokens)]
-            assert step == advance(state, step_rows, schedule)
+            assert step == advance_on_rows(state, step_rows, schedule)
         assert last_rows.tobytes() == step_rows.tobytes()
         last = steps[-1].state_after
         assert last.is_complete or last.tokens not in scored

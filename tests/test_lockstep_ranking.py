@@ -1,9 +1,13 @@
-"""Calibration's lockstep call, ranked as a whole.
+"""Calibration's lockstep call, read as a whole.
 
 One ``vocab_ranking`` ranks the vocabulary of every row of the
-(B, L, V) array ``forward_many`` returns, while each state steps from
-its own (L, V) slice of it.  The ranking must give exactly what the
-per-block form, ``order_vocab``, gives.
+(B, L, V) array ``forward_many`` returns, and every row's step inputs,
+its top-1 probability and the column that holds it, are read off that
+ranking.  Each must give exactly what the per-block form gives: the
+ranking what ``order_vocab`` gives, the step inputs what
+``verification.verify`` reads off one (L, V) slice.  So every step
+calibration takes is the step ``verify`` takes on its state's own slice
+of the call, as vanilla decoding does.
 """
 
 import numpy as np
@@ -35,10 +39,16 @@ def row_batches(draw):
 @given(row_batches(), st.integers(1, 7))
 def test_batched_ranking_equals_order_vocab_row_by_row(rows, top_k):
     """Each row's ids also equal a plain sort by (-probability, id), so
-    the rule is checked, not only that both forms share it."""
+    the rule is checked, not only that both forms share it.  The step
+    inputs read off the whole array, as calibration reads them, equal
+    the ones ``verify`` reads off each slice, bit for bit.  Rank 1 is
+    the argmax + 1: the ranking and the commit state "ties toward the
+    lower id" apart, and agree."""
     ranked = vocab_ranking(rows, top_k)
     length, vocab = rows.shape[-2:]
     assert ranked.shape == rows.shape[:-1] + (min(top_k, vocab),)
+    assert np.array_equal(ranked[..., 0], rows.argmax(-1) + 1)
+    top1, columns = map(np.array, calibration._step_inputs(rows, ranked))
     for index in np.ndindex(rows.shape[:-2]):
         block = rows[index]
         got = tuple(map(tuple, ranked[index].tolist()))
@@ -46,6 +56,9 @@ def test_batched_ranking_equals_order_vocab_row_by_row(rows, top_k):
         assert got == tuple(
             tuple(sorted(range(1, vocab + 1), key=lambda t: (-block[n, t - 1], t))[:top_k]) for n in range(length)
         )
+        # what ``verify`` reads off the slice
+        assert top1[index].tobytes() == np.maximum.reduce(block, 1).tobytes()
+        assert columns[index].tolist() == block.argmax(1).tolist()
 
 
 def test_ranking_needs_a_positive_width():
@@ -54,29 +67,33 @@ def test_ranking_needs_a_positive_width():
 
 
 @pytest.mark.parametrize("schedule", ["fixed:1", "fixed:2", "threshold:0.4"])
-def test_each_state_steps_from_its_own_slice_of_the_lockstep_call(model, prompts, monkeypatch, schedule):
-    """Every step of a README calibration reads, without a copy, one
-    read-only (L, V) slice of the array the step's ``forward_many`` call
-    returned, and the call's slices are read once each."""
+def test_every_replayed_step_is_the_one_verify_takes_on_its_slice(model, prompts, monkeypatch, schedule):
+    """Over a README calibration, every step equals the one step
+    ``verification.verify`` takes, with no drafts, on its state's own
+    (L, V) slice of the step's ``forward_many`` call, and in each call
+    every live state steps once, in the call's order."""
     calls = []
 
-    def recorded_forward_many(*args):
-        rows = forward_many(*args)
-        calls.append((rows, []))
+    def recorded_forward_many(model, states):
+        rows = forward_many(model, states)
+        calls.append((states, rows, []))
         return rows
 
-    def checked_advance(block, rows, schedule):
-        call, read = calls[-1]
-        (slot,) = [j for j in range(len(call)) if np.shares_memory(rows, call[j])]
-        assert rows.shape == call[slot].shape and rows.tobytes() == call[slot].tobytes()
-        assert not rows.flags.writeable
-        read.append(slot)
-        return advance(block, rows, schedule)
+    def recorded_advance(block, top1, columns, schedule):
+        step = advance(block, top1, columns, schedule)
+        calls[-1][2].append((block, step))
+        return step
 
     forward_many, advance = calibration.forward_many, verification.advance
     monkeypatch.setattr(calibration, "forward_many", recorded_forward_many)
-    monkeypatch.setattr(verification, "advance", checked_advance)
-    collect_records(model, prompts, make_config(schedule), 4)
+    monkeypatch.setattr(verification, "advance", recorded_advance)
+    config = make_config(schedule)
+    collect_records(model, prompts, config, 4)
+    monkeypatch.undo()
     assert len(calls) > 0
-    assert all(read == list(range(len(call))) for call, read in calls)
-    assert sum(len(call) for call, _ in calls) > len(calls)
+    assert sum(len(states) for states, _, _ in calls) > len(calls)
+    for states, rows, stepped in calls:
+        assert [block for block, _ in stepped] == [state.active_block for state in states]
+        for i, (block, step) in enumerate(stepped):
+            (want,), read = verification.verify(block, [], rows[i : i + 1], config.schedule)
+            assert step == want and read.tobytes() == rows[i].tobytes()

@@ -333,10 +333,10 @@ class TestForwardBatched:
         [
             ((2, 13), "token 13 outside 1..12"),
             ((-1, 2), "token -1 outside 1..12"),
-            ((2.5, 3), "token 2.5 is not an integer"),
-            ((float("nan"), 3), "token nan is not an integer"),
-            ((2, 3.0), "token 3.0 is not an integer"),
-            ((2, True), "token True is not an integer"),
+            ((2.5, 3), "invalid sequence state: prompt token 2.5 is not an integer"),
+            ((float("nan"), 3), "invalid sequence state: prompt token nan is not an integer"),
+            ((2, 3.0), "invalid sequence state: prompt token 3.0 is not an integer"),
+            ((2, True), "invalid sequence state: prompt token True is not an integer"),
         ],
         ids=["above", "below", "non-integer", "nan", "float-id", "bool-id"],
     )
@@ -346,11 +346,12 @@ class TestForwardBatched:
         ids=["forward_batched", "forward_many"],
     )
     def test_context_token_range_checked(self, model, prompt, message, score):
-        """Both ends of 1..V and non-integers, in either call: a check
-        that ignored the lower bound once passed the token-range property
-        below, one that compared only the context's smallest and largest
-        token let 2.5 through, and the error once printed 2.5 as 2 and
-        failed to print NaN at all."""
+        """Both ends of 1..V in either call, and non-integers, which the
+        state rejects when it is made: a check that ignored the lower
+        bound once passed the token-range property below, one that
+        compared only the context's smallest and largest token let 2.5
+        through, and the error once printed 2.5 as 2 and failed to print
+        NaN at all."""
         assert model.vocab_size == 12
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             score(model, SequenceState.initial(prompt, 1, 3))
@@ -363,14 +364,23 @@ class TestForwardBatched:
             forward_batched(model, state, [(3.0, MASK, MASK)])
 
     def test_unindexed_float_and_bool_ids_score_as_the_ids(self, model):
-        """The non-integer check runs on the error path only: a float in
-        the prompt left of the context token, and a bool in a draft that
-        indexes like its id, score as ids 3 and 1."""
-        odd = SequenceState.initial((3.0, 2), 1, 3)
+        """A call's non-integer check runs on the error path only: a bool
+        in a draft that indexes like its id scores as id 1.  A float in
+        the prompt left of the context token once scored as id 3 too; the
+        state now rejects it when it is made."""
         want = SequenceState.initial((3, 2), 1, 3)
-        got = forward_batched(model, odd, [(True, MASK, MASK)])
+        got = forward_batched(model, want, [(True, MASK, MASK)])
         assert np.array_equal(got, forward_batched(model, want, [(1, MASK, MASK)]))
-        assert np.array_equal(forward_many(model, [odd]), forward_many(model, [want]))
+        with pytest.raises(ValueError, match="^invalid sequence state: prompt token 3.0 is not an integer$"):
+            SequenceState.initial((3.0, 2), 1, 3)
+
+    def test_bool_context_is_rejected_before_it_can_mask_the_tables(self):
+        """With V = 2 and a bool left context, the pass's index list was
+        all bools, which numpy reads as a mask: ``forward_batched`` once
+        returned wrong rows for ``(2, True)`` without raising."""
+        m = train_from_corpus([(1, 2, 1, 2, 2)], 2)
+        with pytest.raises(ValueError, match="^invalid sequence state: prompt token True is not an integer$"):
+            forward_batched(m, SequenceState.initial((2, True), 1, 3), [])
 
     def test_finished_block_token_range_checked(self, model):
         """A non-integer in a finished block is named, not taken as the

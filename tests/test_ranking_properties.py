@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from blockspec.core import MASK, BlockState, UnmaskSchedule
 from blockspec.drafting import order_positions, order_vocab
-from blockspec.verification import advance, verify
+from blockspec.verification import verify
+from conftest import advance_on_rows
 
 LEVELS = (0.0, 0.125, 0.25, 0.5)
 THRESHOLDS = (0.125, 0.25, 0.5, 1.0)
@@ -90,7 +91,7 @@ def test_verify_hands_on_the_ranking_of_its_last_advance(data):
     drafts, rows = [], [target]
     state, m = block, target
     while True:
-        state = advance(state, m, schedule).state_after
+        state = advance_on_rows(state, m, schedule).state_after
         if state.is_complete:
             break
         m = data.draw(marginals(length, vocab))

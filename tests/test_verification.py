@@ -15,7 +15,7 @@ from conftest import with_token
 
 from blockspec.core import MASK, BlockState, UnmaskSchedule
 from blockspec.drafting import order_positions
-from blockspec.verification import StepRecord, advance, verify
+from blockspec.verification import StepRecord, verify
 
 
 def _marginals(rows, vocab=4):
@@ -24,6 +24,14 @@ def _marginals(rows, vocab=4):
     for n, row in enumerate(rows):
         out[n, : len(row)] = row
     return out
+
+
+def _step(block, rows, schedule):
+    """The one step ``verify`` takes on one block's (L, V) ``rows`` with
+    no drafts: ``advance`` on each row's largest probability and the
+    first column that holds it."""
+    (step,), _ = verify(block, [], rows[None], schedule)
+    return step
 
 
 def _rows(target, *drafts):
@@ -41,7 +49,7 @@ class TestAdvance:
     def test_fixed1_takes_top_position_argmax_token(self):
         m = _marginals([[0.2, 0.0, 0.0], [0.1, 0.8, 0.1], [0.5, 0.0, 0.0]])
         block = BlockState.masked(3)
-        step = advance(block, m, UnmaskSchedule.fixed(1))
+        step = _step(block, m, UnmaskSchedule.fixed(1))
         assert step.realized == 1
         assert step.state_after.tokens == (0, 2, 0)
         # the step carries the ranking it committed a prefix of
@@ -50,25 +58,25 @@ class TestAdvance:
     def test_fixed_clamps_to_masked_count(self):
         m = _marginals([[0.9], [0.0], [0.8]])
         block = BlockState(tokens=(0, 5, 0))
-        step = advance(block, m, UnmaskSchedule.fixed(4))
+        step = _step(block, m, UnmaskSchedule.fixed(4))
         assert step.realized == 2
         assert step.state_after.is_complete
 
     def test_threshold_takes_all_clearing_positions(self):
         m = _marginals([[0.95], [0.91], [0.5]])
-        step = advance(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
+        step = _step(BlockState.masked(3), m, UnmaskSchedule.at_threshold(0.9))
         assert step.realized == 2
         assert step.state_after.tokens == (1, 1, 0)
 
     def test_threshold_floor_of_one(self):
         m = _marginals([[0.5], [0.4]])
-        step = advance(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
+        step = _step(BlockState.masked(2), m, UnmaskSchedule.at_threshold(0.9))
         assert step.realized == 1
         assert step.state_after.tokens == (1, 0)
 
     def test_position_and_token_ties_break_low(self):
         m = _marginals([[0.0, 0.4, 0.4], [0.4, 0.4, 0.0]])
-        step = advance(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
+        step = _step(BlockState.masked(2), m, UnmaskSchedule.fixed(1))
         # equal top-1 probs: position 0 wins; equal probs inside the row:
         # lower token id wins
         assert step.state_after.tokens == (2, 0)
@@ -76,42 +84,44 @@ class TestAdvance:
     def test_complete_block_is_error(self):
         m = _marginals([[1.0]])
         with pytest.raises(ValueError, match="fully unmasked"):
-            advance(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
+            _step(BlockState(tokens=(3,)), m, UnmaskSchedule.fixed(1))
 
     def test_commits_the_one_based_argmax(self):
         """Row column ``t`` is token ``t + 1``: token 0 is the mask."""
-        step = advance(BlockState.masked(1), np.array([[0.2, 0.3, 0.5]]), UnmaskSchedule.fixed(1))
+        step = _step(BlockState.masked(1), np.array([[0.2, 0.3, 0.5]]), UnmaskSchedule.fixed(1))
         assert step.state_after.tokens == (3,)
 
     def test_argmax_tie_breaks_to_lower_id(self):
-        step = advance(BlockState.masked(1), np.array([[0.4, 0.4, 0.2]]), UnmaskSchedule.fixed(1))
+        step = _step(BlockState.masked(1), np.array([[0.4, 0.4, 0.2]]), UnmaskSchedule.fixed(1))
         assert step.state_after.tokens == (1,)
 
     def test_reads_the_rows_without_writing_or_freezing_them(self):
-        """``advance`` neither writes the caller's rows nor changes their
+        """A step neither writes the caller's rows nor changes their
         flags: model rows come read-only, and other rows stay as given."""
         rows = _marginals([[0.2, 0.0, 0.0], [0.1, 0.8, 0.1]])
         before = rows.tobytes()
-        advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(2))
+        _step(BlockState.masked(2), rows, UnmaskSchedule.fixed(2))
         assert rows.tobytes() == before and rows.flags.writeable
         rows.flags.writeable = False
-        assert advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(2)).state_after.tokens == (1, 2)
+        assert _step(BlockState.masked(2), rows, UnmaskSchedule.fixed(2)).state_after.tokens == (1, 2)
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        np.full(2, 0.5),  # one row's worth, with the block's length
-        np.full((2, 2, 4), 0.25),  # a whole call's array, with the block's length
-        np.full((3, 4), 0.25),  # three rows for two slots, not read in part
-        np.full((1, 4), 0.25),
+        np.full(1, 0.5),  # one row's worth
+        np.full((1, 4), 0.25),  # one block's rows, not a call's
+        np.full((1, 1, 2, 4), 0.25),  # one more axis, with the block's length
+        np.full((1, 3, 4), 0.25),  # three rows for two slots, not read in part
+        np.full((1, 1, 4), 0.25),
     ],
-    ids=["1-D", "3-D", "too-long", "too-short"],
+    ids=["1-D", "2-D", "4-D", "too-long", "too-short"],
 )
-def test_advance_rejects_rows_that_do_not_fit_the_block(rows):
+def test_verify_rejects_rows_that_do_not_fit_the_block(rows):
+    """The call's rows are checked once, before any step reads a slice."""
     want = "^rows of shape %s for a block of length 2$" % re.escape(str(rows.shape))
     with pytest.raises(ValueError, match=want):
-        advance(BlockState.masked(2), rows, UnmaskSchedule.fixed(1))
+        verify(BlockState.masked(2), [], rows, UnmaskSchedule.fixed(1))
 
 
 @st.composite
@@ -148,7 +158,7 @@ def test_advance_equals_committing_the_prefix_one_token_at_a_time(case):
     want = block
     for n in ordered[:count]:
         want = with_token(want, n, int(rows[n].argmax()) + 1)
-    step = advance(block, rows, schedule)
+    step = _step(block, rows, schedule)
     assert (step.ordered, step.state_after, step.realized) == (ordered, want, count)
 
 
@@ -159,7 +169,7 @@ def test_advance_builds_one_block_state_however_many_tokens_it_commits(monkeypat
     built = []
     check = BlockState.__post_init__
     monkeypatch.setattr(BlockState, "__post_init__", lambda self: (built.append(self), check(self)))
-    step = advance(block, m, schedule)
+    step = _step(block, m, schedule)
     assert step.realized == min(schedule.tokens_per_step or 8, 8)
     assert built == [step.state_after]
 
