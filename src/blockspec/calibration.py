@@ -256,6 +256,8 @@ def build_table(
         if 1 <= key[0] <= lookahead_max and len(key[1]) == key[0] * tokens_per_level
     ]
     ranked = sorted(kept, key=lambda kv: (kv[0][0], -kv[1], kv[0][1]))
+    # islice rejects a stop above sys.maxsize; no level holds more
+    # entries than there are records, so the min keeps the same entries
     entries = tuple(
         TableEntry(level=level, formula=DraftFormula(pairs=pairs), count=count)
         for _, group in groupby(ranked, key=lambda kv: kv[0][0])

@@ -24,21 +24,17 @@ from .timing import StageTimer
 _DEFAULTS = dict(total_length=32, block_length=8, top_k_vocab=3)
 
 
-class InputError(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc.strerror))
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror))
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len(ascii_split(data[: exc.start].decode("utf-8"), "\n"))
-        raise InputError("%s:%d: not UTF-8 text (byte 0x%02x)" % (path, lineno, data[exc.start]))
+        raise ValueError("%s:%d: not UTF-8 text (byte 0x%02x)" % (path, lineno, data[exc.start]))
 
 
 def _write(path: str, text: str) -> None:
@@ -46,28 +42,28 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InputError("cannot write %s: %s" % (path, exc.strerror))
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror))
 
 
 def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationConfig]:
     corpus = parse_corpus(_read(args.corpus), source=args.corpus)
     if not corpus:
-        raise InputError("%s: empty corpus" % args.corpus)
+        raise ValueError("%s: empty corpus" % args.corpus)
     vocab_size = max(t for seq in corpus for t in seq)
     prompts = parse_corpus(_read(args.prompts), source=args.prompts, vocab_size=vocab_size)
     if not prompts:
-        raise InputError("%s: no prompts" % args.prompts)
+        raise ValueError("%s: no prompts" % args.prompts)
     model = train_from_corpus(corpus, vocab_size)
     if args.config is not None:
         config = parse_config(_read(args.config), source=args.config)
         if not (1 <= config.eot_token <= vocab_size):
-            raise InputError(
+            raise ValueError(
                 "%s: eot_token %d outside corpus vocabulary 1..%d" % (args.config, config.eot_token, vocab_size)
             )
         try:
             check_block_size(model, config.block_length)
         except ValueError as exc:
-            raise InputError("%s: %s" % (args.config, exc))
+            raise ValueError("%s: %s" % (args.config, exc))
     else:
         config = GenerationConfig(
             schedule=UnmaskSchedule.fixed(1), eot_token=vocab_size, **_DEFAULTS
@@ -76,14 +72,14 @@ def _load_setup(args) -> Tuple[ToyDenoiser, List[Tuple[int, ...]], GenerationCon
         try:
             schedule = UnmaskSchedule.parse(args.schedule)
         except ValueError as exc:
-            raise InputError("--schedule %s: %s" % (args.schedule, exc))
+            raise ValueError("--schedule %s: %s" % (args.schedule, exc))
         config = dataclasses.replace(config, schedule=schedule)
     return model, prompts, config
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
     if value < least:
-        raise InputError("%s must be >= %d, got %d" % (flag, least, value))
+        raise ValueError("%s must be >= %d, got %d" % (flag, least, value))
 
 
 def _first(prompts: List[Tuple[int, ...]], limit: Optional[int]) -> List[Tuple[int, ...]]:
@@ -102,7 +98,7 @@ def _load_graph(path: str, config: Optional[GenerationConfig] = None) -> draftin
         try:
             engine.check_graph(graph, config)
         except ValueError as exc:
-            raise InputError("%s: %s" % (path, exc))
+            raise ValueError("%s: %s" % (path, exc))
     return graph
 
 
@@ -114,7 +110,7 @@ def _cmd_calibrate(args) -> int:
     model, prompts, config = _load_setup(args)
     prompts = _first(prompts, args.limit)
     if not prompts:
-        raise InputError("no prompts to calibrate from")
+        raise ValueError("no prompts to calibrate from")
     for flag, value in (("--lookahead", args.lookahead), ("--width", args.width), ("--budget", args.budget)):
         _at_least(flag, value, 1)
     graph, table, records = calibration.calibrate_graph(
@@ -141,7 +137,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_generate(args) -> int:
     model, prompts, config = _load_setup(args)
     if not (0 <= args.index < len(prompts)):
-        raise InputError("--index %d out of range (%d prompts)" % (args.index, len(prompts)))
+        raise ValueError("--index %d out of range (%d prompts)" % (args.index, len(prompts)))
     prompt = prompts[args.index]
     timer = StageTimer() if args.profile else None
     if args.graph is not None:
@@ -163,7 +159,7 @@ def _cmd_bench(args) -> int:
     graph = _load_graph(args.graph, config)
     prompts = _first(prompts, args.limit)
     if not prompts:
-        raise InputError("no prompts to bench")
+        raise ValueError("no prompts to bench")
     runs = []
     reports = []
     timer = StageTimer() if args.profile else None
@@ -218,7 +214,7 @@ def _cmd_check_lossless(args) -> int:
     graph = _load_graph(args.graph, config)
     _at_least("--trials", args.trials, 1)
     if args.trials > len(prompts):
-        raise InputError("--trials %d requested but only %d prompts available" % (args.trials, len(prompts)))
+        raise ValueError("--trials %d requested but only %d prompts available" % (args.trials, len(prompts)))
     for index in range(args.trials):
         check = engine.check_lossless(model, prompts[index], config, graph)
         if not check.ok:
@@ -338,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

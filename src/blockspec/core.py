@@ -32,6 +32,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+_INT_TYPE = frozenset([int])
+
+
+def _all_integers(tokens) -> bool:
+    """Whether every one of ``tokens`` is ``is_integer``: a decode's
+    tokens are Python ints, so one pass over their types decides first."""
+    return _INT_TYPE.issuperset(map(type, tokens)) or all(map(is_integer, tokens))
+
+
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -125,13 +134,14 @@ class SequenceState:
     """Prompt plus N blocks; ``active`` is the block currently denoising.
 
     A state is valid when it is made: ``active`` indexes a block, the
-    prompt holds no MASK and only integers (``is_integer``), blocks left
-    of ``active`` are complete and blocks right of it fully masked
-    (strict left-to-right order).  The constructor raises
-    ``ValueError("invalid sequence state: ...")`` naming every broken
-    rule otherwise, and the first prompt token that is not an integer.
-    Token ranges are not checked here: a model call checks them against
-    its vocabulary.
+    prompt holds no MASK, blocks left of ``active`` are complete and
+    blocks right of it fully masked (strict left-to-right order), and the
+    prompt and those finished blocks hold only integers (``is_integer``).
+    The constructor raises ``ValueError("invalid sequence state: ...")``
+    naming every broken rule otherwise, and the first non-integer of the
+    prompt and of each finished block.  The active block's token types
+    and every token's range are not checked here: a model call checks
+    ranges against its vocabulary.
     """
 
     prompt: Tuple[int, ...]
@@ -144,13 +154,16 @@ class SequenceState:
         problems = []
         if MASK in self.prompt:
             problems.append("prompt contains MASK")
-        if not all(map(is_integer, self.prompt)):
+        if not _all_integers(self.prompt):
             bad = next(t for t in self.prompt if not is_integer(t))
             problems.append("prompt token %r is not an integer" % (bad,))
         for i, b in enumerate(self.blocks):
             if i < self.active:
                 if not b.is_complete:
                     problems.append("block %d left of active is incomplete" % i)
+                if not _all_integers(b.tokens):
+                    bad = next(t for t in b.tokens if not is_integer(t))
+                    problems.append("block %d token %r is not an integer" % (i, bad))
             elif i > self.active and b.unmasked_count != 0:
                 problems.append("block %d right of active is partially unmasked" % i)
         if problems:

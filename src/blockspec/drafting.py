@@ -5,9 +5,13 @@ position with its j-th ranked token".  Ranks are 1-based and computed
 against one block's (L, V) rows: positions ordered by descending top-1
 probability (ties toward the lower position index), vocabulary ordered
 by descending probability (ties toward the lower token id).
-``order_positions`` and ``vocab_ranking`` are the only statement of these
-tie-break rules; ``vocab_ranking`` takes rows of any leading shape, and
-``order_vocab`` reads it at one block's positions.  ``verification.advance``
+``order_positions`` and ``vocab_ranking`` state these tie-break rules;
+``vocab_ranking`` takes rows of any leading shape, and ``order_vocab``
+reads it at one block's positions.  A denoising step commits each
+position's first argmax column, which ties toward the lower id as well
+and so is ``vocab_ranking``'s rank 1; the test
+``test_batched_ranking_equals_order_vocab_row_by_row`` in
+``tests/test_lockstep_ranking.py`` pins this.  ``verification.advance``
 ranks the positions once per denoising step and hands that order on, in
 the step it returns, to drafting and calibration.  Calibration ranks the
 vocabulary once per lockstep model call, every row of that call in one

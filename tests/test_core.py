@@ -127,6 +127,16 @@ class TestSequenceOrder:
             SequenceState.initial(prompt, 1, 2)
         assert SequenceState.initial((np.int64(3), 2), 1, 2).prompt == (3, 2)
 
+    @pytest.mark.parametrize("block, bad", [((1, 2.5, 3.0), "2.5"), ((3, 2, np.bool_(True)), repr(np.bool_(True)))])
+    def test_finished_block_tokens_must_be_integers(self, block, bad):
+        """Each finished block names its first non-integer; Python and
+        numpy integers pass, and the active block is not checked."""
+        message = "^invalid sequence state: block 1 token %s is not an integer$" % re.escape(bad)
+        with pytest.raises(ValueError, match=message):
+            SequenceState(prompt=(1,), blocks=(BlockState((1, 2, 3)), BlockState(block), BlockState.masked(3)), active=2)
+        state = SequenceState(prompt=(1,), blocks=(BlockState((np.int64(3), 2)), BlockState((True, MASK))), active=1)
+        assert state.blocks[0].tokens == (3, 2)
+
     @pytest.mark.parametrize("active, blocks", [(1, 1), (-1, 1), (0, 0)])
     def test_active_index_out_of_range(self, active, blocks):
         with pytest.raises(ValueError, match="^invalid sequence state: active block index out of range$"):

@@ -382,13 +382,23 @@ class TestForwardBatched:
         with pytest.raises(ValueError, match="^invalid sequence state: prompt token True is not an integer$"):
             forward_batched(m, SequenceState.initial((2, True), 1, 3), [])
 
-    def test_finished_block_token_range_checked(self, model):
-        """A non-integer in a finished block is named, not taken as the
-        left context."""
-        state = SequenceState(prompt=(1,), blocks=(BlockState(tokens=(3, 1.5)), BlockState.masked(2)), active=1)
-        for score in (lambda s: forward_batched(model, s, []), lambda s: forward_many(model, [s])):
-            with pytest.raises(ValueError, match="^token 1.5 is not an integer$"):
-                score(state)
+    def test_finished_block_token_range_checked(self):
+        """A non-integer in a finished block is named when the state is
+        made, before a model call can take it for the left context."""
+        with pytest.raises(ValueError, match="^invalid sequence state: block 0 token 1.5 is not an integer$"):
+            SequenceState(prompt=(1,), blocks=(BlockState(tokens=(3, 1.5)), BlockState.masked(2)), active=1)
+
+    def test_bool_finished_block_is_rejected_before_it_can_mask_the_tables(self):
+        """With V = 2 and a bool last token in a finished block, both
+        calls once returned wrong rows for this state without raising:
+        the first read ``[0.475, 0.525]``, against ``[0.2417, 0.7583]``
+        with 1 for True."""
+        m = train_from_corpus([(1, 2, 1, 2, 2)], 2)
+        assert forward_batched(m, SequenceState((1,), (BlockState((2, 1)), BlockState.masked(3)), 1), [])[0, 0] == (
+            pytest.approx([0.2417, 0.7583], abs=1e-4)
+        )
+        with pytest.raises(ValueError, match="^invalid sequence state: block 0 token True is not an integer$"):
+            SequenceState((1,), (BlockState((2, True)), BlockState.masked(3)), 1)
 
     @pytest.mark.parametrize(
         "score",

@@ -1,13 +1,14 @@
 """One ranking per denoising step.
 
-``verification.advance_from`` ranks the block it commits to and hands
-the order on in the step it returns, and vanilla decoding, verification
-and calibration all step through it: decoding through ``advance`` on
-the (L, V) rows of its call, calibration on the top-1 probabilities and
-columns it reads once per lockstep model call, over every row of that
-call.  So ``order_positions`` runs exactly once per step taken,
-whoever takes the step.  Calibration ranks the vocabulary once per
-lockstep model call too, over every row of that call."""
+``verification.advance`` ranks the block it commits to and hands the
+order on in the step it returns, and vanilla decoding, verification and
+calibration all step through it: decoding through ``verify``, which
+passes ``advance`` the per-step ``top1`` and ``columns`` lists it reads
+off one (L, V) slice of its call's rows, calibration on the lists it
+reads once per lockstep model call, over every row of that call.  So
+``order_positions`` runs exactly once per step taken, whoever takes the
+step.  Calibration ranks the vocabulary once per lockstep model call
+too, over every row of that call."""
 
 import pytest
 from conftest import make_config
