@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,10 +36,14 @@ def is_integer(value) -> bool:
 _INT_TYPE = frozenset([int])
 
 
-def _all_integers(tokens) -> bool:
-    """Whether every one of ``tokens`` is ``is_integer``: a decode's
-    tokens are Python ints, so one pass over their types decides first."""
-    return _INT_TYPE.issuperset(map(type, tokens)) or all(map(is_integer, tokens))
+def _first_non_integer(tokens) -> tuple:
+    """``(t,)`` for the first of ``tokens`` that is not ``is_integer``,
+    ``()`` when there is none.  A decode's tokens are Python ints, so one
+    pass over their types settles that case before ``is_integer`` runs
+    per token."""
+    if _INT_TYPE.issuperset(map(type, tokens)):
+        return ()
+    return tuple(islice(filterfalse(is_integer, tokens), 1))
 
 
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -154,15 +159,13 @@ class SequenceState:
         problems = []
         if MASK in self.prompt:
             problems.append("prompt contains MASK")
-        if not _all_integers(self.prompt):
-            bad = next(t for t in self.prompt if not is_integer(t))
+        for bad in _first_non_integer(self.prompt):
             problems.append("prompt token %r is not an integer" % (bad,))
         for i, b in enumerate(self.blocks):
             if i < self.active:
                 if not b.is_complete:
                     problems.append("block %d left of active is incomplete" % i)
-                if not _all_integers(b.tokens):
-                    bad = next(t for t in b.tokens if not is_integer(t))
+                for bad in _first_non_integer(b.tokens):
                     problems.append("block %d token %r is not an integer" % (i, bad))
             elif i > self.active and b.unmasked_count != 0:
                 problems.append("block %d right of active is partially unmasked" % i)

@@ -76,7 +76,7 @@ def edits(draw, text):
     return text[:at] + draw(st.sampled_from("_-+:=#")) + text[at:]
 
 
-# the commands that read each file, and the mutated file's name in argv
+# the commands that read each file
 _COMMANDS = {
     "prompts.txt": ("generate", "check-lossless", "calibrate"),
     "readme.cfg": ("generate", "check-lossless", "calibrate"),
