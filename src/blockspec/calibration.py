@@ -17,7 +17,12 @@ vocabulary tie rule, ranks every row of that array at once.  The step
 inputs, each row's top-1 probability and the column that holds it, are
 read off that ranking for the whole array at once too, and each
 sequence steps from its own slice of them.  The steps kept for a
-block's windows hold no rows.
+block's windows hold no rows.  The calls' rankings stay arrays until
+the block is done; then one comparison reads, for each state, step and
+position, the rank that step gave the position's final token, and one
+``tolist`` hands those ranks to the windows.  Every window takes its
+(i, j) pairs from one table of L x top_k pairs, built once per
+``collect_records`` call, so records share pair objects.
 Counting identical sets gives a small candidate table per level, and a
 pruned depth-first search over root-reachable subsets picks the best
 subgraph within the draft budget D under one of three scores:
@@ -74,37 +79,48 @@ class CalibrationRecord(NamedTuple):
 
 # One window of a replayed prompt: (origin step, lookahead, pairs).
 Window = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+# The shared pairs: rows[i - 1][j] is (i, j), and rows[i - 1][0], rank 0, is None.
+PairRows = Sequence[Sequence[Optional[Tuple[int, int]]]]
 
 
 def _block_windows(
-    steps: Sequence[StepRecord], vocabs: Sequence[Sequence[Sequence[int]]], lookahead_max: int
+    steps: Sequence[StepRecord],
+    ranks: Sequence[Sequence[int]],
+    lookahead_max: int,
+    pair_rows: PairRows,
 ) -> List[Window]:
     """Every in-view window of one block's steps, by origin, then lookahead.
 
-    ``vocabs[t][n]`` is position n's top-k token ids under step t's
-    rows, in ``vocab_ranking`` order.  A window's pairs rank the
-    tokens committed during its steps against the origin step's ranking.
-    Step t commits ``ordered[:realized]`` of its own ranking, all of them
-    masked at every earlier step, so the lookahead-ell pairs are the
-    (ell-1) pairs plus those of step origin+ell-1's commits.  A commit
-    outside the origin's top-k view ends the origin's windows: every
-    longer window holds it too.
+    ``ranks[t][n]`` is the vocabulary rank step t gave position n's
+    final token, 0 outside the top-k view: a position is committed once
+    per block, so that token is the one every window's commit of it
+    refers to.  ``pair_rows[i - 1][j]`` is the pair (i, j), and None at
+    j = 0; every window takes its pairs from that one table, so records
+    share pair objects.  A window's pairs rank the tokens committed
+    during its steps against the origin step's ranking.  Step t commits
+    ``ordered[:realized]`` of its own ranking, all of them masked at
+    every earlier step, so the lookahead-ell pairs are the (ell-1) pairs
+    plus those of step origin+ell-1's commits.  A commit outside the
+    origin's top-k view, its first rank-0 commit, ends the origin's
+    windows: every longer window holds it too.
     """
-    # per step, each committed position with the token it got
-    commits = [[(n, step.state_after.tokens[n]) for n in step.ordered[: step.realized]] for step in steps]
+    commits = [step.ordered[: step.realized] for step in steps]
     windows: List[Window] = []
-    for origin, (step, vocab) in enumerate(zip(steps, vocabs)):
-        # 1-based rank of each origin-masked position: every window commit is one
-        rank_of = dict(zip(step.ordered, range(1, len(step.ordered) + 1)))
+    for origin, (step, rank) in enumerate(zip(steps, ranks)):
+        # the pair row of each origin-masked position: every window commit is one
+        row_of = dict(zip(step.ordered, pair_rows))
         pairs: List[Tuple[int, int]] = []
         for ell, committed in enumerate(commits[origin : origin + lookahead_max], start=1):
-            try:
-                for n, token in committed:
-                    pairs.append((rank_of[n], vocab[n].index(token) + 1))
-            except ValueError:  # token is outside the top-k view
-                break
-            pairs.sort()
-            windows.append((origin, ell, tuple(pairs)))
+            for n in committed:
+                pair = row_of[n][rank[n]]
+                if pair is None:  # the origin's first rank-0 commit
+                    break
+                pairs.append(pair)
+            else:  # every commit of the step is in view
+                pairs.sort()
+                windows.append((origin, ell, tuple(pairs)))
+                continue
+            break
     return windows
 
 
@@ -121,11 +137,29 @@ def _step_inputs(rows: np.ndarray, ranked: np.ndarray) -> Tuple[list, list]:
     return top1.reshape(columns.shape).tolist(), columns.tolist()
 
 
+def _block_ranks(rankings: Sequence[np.ndarray], owners: Sequence[int], finals: Sequence[Tuple[int, ...]]) -> list:
+    """Per state, then step, then position: the vocabulary rank the step
+    gave the position's final token, 0 outside the top-k view.
+
+    ``rankings`` are one block's lockstep calls' ``vocab_ranking``
+    arrays, ``owners`` the state of each of their rows in call order,
+    and ``finals[s]`` state s's completed block.  A state steps in
+    every call until its block is complete, so ordering the rows by
+    owner, stably, puts each state's steps together and in order.  One
+    comparison reads every rank: each row lists distinct ids, so at
+    most one of a position's top-k matches its final token."""
+    owner = np.array(owners)
+    hits = np.concatenate(rankings) == np.array(finals)[owner, :, None]
+    ranks = hits.dot(np.arange(1, hits.shape[-1] + 1))
+    return ranks[owner.argsort(kind="stable")].tolist()
+
+
 def _replay(
     model: ToyDenoiser,
     prompts: Sequence[Tuple[int, ...]],
     config: GenerationConfig,
     lookahead_max: int,
+    pair_rows: PairRows,
 ) -> List[List[Window]]:
     """Every window of each of ``prompts``, replayed in lockstep.
 
@@ -137,29 +171,39 @@ def _replay(
     every row's top-1 probability and the column that holds it off that
     ranking.  Each state then takes one ``verification.advance`` step
     on its own slice of both lists: the step ``verify`` takes on the
-    state's (L, V) rows, as vanilla decoding does.
+    state's (L, V) rows, as vanilla decoding does.  The calls' rankings
+    are kept as arrays until the block is done; ``_block_ranks`` then
+    reads every rank the block's windows need at once, and
+    ``_block_windows`` builds each state's windows from them, with
+    pairs taken from ``pair_rows``.
     """
     schedule = config.schedule
     states = [SequenceState.initial(prompt, config.num_blocks, config.block_length) for prompt in prompts]
     windows: List[List[Window]] = [[] for _ in prompts]
     for k in range(config.num_blocks):
         steps: List[List[StepRecord]] = [[] for _ in prompts]
-        vocabs: List[List[List[List[int]]]] = [[] for _ in prompts]
+        rankings: List[np.ndarray] = []
+        owners: List[int] = []
         live = range(len(states))
         while live:
             rows = forward_many(model, [states[i] for i in live])
             ranked = vocab_ranking(rows, config.top_k_vocab)
+            rankings.append(ranked)
+            owners += live
             still: List[int] = []
-            for i, top1, columns, vocab in zip(live, *_step_inputs(rows, ranked), ranked.tolist()):
+            for i, top1, columns in zip(live, *_step_inputs(rows, ranked)):
                 step = verification.advance(states[i].active_block, top1, columns, schedule)
                 steps[i].append(step)
-                vocabs[i].append(vocab)
                 states[i] = states[i].with_active_block(step.state_after)
                 if not step.state_after.is_complete:
                     still.append(i)
             live = still
+        ranks = _block_ranks(rankings, owners, [state.active_block.tokens for state in states])
+        start = 0
         for i, state in enumerate(states):
-            windows[i] += _block_windows(steps[i], vocabs[i], lookahead_max)
+            stop = start + len(steps[i])
+            windows[i] += _block_windows(steps[i], ranks[start:stop], lookahead_max, pair_rows)
+            start = stop
             if k + 1 < config.num_blocks:
                 states[i] = state.advance_block()
     return windows
@@ -188,15 +232,18 @@ def collect_records(
         raise ValueError("lookahead must be >= 1, got %d" % lookahead_max)
     checked = [check_prompt(model, prompt) for prompt in prompts]
     distinct = list(dict.fromkeys(checked))
+    # no step ranks past min(top_k_vocab, V)
+    top_k = min(config.top_k_vocab, model.vocab_size)
+    pair_rows = [[None, *((i, j) for j in range(1, top_k + 1))] for i in range(1, config.block_length + 1)]
     windows_of: Dict[Tuple[int, ...], List[Window]] = {}
     for start in range(0, len(distinct), _REPLAY_GROUP):
         group = distinct[start : start + _REPLAY_GROUP]
-        windows_of.update(zip(group, _replay(model, group, config, lookahead_max)))
-    # CalibrationRecord(sample_id, *window) without the Python frame of its __new__
+        windows_of.update(zip(group, _replay(model, group, config, lookahead_max, pair_rows)))
+    # CalibrationRecord(sample_id, origin, ell, pairs) without the Python frame of its __new__
     return [
-        tuple.__new__(CalibrationRecord, (sample_id, *window))
+        tuple.__new__(CalibrationRecord, (sample_id, origin, ell, pairs))
         for sample_id, prompt in enumerate(checked)
-        for window in windows_of[prompt]
+        for origin, ell, pairs in windows_of[prompt]
     ]
 
 

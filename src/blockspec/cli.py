@@ -90,15 +90,19 @@ def _first(prompts: List[Tuple[int, ...]], limit: Optional[int]) -> List[Tuple[i
     return prompts[:limit]
 
 
-def _load_graph(path: str, config: Optional[GenerationConfig] = None) -> drafting.DraftGraphSpec:
+def _load_graph(
+    path: str, config: Optional[GenerationConfig] = None, config_path: Optional[str] = None
+) -> drafting.DraftGraphSpec:
     """The graph in ``path``; one that cannot decode under ``config``,
-    when given, is an input error naming the file."""
+    when given, is an input error naming the file, and ``config_path``
+    too when a config file set ``config``."""
     graph = drafting.parse_graph(_read(path), source=path)
     if config is not None:
         try:
             engine.check_graph(graph, config)
         except ValueError as exc:
-            raise ValueError("%s: %s" % (path, exc))
+            where = "" if config_path is None else " in %s" % config_path
+            raise ValueError("%s: %s%s" % (path, exc, where))
     return graph
 
 
@@ -141,7 +145,7 @@ def _cmd_generate(args) -> int:
     prompt = prompts[args.index]
     timer = StageTimer() if args.profile else None
     if args.graph is not None:
-        graph = _load_graph(args.graph, config)
+        graph = _load_graph(args.graph, config, args.config)
         result = engine.generate_speculative(model, prompt, config, graph, timer=timer)
     else:
         result = engine.generate_vanilla(model, prompt, config, timer=timer)
@@ -156,7 +160,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     model, prompts, config = _load_setup(args)
-    graph = _load_graph(args.graph, config)
+    graph = _load_graph(args.graph, config, args.config)
     prompts = _first(prompts, args.limit)
     if not prompts:
         raise ValueError("no prompts to bench")
@@ -211,7 +215,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check_lossless(args) -> int:
     model, prompts, config = _load_setup(args)
-    graph = _load_graph(args.graph, config)
+    graph = _load_graph(args.graph, config, args.config)
     _at_least("--trials", args.trials, 1)
     if args.trials > len(prompts):
         raise ValueError("--trials %d requested but only %d prompts available" % (args.trials, len(prompts)))

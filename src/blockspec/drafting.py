@@ -107,15 +107,14 @@ class DraftFormula:
         return " ".join("%d:%d" % (i, j) for i, j in self.pairs)
 
 
-def is_parent(a: DraftFormula, b: DraftFormula, tokens_per_level: int) -> bool:
-    return b.size - a.size == tokens_per_level and set(a.pairs) < set(b.pairs)
-
-
 def parent_indices(formulas: Sequence[DraftFormula], tokens_per_level: int) -> Tuple[Tuple[int, ...], ...]:
-    """Per formula, the indices of its parents among ``formulas``."""
+    """Per formula, the indices of its parents among ``formulas``: A is
+    a parent of B when A's pairs are a subset of B's and B has exactly
+    ``tokens_per_level`` more.  Each formula's pair set is built once."""
+    sets = [frozenset(f.pairs) for f in formulas]
     return tuple(
-        tuple(a_idx for a_idx, a in enumerate(formulas) if is_parent(a, b, tokens_per_level))
-        for b in formulas
+        tuple(a_idx for a_idx, a in enumerate(sets) if len(b) - len(a) == tokens_per_level and a < b)
+        for b in sets
     )
 
 

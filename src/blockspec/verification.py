@@ -81,7 +81,8 @@ def advance(
     tokens = list(block.tokens)
     for n in ordered[:count]:
         unmask(tokens, n, columns[n] + 1)
-    return StepRecord(ordered, BlockState(tuple(tokens)), count)
+    # StepRecord(...) without the Python frame of its __new__
+    return tuple.__new__(StepRecord, (ordered, BlockState(tuple(tokens)), count))
 
 
 def verify(

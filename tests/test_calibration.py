@@ -241,6 +241,17 @@ class TestCollectRecords:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 collect_records(model, bad, cfg, 2)
 
+    @pytest.mark.parametrize("schedule, lookahead", [("fixed:1", 4), ("fixed:2", 3), ("threshold:0.4", 4)])
+    def test_records_share_pair_objects(self, model, prompts, schedule, lookahead):
+        """Every window takes its (i, j) pairs from one table of
+        L x top_k_vocab pairs, so the README records, thousands of pairs
+        in all, hold no more distinct pair objects than that."""
+        cfg = make_config(schedule)
+        records = collect_records(model, prompts, cfg, lookahead)
+        assert records == reference_collect_records(model, prompts, cfg, lookahead)
+        shared = {id(pair) for record in records for pair in record.pairs}
+        assert len(shared) <= cfg.block_length * cfg.top_k_vocab
+
     def test_numpy_integer_prompts_give_the_same_records(self, model):
         cfg = make_config("fixed:1", total_length=16, block_length=8)
         plain = collect_records(model, [(7, 8, 8)], cfg, 3)

@@ -115,8 +115,9 @@ _BAD_FILES = {
     "nbsp.cfg": "W = 32\u00a0\nL = 8\nschedule = fixed:1\ntop_k_vocab = 3\neot_token = 12\n".encode(),
     "ideographic.graph": "D 2\ntokens_per_level 1\n1:1\n1:1\u30002:1\n".encode(),
     "separator_prompts.txt": b"1 2\x1c3 4\n",
-    # vocabulary rank 5 with the default top_k_vocab of 3
+    # vocabulary rank 5 with the default top_k_vocab of 3, or this config's 4
     "wide.graph": b"D 1\ntokens_per_level 1\n1:5\n",
+    "top_k4.cfg": (_CONFIG % (4, 12)).encode(),
 }
 _SETUP = ["--corpus", "corpus.txt", "--prompts", "prompts.txt"]
 _CALIBRATE = ["calibrate", *_SETUP, "--lookahead", 2, "--budget", 2, "--out", "out.graph"]
@@ -674,6 +675,10 @@ class TestInputValidation:
             (_GENERATE + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
             (_BENCH + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
             (_CHECK + ["--graph", "wide.graph"], "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 3"),
+            (
+                _GENERATE + ["--graph", "wide.graph", "--config", "top_k4.cfg"],
+                "wide.graph: graph needs vocabulary rank 5, top_k_vocab is 4 in top_k4.cfg",
+            ),
             (["graph", "validate", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
             (["graph", "validate", "--graph", "latin1.graph"], "latin1.graph:3: not UTF-8 text (byte 0xe9)"),
             (["graph", "show", "--graph", "nope.graph"], "cannot read nope.graph: " + _NOT_FOUND),
@@ -731,6 +736,7 @@ class TestInputValidation:
             "generate-graph-vocabulary-rank",
             "bench-graph-vocabulary-rank",
             "check-lossless-graph-vocabulary-rank",
+            "generate-graph-vocabulary-rank-config",
             "validate-missing",
             "validate-not-utf8",
             "show-missing",

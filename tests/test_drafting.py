@@ -16,9 +16,9 @@ from blockspec.drafting import (
     build_graph,
     export_dot,
     format_graph,
-    is_parent,
     order_positions,
     order_vocab,
+    parent_indices,
     parse_graph,
     spawn_drafts,
 )
@@ -134,10 +134,11 @@ class TestDraftFormula:
         a = DraftFormula.of([(1, 1)])
         b = DraftFormula.of([(1, 1), (2, 1)])
         c = DraftFormula.of([(1, 2)])
-        assert is_parent(a, b, 1)
-        assert not is_parent(b, a, 1)
-        assert not is_parent(a, b, 2)  # size gap must equal tokens_per_level
-        assert not is_parent(c, b, 1)  # not a subset
+        parents = parent_indices([a, b, c], 1)
+        assert 0 in parents[1]
+        assert 1 not in parents[0]
+        assert 0 not in parent_indices([a, b, c], 2)[1]  # size gap must equal tokens_per_level
+        assert 2 not in parents[1]  # not a subset
 
 
 # ---------------------------------------------------------------------------
